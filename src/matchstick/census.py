@@ -42,9 +42,13 @@ class FaceCensus:
 
 
 def face_census(g: MatchstickGraph) -> FaceCensus:
-    """Inner-face size histogram plus the boundary length b and weight F."""
-    info = connectivity(g)
-    if not info.two_connected:
+    """Inner-face size histogram plus the boundary length b and weight F.
+    Computed once per graph."""
+    return g._once(_face_census)
+
+
+def _face_census(g: MatchstickGraph) -> FaceCensus:
+    if not connectivity(g).two_connected:
         raise ValueError("face_census requires a 2-connected graph")
     fs = faces(g)
     b = len(fs.outer_face)

@@ -4,16 +4,12 @@ Output is JSON-lines (one JSON document per line) except for `render`, which
 writes an SVG file.  `-` means stdin for file arguments.  Exit codes:
 0 success, 1 validation failure, 2 usage error, 3 internal-consistency error
 (a theorem-level invariant failed, which should never happen).
-
-The environment variable MATCHSTICK_THREADS (positive integer) caps internal
-parallelism; the current implementation is sequential, so any cap is honored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
@@ -59,25 +55,30 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def cmd_stats(args) -> int:
+def _analyse(args, analysis) -> int:
+    """Emit ``analysis(g)`` for the graph in ``args.file``, or exit EXIT_INVALID after
+    emitting the validation report or the error of an analysis that does not apply."""
     g = _load_graph(args.file)
     report = g.validate(tol=args.tol)
     if not report.ok:
         _emit(report.to_json())
         return EXIT_INVALID
     try:
-        census = face_census(g)
+        result = analysis(g)
     except ValueError as exc:
         _emit({"error": str(exc)})
         return EXIT_INVALID
-    bound = check_harborth(g)
-    _emit({
-        "n": census.n, "e": census.e, "b": census.b,
-        "f": {str(k): v for k, v in sorted(census.f.items())},
-        "F": census.F, "f3": census.f3,
-        "bound": bound.bound, "tight": bound.tight,
-    })
+    _emit(result)
     return EXIT_OK
+
+
+def _stats(g: MatchstickGraph) -> dict:
+    # the census fields, then the bound fields; "e" is in both and equal
+    return {**json.loads(face_census(g).to_json()), **json.loads(check_harborth(g).to_json())}
+
+
+def cmd_stats(args) -> int:
+    return _analyse(args, _stats)
 
 
 def cmd_bound(args) -> int:
@@ -98,18 +99,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _load_graph(args.file)
-    report = g.validate(tol=args.tol)
-    if not report.ok:
-        _emit(report.to_json())
-        return EXIT_INVALID
-    try:
-        dec = decompose(g, tol=args.tol)
-    except ValueError as exc:
-        _emit({"error": str(exc)})
-        return EXIT_INVALID
-    _emit(dec.to_json())
-    return EXIT_OK
+    return _analyse(args, lambda g: decompose(g, tol=args.tol).to_json())
 
 
 def cmd_iso(args) -> int:
@@ -122,13 +112,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    g = _load_graph(args.file)
-    report = g.validate(tol=args.tol)
-    if not report.ok:
-        _emit(report.to_json())
-        return EXIT_INVALID
-    _emit(claim_trace(g).to_json())
-    return EXIT_OK
+    return _analyse(args, lambda g: claim_trace(g).to_json())
 
 
 def cmd_oracle(args) -> int:
@@ -144,29 +128,16 @@ def cmd_oracle(args) -> int:
 
 def cmd_render(args) -> int:
     g = _load_graph(args.file)
-    report = g.validate()
     dec = None
-    if report.ok:
+    if g.validate().ok:
         try:
             dec = decompose(g)
         except ValueError:
-            dec = None
+            pass
     svg = render_svg(g, dec)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return EXIT_OK
-
-
-def _check_thread_cap() -> None:
-    raw = os.environ.get("MATCHSTICK_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(EXIT_USAGE)
-    if cap < 1:
-        raise SystemExit(EXIT_USAGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _check_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

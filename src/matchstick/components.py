@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import geometry as geo
 from .census import face_census
 from .graph import (ConsistencyError, LatticeCoord, MatchstickGraph, _norm_edge,
-                    block_decomposition, boundary, connectivity, lattice_graph)
+                    block_decomposition, boundary, connectivity, faces, lattice_graph)
 from .lattice import UNIT_RING, EisensteinPoint, LatticeFrame, phi
 
 ANGLE_TOL = 1e-9
@@ -42,8 +42,11 @@ class LatticeComponent:
 
     @property
     def boundary_edges(self) -> frozenset:
-        c = self.boundary_cycle
-        return frozenset(_norm_edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c)))
+        return _cycle_edges(self.boundary_cycle)
+
+
+def _cycle_edges(c) -> frozenset:
+    return frozenset(_norm_edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c)))
 
 
 @dataclass(frozen=True)
@@ -84,39 +87,34 @@ def decompose(g: MatchstickGraph, tol: float = POS_TOL) -> DecompositionReport:
     so they are None for graphs that are not 2-connected.
     """
     g.require_validated()
-    two_connected = connectivity(g).two_connected
-    census = face_census(g) if two_connected else None
+    info = connectivity(g)
+    census = face_census(g) if info.two_connected else None
 
     if g.lattice_mode:
         # every vertex is on the one input lattice, so the components are just
         # the 2-connected blocks on >= 3 vertices, with the input coordinates
         frame = g.frames[next(iter(g.coord(v).frame for v in g.ids()))]
         coords = {vid: g.coord(vid).point for vid in g.ids()}
-        grown_sets = [(set(g.ids()), set(g.edges), frame, coords)]
+        candidates = [(blk, frame, coords) for blk in info.blocks]
     else:
-        grown_sets = _grow_all_seeds(g, tol)
+        candidates = _grow_all_seeds(g, tol)
 
     comps = []
     seen_edge_sets = set()
-    for vset, eset, frame, coords in grown_sets:
-        adj = {v: [] for v in vset}
-        for a, b in eset:
-            adj[a].append(b)
-            adj[b].append(a)
-        blocks, _ = block_decomposition(sorted(vset), adj)
-        for blk in blocks:
-            if len(blk.vertices) < 3:
-                continue
-            if blk.edges in seen_edge_sets:
-                continue
-            seen_edge_sets.add(blk.edges)
-            comps.append(_make_component(blk.vertices, blk.edges, frame, coords))
+    for blk, frame, coords in candidates:
+        if len(blk.vertices) < 3 or blk.edges in seen_edge_sets:
+            continue
+        seen_edge_sets.add(blk.edges)
+        comps.append(_make_component(blk.vertices, blk.edges, frame, coords))
     # drop components strictly contained in another
     comps = [c for c in comps
              if not any(c is not d and c.edges < d.edges for d in comps)]
     comps.sort(key=lambda c: (-c.n_i, min(c.vertices)))
 
-    b_star_val = b_star_count(g, comps[0]) if comps and two_connected else None
+    b_star_val = None
+    if comps and census is not None:
+        outer_edges = _cycle_edges(faces(g).outer_face)
+        b_star_val = len(outer_edges - comps[0].boundary_edges)
     return DecompositionReport(
         components=tuple(comps),
         sum_n_i=sum(c.n_i for c in comps),
@@ -127,7 +125,8 @@ def decompose(g: MatchstickGraph, tol: float = POS_TOL) -> DecompositionReport:
 
 
 def _grow_all_seeds(g: MatchstickGraph, tol: float):
-    """Grow the lattice-consistent region of every 60-degree wedge seed.
+    """Grow the lattice-consistent region of every 60-degree wedge seed, and
+    return the blocks of each region with the region's frame and coordinates.
 
     The grown region is the connected component (through edges of g) of the
     set of vertices whose position lies on the seed's lattice, so seeds whose
@@ -159,7 +158,12 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                 vset = set(coords)
                 eset = {e for e in g.edges if e[0] in vset and e[1] in vset}
                 grown.append((vset, eset, frame, coords))
-    return grown
+    candidates = []
+    for vset, _, frame, coords in grown:
+        region_adj = {v: [u for u in adj[v] if u in vset] for v in vset}  # eset is induced
+        blocks, _ = block_decomposition(sorted(vset), region_adj)
+        candidates.extend((blk, frame, coords) for blk in blocks)
+    return candidates
 
 
 def _grow(pos, adj, frame, seed, tol):
@@ -229,18 +233,13 @@ def fill_component(comp: LatticeComponent) -> MatchstickGraph:
     return lattice_graph(points, frame=comp.frame)
 
 
-def b_star_count(g: MatchstickGraph, g1: LatticeComponent) -> int:
-    """Boundary edges of g that are not on the boundary of the component g1."""
-    cycle, _ = boundary(g)
-    outer_edges = {_norm_edge(cycle[i], cycle[(i + 1) % len(cycle)])
-                   for i in range(len(cycle))}
-    return len(outer_edges - g1.boundary_edges)
-
-
 def b_star(g: MatchstickGraph, report: DecompositionReport) -> int:
+    """Boundary edges of g that are not on the boundary of the largest component."""
     if not report.components:
         raise ValueError("b_star undefined: decomposition has no components")
-    return b_star_count(g, report.components[0])
+    if report.b_star is None:
+        raise ValueError("boundary requires a 2-connected graph")
+    return report.b_star
 
 
 def coverage_bounds(g: MatchstickGraph, report: DecompositionReport) -> dict:
@@ -249,9 +248,8 @@ def coverage_bounds(g: MatchstickGraph, report: DecompositionReport) -> dict:
     Diagnostic only: the two-sided bound is proved under the contradiction
     hypothesis, so `within` may legitimately be False for a real graph.
     """
-    census = face_census(g)
-    lower = g.n - 2 * census.F
-    upper = g.n + 4 * census.F
-    s = report.sum_n_i
+    if report.lower is None:
+        raise ValueError("face_census requires a 2-connected graph")
+    s, lower, upper = report.sum_n_i, report.lower, report.upper
     return {"sum_n_i": s, "lower": lower, "upper": upper,
             "within": lower <= s <= upper}

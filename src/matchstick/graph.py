@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from . import geometry as geo
@@ -131,10 +132,16 @@ class MatchstickGraph:
             if isinstance(coord, LatticeCoord) and not (0 <= coord.frame < len(self.frames)):
                 raise ValueError(f"vertex {vid} references unknown frame {coord.frame}")
         self._coord = dict(vertices)
-        self._positions = None
-        self._adj = None
         self._validated_ok = False
-        self._report_cache = {}
+        self._derived = {}
+
+    def _once(self, compute, *args):
+        """``compute(self, *args)``, evaluated once per graph and arguments (the graph
+        is immutable); every caller gets the same object and must not mutate it."""
+        key = (compute, args)
+        if key not in self._derived:
+            self._derived[key] = compute(self, *args)
+        return self._derived[key]
 
     # -- basic accessors ----------------------------------------------------
 
@@ -166,34 +173,10 @@ class MatchstickGraph:
         return self.positions()[vid]
 
     def positions(self) -> dict:
-        if self._positions is None:
-            pos = {}
-            for vid, c in self.vertices:
-                if isinstance(c, FreeCoord):
-                    pos[vid] = (c.x, c.y)
-                else:
-                    pos[vid] = self.frames[c.frame].to_cartesian(c.point)
-            self._positions = pos
-        return self._positions
-
-    def scaled_positions(self) -> dict:
-        """Doubled integer coordinates (2m+n, n); only meaningful in lattice mode."""
-        out = {}
-        for vid, c in self.vertices:
-            out[vid] = c.point.scaled()
-        return out
+        return self._once(_positions)
 
     def adjacency(self) -> dict:
-        if self._adj is None:
-            adj = {vid: [] for vid, _ in self.vertices}
-            for a, b in sorted(self.edges):
-                adj[a].append(b)
-                adj[b].append(a)
-            self._adj = adj
-        return self._adj
-
-    def degree(self, vid: int) -> int:
-        return len(self.adjacency()[vid])
+        return self._once(_adjacency)
 
     @property
     def validated(self) -> bool:
@@ -206,21 +189,11 @@ class MatchstickGraph:
         the penny condition that all pairwise vertex distances are at least 1.
 
         Violations are data, not errors; the report lists all of them.
-        Reports are cached per (tol, penny_mode): the graph is immutable.
+        One report is computed per (tol, penny_mode).
         """
-        exact = self.lattice_mode
-        key = (tol, penny_mode)
-        cached = self._report_cache.get(key)
-        if cached is not None:
-            return cached
-        violations = (_validate_exact(self, penny_mode) if exact
-                      else _validate_float(self, tol, penny_mode))
-        violations.sort(key=lambda v: (v.kind, v.ids))
-        report = ValidationReport(ok=not violations, violations=tuple(violations),
-                                  mode="lattice" if exact else "free")
+        report = self._once(_validation_report, tol, penny_mode)
         if report.ok:
             self._validated_ok = True
-        self._report_cache[key] = report
         return report
 
     def require_validated(self):
@@ -253,21 +226,64 @@ class MatchstickGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "MatchstickGraph":
+        """Parse the JSON of :meth:`to_json`.  A document of the wrong shape
+        raises ValueError naming the offending field."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("graph document must be a JSON object")
         frames = [None] * len(data.get("frames", []))
         for fr in data.get("frames", []):
-            frames[fr["id"]] = LatticeFrame(origin=(float(fr["origin"][0]), float(fr["origin"][1])),
-                                            angle=float(fr["angle"]))
+            fid = _field(fr, "id", "frame")
+            if type(fid) is not int or not 0 <= fid < len(frames):
+                raise ValueError(f"frame id {fid!r} is out of range 0..{len(frames) - 1}")
+            frames[fid] = LatticeFrame(origin=_point(_field(fr, "origin", "frame"), "frame origin"),
+                                       angle=_finite(_field(fr, "angle", "frame"), "frame angle"))
+        if None in frames:
+            raise ValueError(f"frame id {frames.index(None)} is missing")
         vertices = []
-        for v in data["vertices"]:
+        for v in _field(data, "vertices", "graph document"):
+            vid = _field(v, "id", "vertex")
             if "lattice" in v:
                 lat = v["lattice"]
-                vertices.append((v["id"], LatticeCoord(lat["frame"],
-                                                       EisensteinPoint(lat["m"], lat["n"]))))
+                vertices.append((vid, LatticeCoord(lat["frame"],
+                                                   EisensteinPoint(lat["m"], lat["n"]))))
+            elif "free" in v:
+                vertices.append((vid, FreeCoord(*_point(v["free"], f"vertex {vid} free"))))
             else:
-                vertices.append((v["id"], FreeCoord(float(v["free"][0]), float(v["free"][1]))))
-        edges = [tuple(e) for e in data["edges"]]
+                raise ValueError(f"vertex {vid} has neither 'free' nor 'lattice'")
+        edges = [tuple(e) for e in _field(data, "edges", "graph document")]
         return cls(vertices, edges, frames)
+
+
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} has no field {key!r}")
+    return obj[key]
+
+
+def _finite(x, where: str) -> float:
+    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{where} must be a finite number, not {x!r}")
+    return float(x)
+
+
+def _point(xy, where: str) -> tuple[float, float]:
+    if not isinstance(xy, list) or len(xy) != 2:
+        raise ValueError(f"{where} must be a pair of numbers, not {xy!r}")
+    return _finite(xy[0], where), _finite(xy[1], where)
+
+
+def _positions(g: MatchstickGraph) -> dict:
+    return {vid: (c.x, c.y) if isinstance(c, FreeCoord) else g.frames[c.frame].to_cartesian(c.point)
+            for vid, c in g.vertices}
+
+
+def _adjacency(g: MatchstickGraph) -> dict:
+    adj = {vid: [] for vid, _ in g.vertices}
+    for a, b in sorted(g.edges):
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
 
 
 def _f(x: float) -> str:
@@ -373,8 +389,17 @@ def _edge_pairs_and_vertex_hits(g: MatchstickGraph):
     return edges, sorted(epairs), sorted(vhits)
 
 
+def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> ValidationReport:
+    exact = g.lattice_mode
+    violations = (_validate_exact(g, penny_mode) if exact
+                  else _validate_float(g, tol, penny_mode))
+    violations.sort(key=lambda v: (v.kind, v.ids))
+    return ValidationReport(ok=not violations, violations=tuple(violations),
+                            mode="lattice" if exact else "free")
+
+
 def _validate_exact(g: MatchstickGraph, penny_mode: bool):
-    sp = g.scaled_positions()
+    sp = {vid: c.point.scaled() for vid, c in g.vertices}  # doubled integer coordinates
     out = []
     for a, b in sorted(g.edges):
         du = sp[b][0] - sp[a][0]
@@ -492,9 +517,13 @@ def faces(g: MatchstickGraph) -> FaceStructure:
     """Face cycles by the next-dart rule: at the head of dart (u, v) continue to
     the neighbor immediately clockwise of u around v.  Inner faces come out
     counterclockwise; the outer face is the unique clockwise one (negative
-    shoelace sum over its closed walk)."""
+    shoelace sum over its closed walk).  Computed once per graph."""
+    return g._once(_faces)
+
+
+def _faces(g: MatchstickGraph) -> FaceStructure:
     g.require_validated()
-    if not _is_connected(g):
+    if not connectivity(g).connected:
         raise ValueError("faces() requires a connected graph")
     if g.e == 0:
         return FaceStructure(faces=((),), outer_face_index=0, face_of_dart={})
@@ -532,18 +561,16 @@ def faces(g: MatchstickGraph) -> FaceStructure:
 
 
 def _canonical_rotation(cycle):
-    k = len(cycle)
-    best = min(range(k), key=lambda i: tuple(cycle[(i + j) % k] for j in range(k)))
-    return tuple(cycle[(best + j) % k] for j in range(k))
+    """The lexicographically least rotation; it starts at the minimum vertex."""
+    low = min(cycle)
+    return min(tuple(cycle[i:] + cycle[:i]) for i, v in enumerate(cycle) if v == low)
 
 
 def boundary(g: MatchstickGraph) -> tuple[list, int]:
     """Outer-face cycle and its length; defined for 2-connected graphs only."""
-    info = connectivity(g)
-    if not info.two_connected:
+    if not connectivity(g).two_connected:
         raise ValueError("boundary requires a 2-connected graph")
-    fs = faces(g)
-    cycle = list(fs.outer_face)
+    cycle = list(faces(g).outer_face)
     return cycle, len(cycle)
 
 
@@ -617,7 +644,12 @@ def block_decomposition(ids, adj):
 
 
 def connectivity(g: MatchstickGraph) -> ConnectivityInfo:
-    """Standard block-cut decomposition; blocks ordered by smallest contained id."""
+    """Standard block-cut decomposition; blocks ordered by smallest contained id.
+    Computed once per graph."""
+    return g._once(_connectivity)
+
+
+def _connectivity(g: MatchstickGraph) -> ConnectivityInfo:
     adj = g.adjacency()
     ids = g.ids()
     blocks, cut = block_decomposition(ids, adj)

@@ -100,14 +100,6 @@ class SplitLengths:
         return self.b_parallel + self.b_star
 
 
-def area(p: Polygon) -> float:
-    return p.area
-
-
-def perimeter(p: Polygon) -> float:
-    return p.perimeter
-
-
 def check_classic(p: Polygon) -> dict:
     """4*pi*A < b**2, strict for every simple polygon."""
     lhs = 4.0 * math.pi * p.area

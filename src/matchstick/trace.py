@@ -109,8 +109,8 @@ def claim_trace(g: MatchstickGraph) -> TraceReport:
 
     report = decompose(g)
     sum_ni = report.sum_n_i
-    records.append(_rec("coverage_lower", float(n - 2 * F), float(sum_ni), "<=", exact=True))
-    records.append(_rec("coverage_upper", float(sum_ni), float(n + 4 * F), "<=", exact=True))
+    records.append(_rec("coverage_lower", float(report.lower), float(sum_ni), "<=", exact=True))
+    records.append(_rec("coverage_upper", float(sum_ni), float(report.upper), "<=", exact=True))
 
     if report.components:
         g1 = report.components[0]

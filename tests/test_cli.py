@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -175,17 +176,35 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 2
 
-    def test_thread_cap_env(self):
-        import os
-        env = dict(os.environ, MATCHSTICK_THREADS="2")
-        assert run_cli("bound", "7", env=env).returncode == 0
-        env["MATCHSTICK_THREADS"] = "zero"
-        assert run_cli("bound", "7", env=env).returncode == 2
-        env["MATCHSTICK_THREADS"] = "0"
-        assert run_cli("bound", "7", env=env).returncode == 2
-
     def test_missing_file(self):
         assert run_cli("validate", "/nonexistent/file.json").returncode == 2
+
+    @pytest.mark.parametrize("doc, field", [
+        ('[[0, 0], [1, 0]]', "JSON object"),
+        ('{"frames": [], "vertices": [{"id": 0, "free": [0, 0]}]}', "'edges'"),
+        ('{"frames": [], "vertices": [{"id": 0, "free": [0, 0]}, {"id": 1}],'
+         ' "edges": [[0, 1]]}', "vertex 1 has neither"),
+        ('{"frames": [], "vertices": [{"id": 0, "free": [0, 0]},'
+         ' {"id": 1, "free": [Infinity, 0]}], "edges": [[0, 1]]}', "vertex 1 free"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": NaN}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0, "m": 0, "n": 0}}], "edges": []}',
+         "frame angle"),
+        ('{"frames": [{"id": 3, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0, "m": 0, "n": 0}}], "edges": []}',
+         "frame id 3"),
+        ('{"frames": [{"origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0, "m": 0, "n": 0}}], "edges": []}',
+         "frame has no field 'id'"),
+    ], ids=["top-level-array", "missing-edges", "vertex-without-coordinate",
+            "infinite-coordinate", "nan-frame-angle", "frame-id-out-of-range",
+            "frame-without-id"])
+    def test_malformed_graph_is_usage_error(self, doc, field, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(["stats", "-"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        [line] = out.err.splitlines()
+        assert field in json.loads(line)["error"]
 
 
 class TestConsistencyExit:

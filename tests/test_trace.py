@@ -4,7 +4,8 @@ import math
 import pytest
 
 from matchstick.builders import build_extremal, build_hexagon_patch
-from matchstick.graph import lattice_graph
+from matchstick.census import face_census
+from matchstick.graph import MatchstickGraph, connectivity, faces, lattice_graph
 from matchstick.lattice import EisensteinPoint, phi
 from matchstick.trace import (claim_trace, isoperimetric_phi_quadratic,
                               isoperimetric_phi_thresholds)
@@ -66,6 +67,17 @@ class TestClaimTrace:
         # removing claim_trace must not change anything: run it twice, same output
         g = validated(build_hexagon_patch(2))
         assert claim_trace(g).to_json() == claim_trace(g).to_json()
+
+
+class TestAnalysesComputedOnce:
+    def test_trace_leaves_one_shared_analysis_per_graph(self):
+        g = validated(build_extremal(40))
+        assert connectivity(g).two_connected
+        claim_trace(g)
+        fresh = validated(MatchstickGraph.from_json(g.to_json()))
+        for analysis in (connectivity, faces, face_census):
+            assert analysis(g) is analysis(g)
+            assert analysis(g) == analysis(fresh)
 
 
 class TestQuadraticThresholds:
