@@ -90,7 +90,8 @@ def decompose(g: MatchstickGraph, tol: float = POS_TOL) -> DecompositionReport:
     info = connectivity(g)
     census = face_census(g) if info.two_connected else None
 
-    if g.lattice_mode:
+    lattice = g.lattice_mode
+    if lattice:
         # every vertex is on the one input lattice, so the components are just
         # the 2-connected blocks on >= 3 vertices, with the input coordinates
         frame = g.frames[next(iter(g.coord(v).frame for v in g.ids()))]
@@ -105,7 +106,10 @@ def decompose(g: MatchstickGraph, tol: float = POS_TOL) -> DecompositionReport:
         if len(blk.vertices) < 3 or blk.edges in seen_edge_sets:
             continue
         seen_edge_sets.add(blk.edges)
-        comps.append(_make_component(blk.vertices, blk.edges, frame, coords))
+        # a block holding all of a lattice-mode g is g itself, same frame and points
+        whole = lattice and len(blk.vertices) == g.n and len(blk.edges) == g.e
+        comps.append(_make_component(blk.vertices, blk.edges, frame, coords,
+                                     g if whole else None))
     # drop components strictly contained in another
     comps = [c for c in comps
              if not any(c is not d and c.edges < d.edges for d in comps)]
@@ -196,12 +200,15 @@ def component_subgraph(comp: LatticeComponent) -> MatchstickGraph:
     return sub
 
 
-def _make_component(vset, eset, frame, coords) -> LatticeComponent:
+def _make_component(vset, eset, frame, coords, graph=None) -> LatticeComponent:
+    """The component on ``vset``/``eset``; ``graph``, when given, is that
+    component as an already validated lattice-mode graph, whose cached
+    analysis then supplies the boundary."""
     comp_coords = {v: coords[v] for v in vset}
     tmp = LatticeComponent(vertices=frozenset(vset), edges=frozenset(eset),
                            frame=frame, coords=comp_coords, boundary_cycle=(),
                            n_i=len(vset), e_i=len(eset), b_i=0)
-    cycle, b = boundary(component_subgraph(tmp))
+    cycle, b = boundary(component_subgraph(tmp) if graph is None else graph)
     return LatticeComponent(vertices=tmp.vertices, edges=tmp.edges, frame=frame,
                             coords=comp_coords, boundary_cycle=tuple(cycle),
                             n_i=tmp.n_i, e_i=tmp.e_i, b_i=b)

@@ -6,6 +6,17 @@ lattice coordinates (an ``EisensteinPoint`` within a ``LatticeFrame``) or
 free cartesian floats.  Graphs whose vertices all live on one frame are
 validated with exact integer predicates; everything else falls back to
 tolerance-based float predicates.
+
+The unit-distance graph of the triangular lattice is plane: a unit lattice
+edge between two distinct lattice points crosses no other such edge, overlaps
+none, and passes through no lattice point.  So a lattice graph can only fail
+validation through a non-unit edge or two vertices on one point (in penny
+mode, only duplicates come closer than 1).  Exact validation checks those two
+faults in O(n + e) and runs the generic segment-pair pass only when one of
+them fires, so an invalid graph still gets the full report.  The generic
+passes prune candidate pairs with a spatial grid: an edge of length at most
+1.05 sits in the cell of its midpoint, a longer one in every cell of its
+widened bounding box, so the cost follows the number of nearby pairs.
 """
 
 from __future__ import annotations
@@ -16,15 +27,21 @@ import sys
 from dataclasses import dataclass
 
 from . import geometry as geo
-from .lattice import UNIT_RING, EisensteinPoint, LatticeFrame
+from .lattice import UNIT_RING, EisensteinPoint, LatticeFrame, eisenstein_norm
 
 DEFAULT_TOL = 1e-9
+# from_json bound on lattice m and n: past 2**53 floats no longer hold every
+# integer, so the vertex positions lose their meaning
+_MAX_LATTICE_COORD = 2 ** 53
 
 # grid pruning: edges up to _SHORT_EDGE long go in a _CELL-sized midpoint grid
 # (two such edges can only touch with midpoints within _SHORT_EDGE < _CELL);
-# longer edges are rare in valid inputs and are checked brute-force
+# a longer edge goes in every cell of its bounding box widened by tol plus
+# _BOX_PAD (slack for float rounding of the box), unless that is more than
+# n + e cells, when it is checked brute-force against every edge and vertex
 _CELL = 1.1
 _SHORT_EDGE = 1.05
+_BOX_PAD = _CELL - _SHORT_EDGE
 
 
 class ConsistencyError(Exception):
@@ -231,8 +248,9 @@ class MatchstickGraph:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("graph document must be a JSON object")
-        frames = [None] * len(data.get("frames", []))
-        for fr in data.get("frames", []):
+        frame_docs = _list(data.get("frames", []), "graph document field 'frames'")
+        frames = [None] * len(frame_docs)
+        for fr in frame_docs:
             fid = _field(fr, "id", "frame")
             if type(fid) is not int or not 0 <= fid < len(frames):
                 raise ValueError(f"frame id {fid!r} is out of range 0..{len(frames) - 1}")
@@ -241,17 +259,24 @@ class MatchstickGraph:
         if None in frames:
             raise ValueError(f"frame id {frames.index(None)} is missing")
         vertices = []
-        for v in _field(data, "vertices", "graph document"):
-            vid = _field(v, "id", "vertex")
+        for v in _list(_field(data, "vertices", "graph document"), "graph document field 'vertices'"):
+            vid = _int(_field(v, "id", "vertex"), "vertex id")
             if "lattice" in v:
-                lat = v["lattice"]
-                vertices.append((vid, LatticeCoord(lat["frame"],
-                                                   EisensteinPoint(lat["m"], lat["n"]))))
+                where = f"vertex {vid} lattice"
+                fid, m, n = (_int(_field(v["lattice"], key, where), f"{where} {key!r}")
+                             for key in ("frame", "m", "n"))
+                if max(abs(m), abs(n)) > _MAX_LATTICE_COORD:
+                    raise ValueError(f"{where} 'm' and 'n' must be at most 2**53 in magnitude")
+                vertices.append((vid, LatticeCoord(fid, EisensteinPoint(m, n))))
             elif "free" in v:
                 vertices.append((vid, FreeCoord(*_point(v["free"], f"vertex {vid} free"))))
             else:
                 raise ValueError(f"vertex {vid} has neither 'free' nor 'lattice'")
-        edges = [tuple(e) for e in _field(data, "edges", "graph document")]
+        edges = []
+        for e in _list(_field(data, "edges", "graph document"), "graph document field 'edges'"):
+            if not (isinstance(e, list) and len(e) == 2):
+                raise ValueError(f"edge {e!r} must be a pair of vertex ids")
+            edges.append((_int(e[0], "edge endpoint"), _int(e[1], "edge endpoint")))
         return cls(vertices, edges, frames)
 
 
@@ -259,6 +284,18 @@ def _field(obj, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{where} has no field {key!r}")
     return obj[key]
+
+
+def _list(x, where: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{where} must be a list, not {type(x).__name__}")
+    return x
+
+
+def _int(x, where: str) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{where} must be an integer, not {x!r}")
+    return x
 
 
 def _finite(x, where: str) -> float:
@@ -356,25 +393,51 @@ def _vertex_pairs(g: MatchstickGraph):
                 yield pair
 
 
-def _edge_pairs_and_vertex_hits(g: MatchstickGraph):
-    """Candidate (edge, edge) and (vertex, edge) interactions via grid pruning."""
+def _edge_pairs_and_vertex_hits(g: MatchstickGraph, tol: float):
+    """Candidate (edge, edge) and (vertex, edge) interactions via grid pruning;
+    every pair of the graph's elements within ``tol`` of each other is one.
+
+    A point within tol of a long edge lies in the edge's widened box, so two
+    long edges within tol share a cell of their boxes, a vertex within tol of
+    one is in a cell of its box, and a short edge within tol of one has its
+    midpoint within one cell of its box.
+    """
     pos = g.positions()
     edges = sorted(g.edges)
+    pad = max(tol, 0.0) + _BOX_PAD
     mids = []
-    long_edges = []
+    boxes = {}  # long edge index -> cell range (x0, x1, y0, y1) of its widened box
+    brute = []
     for idx, (a, b) in enumerate(edges):
         (ax, ay), (bx, by) = pos[a], pos[b]
         if math.hypot(bx - ax, by - ay) <= _SHORT_EDGE:
             mids.append((idx, ((ax + bx) / 2, (ay + by) / 2)))
+            continue
+        x0, x1 = math.floor((min(ax, bx) - pad) / _CELL), math.floor((max(ax, bx) + pad) / _CELL)
+        y0, y1 = math.floor((min(ay, by) - pad) / _CELL), math.floor((max(ay, by) + pad) / _CELL)
+        if (x1 - x0 + 1) * (y1 - y0 + 1) > g.n + g.e:
+            brute.append(idx)
         else:
-            long_edges.append(idx)
+            boxes[idx] = (x0, x1, y0, y1)
     egrid = _grid_of(mids)
+    lgrid = {}
+    for li, box in boxes.items():
+        for c in _box_cells(*box):
+            lgrid.setdefault(c, []).append(li)
     epairs = set()
     for idx, (mx, my) in mids:
         for other in _near_cells(egrid, mx, my):
             if other != idx:
                 epairs.add((min(idx, other), max(idx, other)))
-    for li in long_edges:
+    for li, (x0, x1, y0, y1) in boxes.items():
+        for c in _box_cells(x0 - 1, x1 + 1, y0 - 1, y1 + 1):
+            for idx in egrid.get(c, ()):
+                epairs.add((min(li, idx), max(li, idx)))
+        for c in _box_cells(x0, x1, y0, y1):
+            for other in lgrid[c]:
+                if other != li:
+                    epairs.add((min(li, other), max(li, other)))
+    for li in brute:
         for idx in range(len(edges)):
             if idx != li:
                 epairs.add((min(li, idx), max(li, idx)))
@@ -383,10 +446,18 @@ def _edge_pairs_and_vertex_hits(g: MatchstickGraph):
     for idx, (mx, my) in mids:
         for vid in _near_cells(vgrid, mx, my):
             vhits.add((vid, idx))
-    for li in long_edges:
+    for li, box in boxes.items():
+        for c in _box_cells(*box):
+            for vid in vgrid.get(c, ()):
+                vhits.add((vid, li))
+    for li in brute:
         for vid in pos:
             vhits.add((vid, li))
     return edges, sorted(epairs), sorted(vhits)
+
+
+def _box_cells(x0, x1, y0, y1):
+    return ((cx, cy) for cx in range(x0, x1 + 1) for cy in range(y0, y1 + 1))
 
 
 def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> ValidationReport:
@@ -399,6 +470,20 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
 
 
 def _validate_exact(g: MatchstickGraph, penny_mode: bool):
+    """Exact validation of a lattice-mode graph.  With every edge of Eisenstein
+    norm 1 and every vertex on its own lattice point the graph is valid (the
+    lattice's unit-distance graph is plane), which is checked in O(n + e);
+    otherwise :func:`_validate_exact_generic` lists the violations."""
+    points = {vid: c.point for vid, c in g.vertices}
+    if len(set(points.values())) == g.n and all(
+            eisenstein_norm(points[b] - points[a]) == 1 for a, b in g.edges):
+        return []
+    return _validate_exact_generic(g, penny_mode)
+
+
+def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
+    """Every violation of a lattice-mode graph, from exact integer predicates
+    on all grid-pruned candidate pairs."""
     sp = {vid: c.point.scaled() for vid, c in g.vertices}  # doubled integer coordinates
     out = []
     for a, b in sorted(g.edges):
@@ -412,7 +497,7 @@ def _validate_exact(g: MatchstickGraph, penny_mode: bool):
             out.append(Violation("DuplicateVertexPosition", (a, b), 0.0))
             if penny_mode:
                 out.append(Violation("PennyDistance", (a, b), 0.0))
-    edges, epairs, vhits = _edge_pairs_and_vertex_hits(g)
+    edges, epairs, vhits = _edge_pairs_and_vertex_hits(g, 0.0)
     for vid, ei in vhits:
         a, b = edges[ei]
         if vid in (a, b):
@@ -449,7 +534,7 @@ def _validate_float(g: MatchstickGraph, tol: float, penny_mode: bool):
             out.append(Violation("DuplicateVertexPosition", (a, b), d))
         if penny_mode and d < 1.0 - tol:
             out.append(Violation("PennyDistance", (a, b), d))
-    edges, epairs, vhits = _edge_pairs_and_vertex_hits(g)
+    edges, epairs, vhits = _edge_pairs_and_vertex_hits(g, tol)
     for vid, ei in vhits:
         a, b = edges[ei]
         if vid in (a, b):

@@ -195,9 +195,44 @@ class TestUsageErrors:
         ('{"frames": [{"origin": [0, 0], "angle": 0}],'
          ' "vertices": [{"id": 0, "lattice": {"frame": 0, "m": 0, "n": 0}}], "edges": []}',
          "frame has no field 'id'"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0, "n": 0}}], "edges": []}',
+         "vertex 0 lattice has no field 'm'"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0, "m": 0}}], "edges": []}',
+         "vertex 0 lattice has no field 'n'"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"m": 0, "n": 0}}], "edges": []}',
+         "vertex 0 lattice has no field 'frame'"),
+        ('{"frames": [], "vertices": [{"id": [0], "free": [0, 0]}], "edges": []}',
+         "vertex id"),
+        ('{"frames": [], "vertices": [{"id": 0, "free": [0, 0]}], "edges": [0]}',
+         "edge 0 must be a pair"),
+        ('{"frames": [], "vertices": [{"id": 0, "free": [0, 0]},'
+         ' {"id": 1, "free": [1, 0]}], "edges": [[0, 1, 0]]}', "must be a pair"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0, "m": 1e400, "n": 0}}], "edges": []}',
+         "vertex 0 lattice 'm'"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0, "m": 0.5, "n": 0}}], "edges": []}',
+         "vertex 0 lattice 'm' must be an integer"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0, "m": 0, "n": true}}], "edges": []}',
+         "vertex 0 lattice 'n' must be an integer"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0.0, "m": 0, "n": 0}}], "edges": []}',
+         "vertex 0 lattice 'frame' must be an integer"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 0, "m": 10000000000000000000000,'
+         ' "n": 0}}], "edges": []}', "at most 2**53"),
+        ('{"frames": {}, "vertices": [{"id": 0, "free": [0, 0]}], "edges": []}',
+         "'frames' must be a list"),
     ], ids=["top-level-array", "missing-edges", "vertex-without-coordinate",
             "infinite-coordinate", "nan-frame-angle", "frame-id-out-of-range",
-            "frame-without-id"])
+            "frame-without-id", "lattice-without-m", "lattice-without-n",
+            "lattice-without-frame", "list-vertex-id", "edge-not-a-list",
+            "edge-of-three", "overflowing-m", "fractional-m", "boolean-n",
+            "float-frame", "huge-m", "frames-not-a-list"])
     def test_malformed_graph_is_usage_error(self, doc, field, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert main(["stats", "-"]) == 2

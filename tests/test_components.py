@@ -68,6 +68,17 @@ class TestDecompose:
         assert phi(19) == pytest.approx(12.0, abs=1e-12)  # equality case
         assert comp.vertices == frozenset(g.ids())
 
+    def test_whole_graph_component_reuses_graph_boundary(self, monkeypatch):
+        # a 2-connected lattice graph is one block, so its component is the
+        # graph itself and decompose takes the graph's own boundary
+        import matchstick.components as components
+        g = validated(random_lattice_subgraph(40, seed=3, require_2connected=True))
+        with monkeypatch.context() as m:
+            m.setattr(components, "component_subgraph", None)
+            comp = decompose(g).components[0]
+        assert comp.vertices == frozenset(g.ids()) and comp.edges == g.edges
+        assert comp.boundary_cycle == tuple(boundary(component_subgraph(comp))[0])
+
     def test_bowtie_two_components_two_frames(self):
         rep = decompose(make_bowtie())
         assert rep.k == 2

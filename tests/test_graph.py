@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchstick.builders import build_hexagon_patch, random_lattice_subgraph
-from matchstick.graph import (MatchstickGraph, boundary, connectivity, faces,
-                              free_graph, lattice_graph, rotation_system)
+from matchstick.graph import (DEFAULT_TOL, MatchstickGraph, _edge_pairs_and_vertex_hits,
+                              boundary, connectivity, faces, free_graph, lattice_graph,
+                              rotation_system)
 from matchstick.lattice import EisensteinPoint, eisenstein_norm, harborth_bound
 
 E = EisensteinPoint
@@ -92,6 +93,22 @@ class TestValidate:
         g = free_graph([(0, 0), (10, 0), (5, -1), (5, 1)], [(0, 1), (2, 3)])
         rep = g.validate()
         assert any(v.kind == "Crossing" for v in rep.violations)
+
+    def test_long_edge_candidates_grow_linearly(self):
+        # m disjoint length-2 segments, 20 to a row: each meets only its
+        # neighbours' grid cells, so the candidate pairs grow like m, not m^2
+        def candidates(m):
+            coords = []
+            for i in range(m):
+                x, y = 3.0 * (i % 20), 1.5 * (i // 20)
+                coords += [(x, y), (x + 2.0, y)]
+            g = free_graph(coords, [(2 * i, 2 * i + 1) for i in range(m)])
+            _, epairs, vhits = _edge_pairs_and_vertex_hits(g, DEFAULT_TOL)
+            return len(epairs), len(vhits)
+
+        (pairs200, hits200), (pairs400, hits400) = candidates(200), candidates(400)
+        assert pairs400 <= 2.2 * pairs200 and hits400 <= 2.2 * hits200
+        assert pairs400 < 10 * 400  # all pairs would be 400 * 399 / 2
 
 
 class TestConstruction:

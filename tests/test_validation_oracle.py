@@ -2,15 +2,21 @@
 
 The validator prunes candidate pairs with a spatial hash; this oracle redoes
 every check with plain double loops over the same primitives and the two
-violation sets must agree exactly, including on invalid inputs.
+violation sets must agree exactly, including on invalid inputs.  The exact
+lattice fast path is checked the same way against the generic exact pass it
+shortcuts.
 """
 
 import math
 import random
 
+import pytest
+
 from matchstick import geometry as geo
-from matchstick.builders import random_lattice_subgraph
-from matchstick.graph import MatchstickGraph, free_graph
+from matchstick import graph
+from matchstick.builders import build_extremal, random_lattice_subgraph
+from matchstick.graph import (LatticeCoord, MatchstickGraph, ValidationReport,
+                              free_graph)
 
 
 def brute_force_violations(g: MatchstickGraph, tol: float, penny: bool):
@@ -118,3 +124,92 @@ class TestAgainstBruteForce:
             got = as_pairs(g.validate())
             want = brute_force_violations(g, 1e-9, False)
             assert got == want
+
+    def test_long_edges_on_the_grid(self):
+        # long edges spread over a wide area, so most go in the grid rather
+        # than brute force; vertices placed on or just off long edges and a
+        # tolerance large enough that the box widening matters
+        rng = random.Random(4242)
+        for trial in range(40):
+            m = rng.randint(10, 30)
+            coords = [(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(m)]
+            edges = set()
+            for _ in range(rng.randint(m // 2, 2 * m)):
+                a, b = rng.sample(range(m), 2)
+                edges.add((min(a, b), max(a, b)))
+            tol = rng.choice([1e-9, 0.01])
+            for a, b in rng.sample(sorted(edges), min(4, len(edges))):
+                t, off = rng.random(), rng.uniform(-2 * tol, 2 * tol)
+                (ax, ay), (bx, by) = coords[a], coords[b]
+                length = math.dist(coords[a], coords[b])
+                coords.append((ax + t * (bx - ax) - off * (by - ay) / length,
+                               ay + t * (by - ay) + off * (bx - ax) / length))
+            g = free_graph(coords, edges)
+            for penny in (False, True):
+                got = as_pairs(g.validate(tol=tol, penny_mode=penny))
+                want = brute_force_violations(g, tol, penny)
+                assert got == want, (trial, tol, penny, got ^ want)
+
+    def test_long_edge_near_miss_across_a_grid_line(self):
+        # a vertex and a parallel long edge just below a long edge on y = 0,
+        # within tol but in the grid row beneath it: the long edge's box is
+        # widened by tol, so both are candidates
+        g = free_graph([(0, 0), (5, 0), (2, -0.005), (1, -0.004), (4, -0.004)],
+                       [(0, 1), (3, 4)])
+        got = as_pairs(g.validate(tol=0.01))
+        assert {("VertexOnEdge", (2, 0, 1)), ("Crossing", (0, 1, 3, 4))} <= got
+        assert got == brute_force_violations(g, 0.01, False)
+
+
+def generic_report(g: MatchstickGraph, penny: bool) -> ValidationReport:
+    """The report of the generic exact pass, called directly."""
+    violations = sorted(graph._validate_exact_generic(g, penny),
+                        key=lambda v: (v.kind, v.ids))
+    return ValidationReport(ok=not violations, violations=tuple(violations),
+                            mode="lattice")
+
+
+def faulty_lattice_graph(rng, n, extra_edges, repeats):
+    """A random lattice subgraph with random extra edges (mostly non-unit,
+    some crossing) and ``repeats`` new vertices on points already taken,
+    each joined to a neighbour of the vertex it repeats."""
+    base = random_lattice_subgraph(n, seed=rng.randrange(10 ** 6))
+    vertices = list(base.vertices)
+    edges = set(base.edges)
+    adj = base.adjacency()
+    for k in range(repeats):
+        vid, coord = rng.choice(base.vertices)
+        new = base.n + k
+        vertices.append((new, LatticeCoord(coord.frame, coord.point)))
+        if adj[vid]:
+            edges.add((rng.choice(adj[vid]), new))
+    ids = [vid for vid, _ in vertices]
+    for _ in range(extra_edges):
+        a, b = rng.sample(ids, 2)
+        edges.add((min(a, b), max(a, b)))
+    return MatchstickGraph(vertices, edges, base.frames)
+
+
+class TestLatticeFastPath:
+    @pytest.mark.parametrize("faults", ["clean", "extra-edges", "repeated-points", "both"])
+    def test_same_report_as_generic_pass(self, faults):
+        rng = random.Random(f"fast-path-{faults}")
+        invalid = 0
+        for trial in range(60):
+            extra = rng.randint(1, 4) if faults in ("extra-edges", "both") else 0
+            repeats = rng.randint(1, 3) if faults in ("repeated-points", "both") else 0
+            g = faulty_lattice_graph(rng, rng.randint(2, 30), extra, repeats)
+            assert g.lattice_mode
+            for penny in (False, True):
+                got = g.validate(penny_mode=penny)
+                assert got.to_json() == generic_report(g, penny).to_json(), (trial, penny)
+                invalid += not got.ok
+        assert invalid > 0 if faults != "clean" else invalid == 0
+
+    def test_valid_graph_never_runs_generic_pass(self, monkeypatch):
+        def generic(g, penny_mode):
+            raise AssertionError("generic exact pass ran on a valid lattice graph")
+
+        monkeypatch.setattr(graph, "_validate_exact_generic", generic)
+        g = build_extremal(2000)
+        assert g.validate().ok and g.validate(penny_mode=True).ok
