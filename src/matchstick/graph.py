@@ -13,7 +13,11 @@ none, and passes through no lattice point.  So a lattice graph can only fail
 validation through a non-unit edge or two vertices on one point (in penny
 mode, only duplicates come closer than 1).  Exact validation checks those two
 faults in O(n + e) and runs the generic segment-pair pass only when one of
-them fires, so an invalid graph still gets the full report.  The generic
+them fires, so an invalid graph still gets the full report.  A free-mode
+graph whose vertices all lie within tol/4 of distinct points of one lattice,
+framed on its smallest edge, with unit edges between lattice neighbours, is
+such a lattice graph written in floats; it is found valid in O(n + e) the same
+way, and every other free graph takes the float pass.  The generic
 passes prune candidate pairs with a spatial grid: an edge of length at most
 1.05 sits in the cell of its midpoint, a longer one in every cell of its
 widened bounding box, so the cost follows the number of nearby pairs.
@@ -72,16 +76,25 @@ class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...]
     mode: str  # "lattice" or "free"
+    # the check that decided the report: "lattice-fast", "lattice-generic",
+    # "free-lift" or "float" (see _validate_exact and _validate_free); not in the JSON
+    path: str | None = None
+    # free mode only: max |coordinate| * 2**-52 when it exceeds tol, i.e. float
+    # spacing there is too coarse for the tolerance tests to mean anything
+    tol_below_resolution: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps({
+        doc = {
             "ok": self.ok,
             "mode": self.mode,
             "violations": [
                 {"kind": v.kind, "ids": list(v.ids), "value": v.value}
                 for v in self.violations
             ],
-        })
+        }
+        if self.tol_below_resolution is not None:
+            doc["tol_below_resolution"] = self.tol_below_resolution
+        return json.dumps(doc)
 
 
 @dataclass(frozen=True)
@@ -206,8 +219,11 @@ class MatchstickGraph:
         the penny condition that all pairwise vertex distances are at least 1.
 
         Violations are data, not errors; the report lists all of them.
-        One report is computed per (tol, penny_mode).
+        One report is computed per (tol, penny_mode).  ``tol`` must be a finite
+        number >= 0 (ValueError otherwise).
         """
+        if not 0 <= tol <= sys.float_info.max:
+            raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
         report = self._once(_validation_report, tol, penny_mode)
         if report.ok:
             self._validated_ok = True
@@ -461,24 +477,90 @@ def _box_cells(x0, x1, y0, y1):
 
 
 def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> ValidationReport:
-    exact = g.lattice_mode
-    violations = (_validate_exact(g, penny_mode) if exact
-                  else _validate_float(g, tol, penny_mode))
+    if g.lattice_mode:
+        mode, below = "lattice", None
+        path, violations = _validate_exact(g, penny_mode)
+    else:
+        max_coord = max(abs(c) for xy in g.positions().values() for c in xy)
+        ulp = max_coord * 2.0 ** -52
+        mode, below = "free", (ulp if ulp > tol else None)
+        path, violations = _validate_free(g, tol, penny_mode, max_coord)
     violations.sort(key=lambda v: (v.kind, v.ids))
-    return ValidationReport(ok=not violations, violations=tuple(violations),
-                            mode="lattice" if exact else "free")
+    return ValidationReport(ok=not violations, violations=tuple(violations), mode=mode, path=path,
+                            tol_below_resolution=below)
+
+
+def _distinct_with_unit_edges(g: MatchstickGraph, points: dict) -> bool:
+    """No two vertices share a lattice point and every edge has Eisenstein norm 1."""
+    return len(set(points.values())) == g.n and all(
+        eisenstein_norm(points[b] - points[a]) == 1 for a, b in g.edges)
 
 
 def _validate_exact(g: MatchstickGraph, penny_mode: bool):
-    """Exact validation of a lattice-mode graph.  With every edge of Eisenstein
-    norm 1 and every vertex on its own lattice point the graph is valid (the
-    lattice's unit-distance graph is plane), which is checked in O(n + e);
-    otherwise :func:`_validate_exact_generic` lists the violations."""
-    points = {vid: c.point for vid, c in g.vertices}
-    if len(set(points.values())) == g.n and all(
-            eisenstein_norm(points[b] - points[a]) == 1 for a, b in g.edges):
-        return []
-    return _validate_exact_generic(g, penny_mode)
+    """Exact validation of a lattice-mode graph, as (path, violations).  With
+    every edge of Eisenstein norm 1 and every vertex on its own lattice point
+    the graph is valid (the lattice's unit-distance graph is plane), which is
+    checked in O(n + e); otherwise :func:`_validate_exact_generic` lists the
+    violations."""
+    if _distinct_with_unit_edges(g, {vid: c.point for vid, c in g.vertices}):
+        return "lattice-fast", []
+    return "lattice-generic", _validate_exact_generic(g, penny_mode)
+
+
+# the lift runs for (M + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL, M the
+# largest |coordinate|; _validate_free derives both bounds
+_LIFT_ROUNDING = 2.0 ** -44
+_LIFT_MAX_TOL = 0.1
+
+
+def _validate_free(g: MatchstickGraph, tol: float, penny_mode: bool, max_coord: float):
+    """Validation of a free-mode graph, as (path, violations): the lift onto one
+    lattice in O(n + e) when it holds, else :func:`_validate_float`.
+
+    The lift frames the graph on its smallest edge (a, b): origin a, angle the
+    direction of b - a.  It holds when the graph has an edge, (M + 1) * 2**-44
+    <= tol <= 0.1 (M = ``max_coord``, the largest |coordinate|), every vertex is
+    within tol/4 of its nearest frame point, these points are distinct and
+    every edge joins two of them at Eisenstein norm 1.  Such a graph is a unit
+    lattice graph on distinct points with each vertex moved by some d, and the
+    float pass finds nothing:
+
+    - Rounding: ``to_cartesian`` puts a frame point within 32 * 2**-52 * (M + 1)
+      of its exact image (a few roundings of numbers below 3M + 1), which is at
+      most tol/8 by the bound on M; so d < tol/4 + tol/8 <= 0.0375.
+    - NonUnitEdge, DuplicateVertexPosition and PennyDistance: an edge joins
+      lattice neighbours, so its length is within 2d < 3 tol/4 of 1, and
+      distinct lattice points are at least 1 apart, so two vertices are at
+      least 1 - 2d > 1 - 3 tol/4 apart; the margin tol/4 >= 2**-46 is far above
+      the rounding of a distance near 1 (a few 2**-53).
+    - VertexOnEdge and Crossing: every lattice point but the two ends of a unit
+      lattice edge is at least sqrt(3)/2 from it.  Each distance these checks
+      compare with tol is of that kind: a vertex to an edge it is not an end
+      of, or an end of one edge to another edge it is not an end of (two edges
+      sharing no end are as far apart as the least of these, since unit
+      lattice edges do not cross).  Moved by d, each is still above
+      sqrt(3)/2 - 2d > 0.79 > tol, with rounding of order M * 2**-52 <= tol/256,
+      so the moved edges do not cross either.
+    """
+    if g.edges and (max_coord + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL:
+        pos = g.positions()
+        a, b = min(g.edges)
+        (ax, ay), (bx, by) = pos[a], pos[b]
+        points = _snapped(pos, LatticeFrame(origin=(ax, ay), angle=math.atan2(by - ay, bx - ax)),
+                          tol / 4)
+        if points is not None and _distinct_with_unit_edges(g, points):
+            return "free-lift", []
+    return "float", _validate_float(g, tol, penny_mode)
+
+
+def _snapped(pos: dict, frame: LatticeFrame, slack: float):
+    """Each vertex's nearest frame point, or None as soon as one is farther than ``slack``."""
+    points = {}
+    for vid, xy in pos.items():
+        p = points[vid] = frame.nearest_point(xy)
+        if math.dist(frame.to_cartesian(p), xy) > slack:
+            return None
+    return points
 
 
 def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):

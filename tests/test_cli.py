@@ -241,6 +241,21 @@ class TestUsageErrors:
         [line] = out.err.splitlines()
         assert field in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("doc", [
+        '{"frames": [], "vertices": [{"id": 0, "free": [0, 0]}, {"id": 1, "free": [2, 0]}],'
+        ' "edges": [[0, 1]]}',
+        build_hexagon_patch(1).to_json(),
+    ], ids=["free-long-edge", "lattice-hexagon"])
+    def test_bad_tolerance_is_usage_error(self, command, tol, doc, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main([command, "-", f"--tol={tol}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        [line] = out.err.splitlines()
+        assert json.loads(line)["error"] == f"tol must be a finite number >= 0, not {float(tol)!r}"
+
 
 class TestConsistencyExit:
     def test_theorem_violation_maps_to_exit_three(self, monkeypatch):

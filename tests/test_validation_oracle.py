@@ -4,9 +4,10 @@ The validator prunes candidate pairs with a spatial hash; this oracle redoes
 every check with plain double loops over the same primitives and the two
 violation sets must agree exactly, including on invalid inputs.  The exact
 lattice fast path is checked the same way against the generic exact pass it
-shortcuts.
+shortcuts, and the lift of free graphs onto one lattice against the float pass.
 """
 
+import json
 import math
 import random
 
@@ -14,9 +15,10 @@ import pytest
 
 from matchstick import geometry as geo
 from matchstick import graph
-from matchstick.builders import build_extremal, random_lattice_subgraph
-from matchstick.graph import (LatticeCoord, MatchstickGraph, ValidationReport,
-                              free_graph)
+from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
+from matchstick.graph import (DEFAULT_TOL, LatticeCoord, MatchstickGraph, ValidationReport,
+                              free_graph, lattice_graph)
+from matchstick.lattice import EisensteinPoint, LatticeFrame
 
 
 def brute_force_violations(g: MatchstickGraph, tol: float, penny: bool):
@@ -213,3 +215,162 @@ class TestLatticeFastPath:
         monkeypatch.setattr(graph, "_validate_exact_generic", generic)
         g = build_extremal(2000)
         assert g.validate().ok and g.validate(penny_mode=True).ok
+
+
+def float_report(g: MatchstickGraph, tol: float, penny: bool) -> ValidationReport:
+    """The report of the float pass, called directly."""
+    violations = sorted(graph._validate_float(g, tol, penny),
+                        key=lambda v: (v.kind, v.ids))
+    ulp = max(abs(c) for xy in g.positions().values() for c in xy) * 2.0 ** -52
+    return ValidationReport(ok=not violations, violations=tuple(violations), mode="free",
+                            tol_below_resolution=ulp if ulp > tol else None)
+
+
+def rotated_free(g: MatchstickGraph, angle: float, shift) -> MatchstickGraph:
+    """g's drawing rotated by ``angle`` about the origin and shifted, as free floats."""
+    ca, sa = math.cos(angle), math.sin(angle)
+    pos = g.positions()
+    index = {vid: i for i, vid in enumerate(g.ids())}
+    coords = [(shift[0] + ca * x - sa * y, shift[1] + sa * x + ca * y)
+              for x, y in (pos[vid] for vid in g.ids())]
+    return free_graph(coords, [(index[a], index[b]) for a, b in g.edges])
+
+
+def moved(rng, g: MatchstickGraph, noise: float) -> MatchstickGraph:
+    """g with every vertex but the two of its smallest edge (the lift's frame)
+    moved by ``noise`` in a random direction."""
+    keep = set(min(g.edges))
+    coords = []
+    for vid in g.ids():
+        x, y = g.position(vid)
+        if vid not in keep:
+            t = rng.uniform(0, 2 * math.pi)
+            x, y = x + noise * math.cos(t), y + noise * math.sin(t)
+        coords.append((x, y))
+    return free_graph(coords, g.edges)
+
+
+def squeezed(rng, g: MatchstickGraph, gap: float) -> MatchstickGraph:
+    """g without one edge (u, w) other than its smallest, u and w each moved
+    ``gap / 2`` towards the other: a unit pair that is no edge, ``gap`` short."""
+    u, w = rng.choice(sorted(g.edges - {min(g.edges)}))
+    coords = [g.position(vid) for vid in g.ids()]
+    (ux, uy), (wx, wy) = coords[u], coords[w]
+    h = gap / 2 / math.dist(coords[u], coords[w])
+    coords[u] = (ux + h * (wx - ux), uy + h * (wy - uy))
+    coords[w] = (wx - h * (wx - ux), wy - h * (wy - uy))
+    return free_graph(coords, g.edges - {(u, w)})
+
+
+def two_patch_chain() -> MatchstickGraph:
+    """Two radius-1 hexagon patches sharing one corner, the second on a lattice
+    turned by 20 degrees: valid, but on no single lattice."""
+    first = build_hexagon_patch(1)
+    turn = math.radians(20)
+    frame = LatticeFrame(origin=(1 + math.cos(turn), math.sin(turn)), angle=turn)
+    ids = {first.coord(v).point: v for v in first.ids()}
+    coords = [first.position(v) for v in first.ids()]
+    index = {}
+    for p, v in ids.items():
+        if p == EisensteinPoint(-1, 0):  # its west corner is the first's east corner
+            index[v] = ids[EisensteinPoint(1, 0)]
+        else:
+            index[v] = len(coords)
+            coords.append(frame.to_cartesian(p))
+    edges = list(first.edges) + [(index[a], index[b]) for a, b in first.edges]
+    return free_graph(coords, edges)
+
+
+class TestFreeLift:
+    TOLS = (1e-13, 1e-9, 1e-6, 0.05, 0.2)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e7])
+    @pytest.mark.parametrize("faults", ["clean", "squeezed", "extra-edges", "repeated-points"])
+    def test_same_report_as_float_pass(self, faults, shift):
+        rng = random.Random(f"free-lift-{faults}-{shift}")
+        paths = set()
+        for trial in range(12):
+            extra = rng.randint(1, 3) if faults == "extra-edges" else 0
+            repeats = rng.randint(1, 2) if faults == "repeated-points" else 0
+            base = faulty_lattice_graph(rng, rng.randint(2, 30), extra, repeats)
+            if not base.edges:
+                continue
+            angle = rng.uniform(0, 2 * math.pi)
+            flat = rotated_free(base, angle, (shift + rng.uniform(-9, 9), rng.uniform(-9, 9)))
+            for tol in self.TOLS:
+                if faults == "squeezed" and flat.e > 1:
+                    # each end moved by 0.2 tol (lifts) or 0.6 tol (PennyDistance)
+                    g = squeezed(rng, flat, rng.choice([0.4, 1.2]) * tol)
+                else:
+                    # noise just under or just over the lift's tol/4, or none
+                    g = moved(rng, flat, rng.choice([0.0, 0.9, 1.1]) * tol / 4)
+                for penny in (False, True):
+                    got = g.validate(tol=tol, penny_mode=penny)
+                    assert got.to_json() == float_report(g, tol, penny).to_json(), \
+                        (trial, tol, penny)
+                    assert got.path in ("free-lift", "float")
+                    assert got.path == "float" or (tol <= 0.1 and got.ok)
+                    paths.add(got.path)
+        assert "float" in paths
+        if faults in ("clean", "squeezed"):
+            assert "free-lift" in paths
+        if faults == "repeated-points":  # never on distinct lattice points
+            assert "free-lift" not in paths
+
+    def test_valid_graph_never_runs_float_pass(self, monkeypatch):
+        def float_pass(g, tol, penny_mode):
+            raise AssertionError("float pass ran on a graph on one lattice")
+
+        monkeypatch.setattr(graph, "_validate_float", float_pass)
+        g = rotated_free(build_extremal(2000), 0.4, (31.5, -17.25))
+        for penny in (False, True):
+            report = g.validate(penny_mode=penny)
+            assert report.ok and report.mode == "free" and report.path == "free-lift"
+
+    def test_no_lift_where_floats_are_coarser_than_tol(self):
+        # a patch whose every vertex is exactly its own frame point, framed at
+        # (1e7, 1e7): floats there are about 2e-9 apart, so at tol 1e-10 edge
+        # lengths are off by more than tol and only the lift's rounding bound
+        # keeps it from calling the graph valid
+        points = [EisensteinPoint(0, 0), EisensteinPoint(1, 0)]
+        points += [p for p in (build_hexagon_patch(2).coord(v).point for v in range(19))
+                   if p not in points]
+        for origin, lifts in (((0.0, 0.0), True), ((1e7, 1e7), False)):
+            exact = lattice_graph(points, frame=LatticeFrame(origin=origin))
+            g = free_graph([exact.position(v) for v in exact.ids()], exact.edges)
+            report = g.validate(tol=1e-10)
+            assert report.to_json() == float_report(g, 1e-10, False).to_json()
+            assert report.path == ("free-lift" if lifts else "float")
+            assert report.ok == lifts and (report.tol_below_resolution is None) == lifts
+
+    def test_chain_on_two_lattices_runs_float_pass(self, monkeypatch):
+        calls = []
+        float_pass = graph._validate_float
+
+        def counted(g, tol, penny_mode):
+            calls.append(tol)
+            return float_pass(g, tol, penny_mode)
+
+        monkeypatch.setattr(graph, "_validate_float", counted)
+        g = two_patch_chain()
+        assert g.n == 13 and g.e == 24
+        report = g.validate()
+        assert report.ok and report.path == "float" and calls == [DEFAULT_TOL]
+
+
+class TestTolBelowResolution:
+    @pytest.mark.parametrize("shift", [1e7, 50.0])
+    def test_flagged_only_when_floats_are_coarser_than_tol(self, shift):
+        g = rotated_free(build_extremal(200), 0.7, (shift, shift))
+        doc = json.loads(g.validate().to_json())
+        ulp = max(abs(c) for xy in g.positions().values() for c in xy) * 2.0 ** -52
+        if shift == 1e7:
+            # floats near 1e7 are about 2e-9 apart, coarser than tol = 1e-9:
+            # spurious NonUnitEdge violations, and the report says why
+            assert not doc["ok"] and doc["tol_below_resolution"] == ulp > DEFAULT_TOL
+        else:
+            assert doc["ok"] and "tol_below_resolution" not in doc
+
+    def test_never_in_lattice_mode(self):
+        g = lattice_graph([EisensteinPoint(10 ** 9, 0), EisensteinPoint(10 ** 9 + 1, 0)])
+        assert "tol_below_resolution" not in json.loads(g.validate(tol=0.0).to_json())
