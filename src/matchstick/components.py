@@ -138,7 +138,8 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
     """
     pos = g.positions()
     adj = g.adjacency()
-    grown = []
+    grown = []  # (frame, coords, adjacency) of each grown region, an induced subgraph
+    regions_of = {}  # edge -> indices of the grown regions holding it
     for x in sorted(adj):
         nbrs = sorted(adj[x])
         if len(nbrs) < 2:
@@ -153,19 +154,21 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                 if not (1 <= k <= 5) or abs(delta - k * math.pi / 3) > ANGLE_TOL:
                     continue
                 e1, e2 = _norm_edge(x, y), _norm_edge(x, w)
-                if any(e1 in eset and e2 in eset for _, eset, _, _ in grown):
+                if not set(regions_of.get(e1, ())).isdisjoint(regions_of.get(e2, ())):
                     continue
                 frame = LatticeFrame(origin=pos[x], angle=ang_y)
                 seed = {x: EisensteinPoint(0, 0), y: EisensteinPoint(1, 0),
                         w: UNIT_RING[k]}
                 coords = _grow(pos, adj, frame, seed, tol)
-                vset = set(coords)
-                eset = {e for e in g.edges if e[0] in vset and e[1] in vset}
-                grown.append((vset, eset, frame, coords))
+                region_adj = {v: [u for u in adj[v] if u in coords] for v in coords}
+                for v, us in region_adj.items():
+                    for u in us:
+                        if v < u:
+                            regions_of.setdefault((v, u), []).append(len(grown))
+                grown.append((frame, coords, region_adj))
     candidates = []
-    for vset, _, frame, coords in grown:
-        region_adj = {v: [u for u in adj[v] if u in vset] for v in vset}  # eset is induced
-        blocks, _ = block_decomposition(sorted(vset), region_adj)
+    for frame, coords, region_adj in grown:
+        blocks, _ = block_decomposition(sorted(coords), region_adj)
         candidates.extend((blk, frame, coords) for blk in blocks)
     return candidates
 

@@ -18,9 +18,9 @@ graph whose vertices all lie within tol/4 of distinct points of one lattice,
 framed on its smallest edge, with unit edges between lattice neighbours, is
 such a lattice graph written in floats; it is found valid in O(n + e) the same
 way, and every other free graph takes the float pass.  The generic
-passes prune candidate pairs with a spatial grid: an edge of length at most
-1.05 sits in the cell of its midpoint, a longer one in every cell of its
-widened bounding box, so the cost follows the number of nearby pairs.
+passes prune candidate pairs with a spatial grid: every edge sits in each cell
+of its bounding box widened by tol, so the cost follows the number of nearby
+pairs at any tolerance.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ DEFAULT_TOL = 1e-9
 # integer, so the vertex positions lose their meaning
 _MAX_LATTICE_COORD = 2 ** 53
 
-# grid pruning: edges up to _SHORT_EDGE long go in a _CELL-sized midpoint grid
-# (two such edges can only touch with midpoints within _SHORT_EDGE < _CELL);
-# a longer edge goes in every cell of its bounding box widened by tol plus
-# _BOX_PAD (slack for float rounding of the box), unless that is more than
-# n + e cells, when it is checked brute-force against every edge and vertex
+# grid pruning: cells are max(_CELL, tol + _BOX_PAD) wide, and every edge goes
+# in each cell of its bounding box widened by tol + _BOX_PAD (_BOX_PAD is slack
+# for float rounding of the box), unless that is more than n + e cells, when it
+# is checked brute-force against every edge and vertex
 _CELL = 1.1
-_SHORT_EDGE = 1.05
-_BOX_PAD = _CELL - _SHORT_EDGE
+_BOX_PAD = 0.05
 
 
 class ConsistencyError(Exception):
@@ -379,7 +377,7 @@ _HALF_RING = UNIT_RING[:3]  # one per unordered direction pair
 # validation internals
 
 
-def _grid_of(points, cell=_CELL):
+def _grid_of(points, cell):
     grid = {}
     for key, (x, y) in points:
         c = (math.floor(x / cell), math.floor(y / cell))
@@ -387,93 +385,57 @@ def _grid_of(points, cell=_CELL):
     return grid
 
 
-def _near_cells(grid, x, y, cell=_CELL):
+def _near_cells(grid, x, y, cell):
     cx, cy = math.floor(x / cell), math.floor(y / cell)
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             yield from grid.get((cx + dx, cy + dy), ())
 
 
-def _vertex_pairs(g: MatchstickGraph):
-    """Candidate vertex pairs at distance < CELL, via grid pruning."""
-    pos = g.positions()
-    grid = _grid_of(pos.items())
-    seen = set()
-    for vid, (x, y) in pos.items():
-        for other in _near_cells(grid, x, y):
-            if other == vid:
-                continue
-            pair = _norm_edge(vid, other)
-            if pair not in seen:
-                seen.add(pair)
-                yield pair
+def _candidates(g: MatchstickGraph, tol: float):
+    """Grid-pruned candidates of a validation pass, as (vertex pairs, sorted
+    edges, edge index pairs, (vertex, edge index) hits).  Every pair of the
+    graph's elements within ``tol`` of each other is one, and so is every
+    vertex pair closer than 1.1.
 
-
-def _edge_pairs_and_vertex_hits(g: MatchstickGraph, tol: float):
-    """Candidate (edge, edge) and (vertex, edge) interactions via grid pruning;
-    every pair of the graph's elements within ``tol`` of each other is one.
-
-    A point within tol of a long edge lies in the edge's widened box, so two
-    long edges within tol share a cell of their boxes, a vertex within tol of
-    one is in a cell of its box, and a short edge within tol of one has its
-    midpoint within one cell of its box.
+    Cells are ``cell = max(_CELL, tol + _BOX_PAD)`` wide, so two vertices within
+    ``cell`` of each other are in neighbouring cells.  A point within tol of an
+    edge lies in the edge's bounding box widened by tol, so two edges within tol
+    share a cell of their widened boxes and a vertex within tol of an edge is in
+    one of the edge's cells.
     """
     pos = g.positions()
+    cell = max(_CELL, tol + _BOX_PAD)
+    vgrid = _grid_of(pos.items(), cell)
+    vpairs = set()
+    for vid, (x, y) in pos.items():
+        for other in _near_cells(vgrid, x, y, cell):
+            if other != vid:
+                vpairs.add(_norm_edge(vid, other))
     edges = sorted(g.edges)
-    pad = max(tol, 0.0) + _BOX_PAD
-    mids = []
-    boxes = {}  # long edge index -> cell range (x0, x1, y0, y1) of its widened box
+    r = (tol + _BOX_PAD) / cell  # the widening in cells; dividing first cannot overflow
+    egrid = {}
     brute = []
     for idx, (a, b) in enumerate(edges):
         (ax, ay), (bx, by) = pos[a], pos[b]
-        if math.hypot(bx - ax, by - ay) <= _SHORT_EDGE:
-            mids.append((idx, ((ax + bx) / 2, (ay + by) / 2)))
-            continue
-        x0, x1 = math.floor((min(ax, bx) - pad) / _CELL), math.floor((max(ax, bx) + pad) / _CELL)
-        y0, y1 = math.floor((min(ay, by) - pad) / _CELL), math.floor((max(ay, by) + pad) / _CELL)
+        x0, x1 = math.floor(min(ax, bx) / cell - r), math.floor(max(ax, bx) / cell + r)
+        y0, y1 = math.floor(min(ay, by) / cell - r), math.floor(max(ay, by) / cell + r)
         if (x1 - x0 + 1) * (y1 - y0 + 1) > g.n + g.e:
             brute.append(idx)
-        else:
-            boxes[idx] = (x0, x1, y0, y1)
-    egrid = _grid_of(mids)
-    lgrid = {}
-    for li, box in boxes.items():
-        for c in _box_cells(*box):
-            lgrid.setdefault(c, []).append(li)
+            continue
+        for cx in range(x0, x1 + 1):
+            for cy in range(y0, y1 + 1):
+                egrid.setdefault((cx, cy), []).append(idx)
     epairs = set()
-    for idx, (mx, my) in mids:
-        for other in _near_cells(egrid, mx, my):
-            if other != idx:
-                epairs.add((min(idx, other), max(idx, other)))
-    for li, (x0, x1, y0, y1) in boxes.items():
-        for c in _box_cells(x0 - 1, x1 + 1, y0 - 1, y1 + 1):
-            for idx in egrid.get(c, ()):
-                epairs.add((min(li, idx), max(li, idx)))
-        for c in _box_cells(x0, x1, y0, y1):
-            for other in lgrid[c]:
-                if other != li:
-                    epairs.add((min(li, other), max(li, other)))
-    for li in brute:
-        for idx in range(len(edges)):
-            if idx != li:
-                epairs.add((min(li, idx), max(li, idx)))
     vhits = set()
-    vgrid = _grid_of(pos.items())
-    for idx, (mx, my) in mids:
-        for vid in _near_cells(vgrid, mx, my):
-            vhits.add((vid, idx))
-    for li, box in boxes.items():
-        for c in _box_cells(*box):
-            for vid in vgrid.get(c, ()):
-                vhits.add((vid, li))
-    for li in brute:
-        for vid in pos:
-            vhits.add((vid, li))
-    return edges, sorted(epairs), sorted(vhits)
-
-
-def _box_cells(x0, x1, y0, y1):
-    return ((cx, cy) for cx in range(x0, x1 + 1) for cy in range(y0, y1 + 1))
+    for c, members in egrid.items():  # each cell's edge indices, ascending
+        for k, i in enumerate(members):
+            epairs.update((i, j) for j in members[k + 1:])
+            vhits.update((vid, i) for vid in vgrid.get(c, ()))
+    for i in brute:
+        epairs.update((min(i, j), max(i, j)) for j in range(len(edges)) if j != i)
+        vhits.update((vid, i) for vid in pos)
+    return vpairs, edges, epairs, vhits
 
 
 def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> ValidationReport:
@@ -567,19 +529,19 @@ def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
     """Every violation of a lattice-mode graph, from exact integer predicates
     on all grid-pruned candidate pairs."""
     sp = {vid: c.point.scaled() for vid, c in g.vertices}  # doubled integer coordinates
+    vpairs, edges, epairs, vhits = _candidates(g, 0.0)
     out = []
-    for a, b in sorted(g.edges):
+    for a, b in edges:
         du = sp[b][0] - sp[a][0]
         dv = sp[b][1] - sp[a][1]
         norm = (du * du + 3 * dv * dv) // 4
         if norm != 1:
             out.append(Violation("NonUnitEdge", (a, b), math.sqrt(norm)))
-    for a, b in _vertex_pairs(g):
+    for a, b in vpairs:
         if sp[a] == sp[b]:
             out.append(Violation("DuplicateVertexPosition", (a, b), 0.0))
             if penny_mode:
                 out.append(Violation("PennyDistance", (a, b), 0.0))
-    edges, epairs, vhits = _edge_pairs_and_vertex_hits(g, 0.0)
     for vid, ei in vhits:
         a, b = edges[ei]
         if vid in (a, b):
@@ -604,19 +566,19 @@ def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
 
 def _validate_float(g: MatchstickGraph, tol: float, penny_mode: bool):
     pos = g.positions()
+    vpairs, edges, epairs, vhits = _candidates(g, tol)
     out = []
-    for a, b in sorted(g.edges):
+    for a, b in edges:
         (ax, ay), (bx, by) = pos[a], pos[b]
         length = math.hypot(bx - ax, by - ay)
         if abs(length - 1.0) > tol:
             out.append(Violation("NonUnitEdge", (a, b), length))
-    for a, b in _vertex_pairs(g):
+    for a, b in vpairs:
         d = math.dist(pos[a], pos[b])
         if d <= tol:
             out.append(Violation("DuplicateVertexPosition", (a, b), d))
         if penny_mode and d < 1.0 - tol:
             out.append(Violation("PennyDistance", (a, b), d))
-    edges, epairs, vhits = _edge_pairs_and_vertex_hits(g, tol)
     for vid, ei in vhits:
         a, b = edges[ei]
         if vid in (a, b):

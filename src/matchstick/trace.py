@@ -153,33 +153,13 @@ def isoperimetric_phi_quadratic(f_weight: float, x: float) -> float:
 
 
 def isoperimetric_phi_thresholds(f_weight: float = 2.0) -> tuple[float, float]:
-    """Both roots in phi of the quadratic above, found by bisection."""
-    fn = lambda x: isoperimetric_phi_quadratic(f_weight, x)  # noqa: E731
+    """Both roots in phi of the quadratic above, (F -+ sqrt(D)) / a with
+    a = 1 - pi*sqrt(3)/6 and D = F^2 - a*(F^2 + pi*sqrt(3)*F); ValueError when
+    D <= 0 (F = 0 among others), where the quadratic is never negative."""
+    F = f_weight
     a = 1.0 - math.pi * math.sqrt(3.0) / 6.0
-    x_min = f_weight / a  # vertex of the upward parabola
-    if fn(x_min) >= 0.0:
+    disc = F * F - a * (F * F + math.pi * math.sqrt(3.0) * F)
+    if disc <= 0.0:
         raise ValueError(f"quadratic has no real roots for F={f_weight}")
-    lo = _bisect_root(fn, 0.0, x_min)
-    hi = _bisect_root(fn, x_min, max(1000.0, 4.0 * x_min))
-    return lo, hi
-
-
-def _bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError("root not bracketed")
-    for _ in range(iters):
-        mid = (lo + hi) / 2.0
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    root = math.sqrt(disc)
+    return (F - root) / a, (F + root) / a

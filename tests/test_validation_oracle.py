@@ -88,19 +88,22 @@ def perturbed_graph(rng, n, noise, extra_edges):
 
 
 class TestAgainstBruteForce:
+    # tolerances from the default to well past the 1.1 grid cell
+    TOLS = (1e-9, 0.05, 0.2, 0.8, 2.5)
+
     def test_valid_and_noisy_graphs(self):
         rng = random.Random(12345)
-        tol = 1e-9
         for trial in range(150):
             n = rng.randint(2, 18)
             noise = rng.choice([0.0, 1e-12, 1e-7, 0.02, 0.3])
             extra = rng.choice([0, 0, 1, 3])
             g = perturbed_graph(rng, n, noise, extra)
-            for penny in (False, True):
-                got = as_pairs(g.validate(tol=tol, penny_mode=penny))
-                want = brute_force_violations(g, tol, penny)
-                assert got == want, (trial, n, noise, extra, penny,
-                                     got ^ want)
+            for tol in self.TOLS:
+                for penny in (False, True):
+                    got = as_pairs(g.validate(tol=tol, penny_mode=penny))
+                    want = brute_force_violations(g, tol, penny)
+                    assert got == want, (trial, n, noise, extra, tol, penny,
+                                         got ^ want)
 
     def test_exact_mode_agrees_on_lattice_inputs(self):
         rng = random.Random(999)
@@ -139,18 +142,19 @@ class TestAgainstBruteForce:
             for _ in range(rng.randint(m // 2, 2 * m)):
                 a, b = rng.sample(range(m), 2)
                 edges.add((min(a, b), max(a, b)))
-            tol = rng.choice([1e-9, 0.01])
-            for a, b in rng.sample(sorted(edges), min(4, len(edges))):
-                t, off = rng.random(), rng.uniform(-2 * tol, 2 * tol)
-                (ax, ay), (bx, by) = coords[a], coords[b]
-                length = math.dist(coords[a], coords[b])
-                coords.append((ax + t * (bx - ax) - off * (by - ay) / length,
-                               ay + t * (by - ay) + off * (bx - ax) / length))
-            g = free_graph(coords, edges)
-            for penny in (False, True):
-                got = as_pairs(g.validate(tol=tol, penny_mode=penny))
-                want = brute_force_violations(g, tol, penny)
-                assert got == want, (trial, tol, penny, got ^ want)
+            for tol in (0.01,) + self.TOLS:
+                near = []
+                for a, b in rng.sample(sorted(edges), min(4, len(edges))):
+                    t, off = rng.random(), rng.uniform(-2 * tol, 2 * tol)
+                    (ax, ay), (bx, by) = coords[a], coords[b]
+                    length = math.dist(coords[a], coords[b])
+                    near.append((ax + t * (bx - ax) - off * (by - ay) / length,
+                                 ay + t * (by - ay) + off * (bx - ax) / length))
+                g = free_graph(coords + near, edges)
+                for penny in (False, True):
+                    got = as_pairs(g.validate(tol=tol, penny_mode=penny))
+                    want = brute_force_violations(g, tol, penny)
+                    assert got == want, (trial, tol, penny, got ^ want)
 
     def test_long_edge_near_miss_across_a_grid_line(self):
         # a vertex and a parallel long edge just below a long edge on y = 0,
@@ -161,6 +165,19 @@ class TestAgainstBruteForce:
         got = as_pairs(g.validate(tol=0.01))
         assert {("VertexOnEdge", (2, 0, 1)), ("Crossing", (0, 1, 3, 4))} <= got
         assert got == brute_force_violations(g, 0.01, False)
+
+    def test_unit_edges_within_a_large_tol(self):
+        # two collinear unit edges 0.15 apart cross at tol 0.2, although their
+        # midpoints are 1.15 apart, in grid cells that are not neighbours
+        g = free_graph([(0.59, 0), (1.59, 0), (1.74, 0), (2.74, 0)], [(0, 1), (2, 3)])
+        got = as_pairs(g.validate(tol=0.2))
+        assert ("Crossing", (0, 1, 2, 3)) in got
+        assert got == brute_force_violations(g, 0.2, False)
+
+    def test_tol_and_coordinates_near_the_float_limit(self):
+        # the edge's box widened by tol reaches past the largest float
+        g = free_graph([(0, 0), (1e308, 0), (5e307, 1e307)], [(0, 1)])
+        assert as_pairs(g.validate(tol=1e308)) == brute_force_violations(g, 1e308, False)
 
 
 def generic_report(g: MatchstickGraph, penny: bool) -> ValidationReport:
