@@ -15,7 +15,7 @@ import sys
 from .builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from .census import check_harborth, face_census
 from .components import decompose
-from .graph import ConsistencyError, MatchstickGraph
+from .graph import ConsistencyError, MatchstickGraph, _field, _finite, _list, _point
 from .isoperimetry import DirectionSet, check_classic, check_hexagonal, polygon
 from .lattice import BudgetError, harborth_bound
 from .oracle import max_area_rearrangement, max_edges_lattice
@@ -40,8 +40,11 @@ def _load_graph(path: str) -> MatchstickGraph:
 
 
 def _load_polygon(path: str):
-    data = json.loads(_read(path))
-    return polygon(data["vertices"])
+    """The polygon of a ``{"vertices": [[x, y], ...]}`` document; a document of
+    the wrong shape raises ValueError naming the offending field."""
+    points = _list(_field(json.loads(_read(path)), "vertices", "polygon document"),
+                   "polygon document field 'vertices'")
+    return polygon([_point(xy, f"polygon vertex {i}") for i, xy in enumerate(points)])
 
 
 def _emit(obj) -> None:
@@ -107,7 +110,7 @@ def cmd_iso(args) -> int:
     if args.variant == "classic":
         _emit(check_classic(p))
     else:
-        _emit(check_hexagonal(p, DirectionSet(theta0=args.theta0)))
+        _emit(check_hexagonal(p, DirectionSet(theta0=_finite(args.theta0, "--theta0"))))
     return EXIT_OK
 
 

@@ -7,6 +7,8 @@ angle is a nonzero multiple of 60 degrees; triangular faces are a special
 case) and growing the connected set of vertices consistent with that frame.
 Any point at distance 1 from two points of a lattice is itself on the
 lattice, so consistency can be checked pointwise against the seed frame.
+Growth stops once a region covers g: g then lies on one lattice, like a
+lattice-mode graph, and its components are its own blocks on >= 3 vertices.
 
 No two components share an edge: a shared edge would force a common lattice
 and the union would be a larger 2-connected subgraph on it.
@@ -84,14 +86,18 @@ def decompose(g: MatchstickGraph, tol: float = POS_TOL) -> DecompositionReport:
 
     Output order is deterministic: decreasing n_i, ties by smallest vertex id.
     The coverage bounds and b_star require the face census and outer boundary,
-    so they are None for graphs that are not 2-connected.
+    so they are None for graphs that are not 2-connected.  Computed once per
+    graph and tol.
     """
+    return g._once(_decompose, tol)
+
+
+def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
     g.require_validated()
     info = connectivity(g)
     census = face_census(g) if info.two_connected else None
 
-    lattice = g.lattice_mode
-    if lattice:
+    if g.lattice_mode:
         # every vertex is on the one input lattice, so the components are just
         # the 2-connected blocks on >= 3 vertices, with the input coordinates
         frame = g.frames[next(iter(g.coord(v).frame for v in g.ids()))]
@@ -106,8 +112,8 @@ def decompose(g: MatchstickGraph, tol: float = POS_TOL) -> DecompositionReport:
         if len(blk.vertices) < 3 or blk.edges in seen_edge_sets:
             continue
         seen_edge_sets.add(blk.edges)
-        # a block holding all of a lattice-mode g is g itself, same frame and points
-        whole = lattice and len(blk.vertices) == g.n and len(blk.edges) == g.e
+        # a block holding every vertex and edge of g is g itself
+        whole = len(blk.vertices) == g.n and len(blk.edges) == g.e
         comps.append(_make_component(blk.vertices, blk.edges, frame, coords,
                                      g if whole else None))
     # drop components strictly contained in another
@@ -135,41 +141,43 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
     The grown region is the connected component (through edges of g) of the
     set of vertices whose position lies on the seed's lattice, so seeds whose
     edges already lie in a grown region would reproduce it and are skipped.
+    A region holding every vertex of g is g itself on one lattice: every later
+    seed lies in it, so the scan stops there and the region's blocks are g's.
     """
     pos = g.positions()
     adj = g.adjacency()
-    grown = []  # (frame, coords, adjacency) of each grown region, an induced subgraph
+    candidates = []
     regions_of = {}  # edge -> indices of the grown regions holding it
+    n_regions = 0
     for x in sorted(adj):
         nbrs = sorted(adj[x])
-        if len(nbrs) < 2:
-            continue
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 y, w = nbrs[i], nbrs[j]
+                e1, e2 = _norm_edge(x, y), _norm_edge(x, w)
+                if not set(regions_of.get(e1, ())).isdisjoint(regions_of.get(e2, ())):
+                    continue
                 ang_y = math.atan2(pos[y][1] - pos[x][1], pos[y][0] - pos[x][0])
                 ang_w = math.atan2(pos[w][1] - pos[x][1], pos[w][0] - pos[x][0])
                 delta = (ang_w - ang_y) % (2 * math.pi)
                 k = round(delta / (math.pi / 3))
                 if not (1 <= k <= 5) or abs(delta - k * math.pi / 3) > ANGLE_TOL:
                     continue
-                e1, e2 = _norm_edge(x, y), _norm_edge(x, w)
-                if not set(regions_of.get(e1, ())).isdisjoint(regions_of.get(e2, ())):
-                    continue
                 frame = LatticeFrame(origin=pos[x], angle=ang_y)
                 seed = {x: EisensteinPoint(0, 0), y: EisensteinPoint(1, 0),
                         w: UNIT_RING[k]}
                 coords = _grow(pos, adj, frame, seed, tol)
+                if len(coords) == g.n:
+                    return candidates + [(blk, frame, coords) for blk in connectivity(g).blocks]
+                # the region is the subgraph of g induced on its vertices
                 region_adj = {v: [u for u in adj[v] if u in coords] for v in coords}
                 for v, us in region_adj.items():
                     for u in us:
                         if v < u:
-                            regions_of.setdefault((v, u), []).append(len(grown))
-                grown.append((frame, coords, region_adj))
-    candidates = []
-    for frame, coords, region_adj in grown:
-        blocks, _ = block_decomposition(sorted(coords), region_adj)
-        candidates.extend((blk, frame, coords) for blk in blocks)
+                            regions_of.setdefault((v, u), []).append(n_regions)
+                n_regions += 1
+                blocks, _ = block_decomposition(sorted(coords), region_adj)
+                candidates.extend((blk, frame, coords) for blk in blocks)
     return candidates
 
 
@@ -182,10 +190,8 @@ def _grow(pos, adj, frame, seed, tol):
         for u in sorted(adj[v]):
             if u in coords:
                 continue
-            p = frame.nearest_point(pos[u])
-            if p in used_points:
-                continue
-            if math.dist(frame.to_cartesian(p), pos[u]) <= tol:
+            p = frame.snap(pos[u], tol)
+            if p is not None and p not in used_points:
                 coords[u] = p
                 used_points.add(p)
                 queue.append(u)
@@ -205,8 +211,8 @@ def component_subgraph(comp: LatticeComponent) -> MatchstickGraph:
 
 def _make_component(vset, eset, frame, coords, graph=None) -> LatticeComponent:
     """The component on ``vset``/``eset``; ``graph``, when given, is that
-    component as an already validated lattice-mode graph, whose cached
-    analysis then supplies the boundary."""
+    component as an already validated graph, whose cached analysis then
+    supplies the boundary."""
     comp_coords = {v: coords[v] for v in vset}
     tmp = LatticeComponent(vertices=frozenset(vset), edges=frozenset(eset),
                            frame=frame, coords=comp_coords, boundary_cycle=(),

@@ -508,21 +508,11 @@ def _validate_free(g: MatchstickGraph, tol: float, penny_mode: bool, max_coord: 
         pos = g.positions()
         a, b = min(g.edges)
         (ax, ay), (bx, by) = pos[a], pos[b]
-        points = _snapped(pos, LatticeFrame(origin=(ax, ay), angle=math.atan2(by - ay, bx - ax)),
-                          tol / 4)
-        if points is not None and _distinct_with_unit_edges(g, points):
+        frame = LatticeFrame(origin=(ax, ay), angle=math.atan2(by - ay, bx - ax))
+        points = {vid: frame.snap(xy, tol / 4) for vid, xy in pos.items()}
+        if None not in points.values() and _distinct_with_unit_edges(g, points):
             return "free-lift", []
     return "float", _validate_float(g, tol, penny_mode)
-
-
-def _snapped(pos: dict, frame: LatticeFrame, slack: float):
-    """Each vertex's nearest frame point, or None as soon as one is farther than ``slack``."""
-    points = {}
-    for vid, xy in pos.items():
-        p = points[vid] = frame.nearest_point(xy)
-        if math.dist(frame.to_cartesian(p), xy) > slack:
-            return None
-    return points
 
 
 def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
@@ -626,20 +616,6 @@ def rotation_system(g: MatchstickGraph) -> dict:
 
         rot[vid] = tuple(sorted(nbrs, key=angle))
     return rot
-
-
-def _is_connected(g: MatchstickGraph) -> bool:
-    ids = g.ids()
-    adj = g.adjacency()
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
 
 
 def faces(g: MatchstickGraph) -> FaceStructure:
@@ -782,7 +758,10 @@ def _connectivity(g: MatchstickGraph) -> ConnectivityInfo:
     adj = g.adjacency()
     ids = g.ids()
     blocks, cut = block_decomposition(ids, adj)
-    connected = _is_connected(g)
+    # the blocks of a connected component on k vertices form a tree through its
+    # cut vertices, so their sizes less one sum to k - 1; an isolated vertex is
+    # a one-vertex block, so n less that sum over all blocks counts the components
+    connected = g.n - sum(len(b.vertices) - 1 for b in blocks) == 1
     two_connected = connected and g.n >= 3 and not cut
     return ConnectivityInfo(connected=connected,
                             two_connected=two_connected,

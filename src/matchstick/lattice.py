@@ -172,3 +172,8 @@ class LatticeFrame:
     def nearest_point(self, xy: tuple[float, float]) -> EisensteinPoint:
         m, n = self.from_cartesian(xy)
         return EisensteinPoint(round(m), round(n))
+
+    def snap(self, xy: tuple[float, float], slack: float) -> EisensteinPoint | None:
+        """The frame point nearest ``xy``, or None when it is farther than ``slack``."""
+        p = self.nearest_point(xy)
+        return p if math.dist(self.to_cartesian(p), xy) <= slack else None

@@ -241,6 +241,32 @@ class TestUsageErrors:
         [line] = out.err.splitlines()
         assert field in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("command", [["iso", "classic"], ["iso", "hex"], ["oracle", "rearrange"]],
+                             ids=["iso-classic", "iso-hex", "oracle-rearrange"])
+    @pytest.mark.parametrize("doc, field", [
+        ('[]', "no field 'vertices'"),
+        ('{}', "no field 'vertices'"),
+        ('{"vertices": 5}', "'vertices' must be a list"),
+        ('{"vertices": [[0, 0], [1, 0], [0, 1, 2]]}', "polygon vertex 2"),
+        ('{"vertices": [[0, 0], [1e400, 0], [0, 1]]}', "polygon vertex 1 must be a finite number"),
+    ], ids=["top-level-array", "empty-object", "vertices-not-a-list", "vertex-of-three",
+            "overflowing-coordinate"])
+    def test_malformed_polygon_is_usage_error(self, command, doc, field, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(command + ["-"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        [line] = out.err.splitlines()
+        assert field in json.loads(line)["error"]
+
+    @pytest.mark.parametrize("theta0", ["nan", "inf", "-inf"])
+    def test_non_finite_theta0_is_usage_error(self, theta0, hexagon_polygon_file, capsys):
+        assert main(["iso", "hex", hexagon_polygon_file, f"--theta0={theta0}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        [line] = out.err.splitlines()
+        assert "--theta0 must be a finite number" in json.loads(line)["error"]
+
     @pytest.mark.parametrize("command", ["validate", "stats"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
     @pytest.mark.parametrize("doc", [

@@ -4,12 +4,13 @@ import pytest
 
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from matchstick.census import face_census
-from matchstick.components import (b_star, component_boundary_check,
+from matchstick.components import (POS_TOL, b_star, component_boundary_check,
                                    component_subgraph, coverage_bounds,
                                    decompose, fill_component)
 from matchstick.graph import (FreeCoord, MatchstickGraph, boundary,
-                              connectivity, free_graph, lattice_graph)
+                              connectivity, faces, free_graph, lattice_graph)
 from matchstick.lattice import EisensteinPoint, phi
+from test_validation_oracle import rotated_free
 
 E = EisensteinPoint
 
@@ -78,6 +79,31 @@ class TestDecompose:
             comp = decompose(g).components[0]
         assert comp.vertices == frozenset(g.ids()) and comp.edges == g.edges
         assert comp.boundary_cycle == tuple(boundary(component_subgraph(comp))[0])
+
+    def test_free_graph_on_one_lattice_reuses_graph_blocks_and_boundary(self, monkeypatch):
+        # the first region grown on a rotated spiral holds all of it, so the
+        # spiral is one lattice graph and decompose reads its cached analysis
+        import matchstick.components as components
+        g = validated(rotated_free(build_extremal(500), 0.7, (3.0, -2.0)))
+        connectivity(g), faces(g)
+
+        def recomputed(*args):
+            raise AssertionError("decompose recomputed what g has cached")
+
+        with monkeypatch.context() as m:
+            m.setattr(components, "block_decomposition", recomputed)
+            m.setattr(components, "component_subgraph", recomputed)
+            [comp] = decompose(g).components
+        assert comp.vertices == frozenset(g.ids()) and comp.edges == g.edges
+        assert comp.boundary_cycle == tuple(boundary(g)[0])
+
+    def test_computed_once_per_tol(self):
+        g = validated(rotated_free(build_hexagon_patch(2), 0.4, (1.0, 2.0)))
+        report = decompose(g)
+        assert decompose(g) is report and decompose(g, tol=POS_TOL) is report
+        other = decompose(g, tol=1e-6)
+        assert other is not report and decompose(g, 1e-6) is other
+        assert other.to_json() == report.to_json()
 
     def test_bowtie_two_components_two_frames(self):
         rep = decompose(make_bowtie())
@@ -398,3 +424,44 @@ class TestNumericPathMatchesLatticePath:
                    [c.edges for c in rep_float.components]
             assert [c.b_i for c in rep_lattice.components] == \
                    [c.b_i for c in rep_float.components]
+
+
+def disconnected_lattice_graph(seed):
+    """A random lattice subgraph and a 2-connected one, far apart on one lattice."""
+    a = random_lattice_subgraph(12, seed=seed)
+    b = random_lattice_subgraph(9, seed=seed + 1, require_2connected=True)
+    return lattice_graph([a.coord(v).point for v in a.ids()]
+                         + [b.coord(v).point + E(40, 0) for v in b.ids()])
+
+
+class TestFreeCopiesOfLatticeGraphs:
+    """A rotated and shifted free copy of a lattice graph has the components of
+    the lattice original, whether one grown region holds all of it or not."""
+
+    CONNECTED = [random_lattice_subgraph(25, seed=s) for s in range(4)]
+    TWO_CONNECTED = [random_lattice_subgraph(20, seed=s, require_2connected=True)
+                     for s in range(4)]
+    DISCONNECTED = [disconnected_lattice_graph(s) for s in range(3)]
+
+    def test_corpus_covers_each_kind(self):
+        kinds = [(connectivity(g).connected, connectivity(g).two_connected)
+                 for g in self.CONNECTED + self.TWO_CONNECTED + self.DISCONNECTED]
+        assert {(True, False), (True, True), (False, False)} <= set(kinds)
+
+    @pytest.mark.parametrize("angle", [0.3, 1.1, 2.6, 4.0])
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (1000.5, -999.25)])
+    def test_same_components_as_lattice_original(self, angle, shift):
+        def key(c):
+            return c.vertices, c.edges, c.n_i, c.e_i, c.b_i, c.boundary_cycle
+
+        for g in self.CONNECTED + self.TWO_CONNECTED + self.DISCONNECTED:
+            want = decompose(validated(g))
+            gf = validated(rotated_free(g, angle, shift))
+            got = decompose(gf)
+            assert [key(c) for c in got.components] == [key(c) for c in want.components]
+            assert (got.sum_n_i, got.lower, got.upper, got.b_star) == \
+                   (want.sum_n_i, want.lower, want.upper, want.b_star)
+            pos = gf.positions()
+            for c in got.components:
+                assert all(math.dist(c.frame.to_cartesian(p), pos[v]) <= POS_TOL
+                           for v, p in c.coords.items())

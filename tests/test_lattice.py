@@ -234,6 +234,15 @@ class TestLatticeFrame:
         frame = LatticeFrame(origin=(ox, oy), angle=ang)
         assert frame.nearest_point(frame.to_cartesian(p)) == p
 
+    def test_snap_slack_is_inclusive(self):
+        # (2.25, 0) and (1, 0.25) are exactly 0.25 from the images (2, 0) and (1, 0)
+        # of E(1, 0) and E(0, 0), also in floats
+        frame = LatticeFrame(origin=(1.0, 0.0))
+        assert frame.snap((2.25, 0.0), 0.25) == E(1, 0)
+        assert frame.snap((2.25, 0.0), math.nextafter(0.25, 0.0)) is None
+        assert frame.snap((math.nextafter(2.25, 3.0), 0.0), 0.25) is None
+        assert frame.snap((1.0, 0.25), 0.25) == E(0, 0)
+
 
 class TestScaledCoordinates:
     @given(points, points)
