@@ -7,8 +7,8 @@ angle is a nonzero multiple of 60 degrees; triangular faces are a special
 case) and growing the connected set of vertices consistent with that frame.
 Any point at distance 1 from two points of a lattice is itself on the
 lattice, so consistency can be checked pointwise against the seed frame.
-Growth stops once a region covers g: g then lies on one lattice, like a
-lattice-mode graph, and its components are its own blocks on >= 3 vertices.
+Growth stops once a region covers g: every later seed lies in it, so g's
+components are its own blocks on >= 3 vertices, as in lattice mode.
 
 No two components share an edge: a shared edge would force a common lattice
 and the union would be a larger 2-connected subgraph on it.
@@ -19,16 +19,17 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import geometry as geo
 from .census import face_census
-from .graph import (ConsistencyError, LatticeCoord, MatchstickGraph, _norm_edge,
-                    block_decomposition, boundary, connectivity, faces, lattice_graph)
+from .graph import (ConsistencyError, LatticeCoord, MatchstickGraph, _distinct_with_unit_edges,
+                    _norm_edge, block_decomposition, boundary, connectivity, faces, lattice_graph)
 from .lattice import UNIT_RING, EisensteinPoint, LatticeFrame, phi
 
 ANGLE_TOL = 1e-9
 POS_TOL = 1e-9
+_NONE = frozenset()
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,8 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
             continue
         seen_edge_sets.add(blk.edges)
         # a block holding every vertex and edge of g is g itself
-        whole = len(blk.vertices) == g.n and len(blk.edges) == g.e
+        whole = (len(blk.vertices) == g.n and len(blk.edges) == g.e
+                 and (g.lattice_mode or _faces_as_on_lattice(g, frame, coords)))
         comps.append(_make_component(blk.vertices, blk.edges, frame, coords,
                                      g if whole else None))
     # drop components strictly contained in another
@@ -140,22 +142,21 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
 
     The grown region is the connected component (through edges of g) of the
     set of vertices whose position lies on the seed's lattice, so seeds whose
-    edges already lie in a grown region would reproduce it and are skipped.
-    A region holding every vertex of g is g itself on one lattice: every later
-    seed lies in it, so the scan stops there and the region's blocks are g's.
+    three vertices already lie in one grown region would reproduce it and are
+    skipped.  A region holding every vertex of g holds every seed: the scan
+    stops there and the region's blocks are g's.
     """
     pos = g.positions()
     adj = g.adjacency()
     candidates = []
-    regions_of = {}  # edge -> indices of the grown regions holding it
+    regions_of = {}  # vertex -> indices of the grown regions holding it
     n_regions = 0
     for x in sorted(adj):
         nbrs = sorted(adj[x])
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 y, w = nbrs[i], nbrs[j]
-                e1, e2 = _norm_edge(x, y), _norm_edge(x, w)
-                if not set(regions_of.get(e1, ())).isdisjoint(regions_of.get(e2, ())):
+                if regions_of.get(x, _NONE) & regions_of.get(y, _NONE) & regions_of.get(w, _NONE):
                     continue
                 ang_y = math.atan2(pos[y][1] - pos[x][1], pos[y][0] - pos[x][0])
                 ang_w = math.atan2(pos[w][1] - pos[x][1], pos[w][0] - pos[x][0])
@@ -171,14 +172,24 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                     return candidates + [(blk, frame, coords) for blk in connectivity(g).blocks]
                 # the region is the subgraph of g induced on its vertices
                 region_adj = {v: [u for u in adj[v] if u in coords] for v in coords}
-                for v, us in region_adj.items():
-                    for u in us:
-                        if v < u:
-                            regions_of.setdefault((v, u), []).append(n_regions)
+                for v in coords:
+                    regions_of.setdefault(v, set()).add(n_regions)
                 n_regions += 1
                 blocks, _ = block_decomposition(sorted(coords), region_adj)
                 candidates.extend((blk, frame, coords) for blk in blocks)
     return candidates
+
+
+def _faces_as_on_lattice(g: MatchstickGraph, frame: LatticeFrame, coords) -> bool:
+    """Whether g's cached faces are those of the lattice points ``coords``.  They
+    are when the points are distinct with unit edges (a plane lattice graph) and
+    each is less than 1/4 from its vertex: every edge then turns less than 30
+    degrees, so each vertex keeps its neighbours' cyclic order, and each face
+    its cycle and its total turning (an edge's turn cancels at its two ends),
+    hence its orientation."""
+    pos = g.positions()
+    return (_distinct_with_unit_edges(g, coords)
+            and all(math.dist(frame.to_cartesian(p), pos[v]) < 0.25 for v, p in coords.items()))
 
 
 def _grow(pos, adj, frame, seed, tol):
@@ -213,14 +224,11 @@ def _make_component(vset, eset, frame, coords, graph=None) -> LatticeComponent:
     """The component on ``vset``/``eset``; ``graph``, when given, is that
     component as an already validated graph, whose cached analysis then
     supplies the boundary."""
-    comp_coords = {v: coords[v] for v in vset}
-    tmp = LatticeComponent(vertices=frozenset(vset), edges=frozenset(eset),
-                           frame=frame, coords=comp_coords, boundary_cycle=(),
-                           n_i=len(vset), e_i=len(eset), b_i=0)
-    cycle, b = boundary(component_subgraph(tmp) if graph is None else graph)
-    return LatticeComponent(vertices=tmp.vertices, edges=tmp.edges, frame=frame,
-                            coords=comp_coords, boundary_cycle=tuple(cycle),
-                            n_i=tmp.n_i, e_i=tmp.e_i, b_i=b)
+    comp = LatticeComponent(vertices=frozenset(vset), edges=frozenset(eset), frame=frame,
+                            coords={v: coords[v] for v in vset}, boundary_cycle=(),
+                            n_i=len(vset), e_i=len(eset), b_i=0)
+    cycle, b = boundary(component_subgraph(comp) if graph is None else graph)
+    return replace(comp, boundary_cycle=tuple(cycle), b_i=b)
 
 
 def component_boundary_check(comp: LatticeComponent):

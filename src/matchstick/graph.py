@@ -509,8 +509,12 @@ def _validate_free(g: MatchstickGraph, tol: float, penny_mode: bool, max_coord: 
         a, b = min(g.edges)
         (ax, ay), (bx, by) = pos[a], pos[b]
         frame = LatticeFrame(origin=(ax, ay), angle=math.atan2(by - ay, bx - ax))
-        points = {vid: frame.snap(xy, tol / 4) for vid, xy in pos.items()}
-        if None not in points.values() and _distinct_with_unit_edges(g, points):
+        points = {}
+        for vid, xy in pos.items():
+            if (p := frame.snap(xy, tol / 4)) is None:
+                break  # one vertex off the lattice decides it
+            points[vid] = p
+        if len(points) == g.n and _distinct_with_unit_edges(g, points):
             return "free-lift", []
     return "float", _validate_float(g, tol, penny_mode)
 

@@ -7,7 +7,7 @@ from matchstick.census import face_census
 from matchstick.components import (POS_TOL, b_star, component_boundary_check,
                                    component_subgraph, coverage_bounds,
                                    decompose, fill_component)
-from matchstick.graph import (FreeCoord, MatchstickGraph, boundary,
+from matchstick.graph import (ConsistencyError, FreeCoord, MatchstickGraph, boundary,
                               connectivity, faces, free_graph, lattice_graph)
 from matchstick.lattice import EisensteinPoint, phi
 from test_validation_oracle import rotated_free
@@ -96,6 +96,38 @@ class TestDecompose:
             [comp] = decompose(g).components
         assert comp.vertices == frozenset(g.ids()) and comp.edges == g.edges
         assert comp.boundary_cycle == tuple(boundary(g)[0])
+
+    def test_free_graph_grown_with_a_long_edge_fails_exact_validation(self):
+        # at tol 0.3 one grown region holds all six vertices, but it snaps the
+        # ends of edge 0-1 (each moved 0.25 along it) to lattice points sqrt(3) apart
+        s = math.sqrt(3) / 2
+        o, a = (0.0, 0.0), (1.5, s)
+        u = (0.25 * 1.5 / math.sqrt(3), 0.25 * s / math.sqrt(3))
+        coords = [(o[0] + u[0], o[1] + u[1]), (a[0] - u[0], a[1] - u[1]),
+                  (2.0, 0.0), (1.5, -s), (0.5, -s), (2.5, -s)]
+        g = free_graph(coords, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (3, 5)])
+        assert g.validate(tol=0.3).ok
+        with pytest.raises(ConsistencyError, match="NonUnitEdge"):
+            decompose(g, tol=0.3)
+
+    def test_free_graph_a_quarter_off_its_lattice_takes_the_lattice_boundary(self, monkeypatch):
+        import matchstick.components as components
+        lat = build_hexagon_patch(1)
+        far = max(lat.ids(), key=lambda v: (lat.coord(v).point.hexdist(), v))
+        x, y = lat.positions()[far]
+        coords = [(1.26 * x, 1.26 * y) if v == far else lat.positions()[v] for v in lat.ids()]
+        g = free_graph(coords, sorted(lat.edges))
+        assert g.validate(tol=0.3).ok
+        built = []
+
+        def spy(comp):
+            built.append(comp)
+            return component_subgraph(comp)
+
+        monkeypatch.setattr(components, "component_subgraph", spy)
+        [comp] = decompose(g, tol=0.3).components
+        assert [c.vertices for c in built] == [frozenset(g.ids())]
+        assert comp.boundary_cycle == tuple(boundary(component_subgraph(comp))[0])
 
     def test_computed_once_per_tol(self):
         g = validated(rotated_free(build_hexagon_patch(2), 0.4, (1.0, 2.0)))
