@@ -10,6 +10,11 @@ lattice, so consistency can be checked pointwise against the seed frame.
 Growth stops once a region covers g: every later seed lies in it, so g's
 components are its own blocks on >= 3 vertices, as in lattice mode.
 
+A component's boundary is walked on its lattice points: unit lattice edges
+point at frame.angle + k * 60 degrees, so the counterclockwise order faces()
+sorts by angle is the order of the direction index k of each (m, n) step, and
+its next-dart rule from the lowest, then leftmost point gives the outer face.
+
 No two components share an edge: a shared edge would force a common lattice
 and the union would be a larger 2-connected subgraph on it.
 """
@@ -23,9 +28,10 @@ from dataclasses import dataclass, replace
 
 from . import geometry as geo
 from .census import face_census
-from .graph import (ConsistencyError, LatticeCoord, MatchstickGraph, _distinct_with_unit_edges,
-                    _norm_edge, block_decomposition, boundary, connectivity, faces, lattice_graph)
-from .lattice import UNIT_RING, EisensteinPoint, LatticeFrame, phi
+from .graph import (ConsistencyError, LatticeCoord, MatchstickGraph, _canonical_rotation,
+                    _norm_edge, _unit_edges, block_decomposition, connectivity, faces,
+                    lattice_graph)
+from .lattice import UNIT_RING, UNIT_STEPS, EisensteinPoint, LatticeFrame, phi
 
 ANGLE_TOL = 1e-9
 POS_TOL = 1e-9
@@ -67,18 +73,13 @@ class DecompositionReport:
 
     def to_json(self) -> str:
         return json.dumps({
-            "k": self.k,
-            "sum_n_i": self.sum_n_i,
+            "k": self.k, "sum_n_i": self.sum_n_i,
             "coverage": None if self.lower is None else [self.lower, self.upper],
             "b_star": self.b_star,
-            "components": [
-                {
-                    "vertices": sorted(c.vertices),
-                    "frame": {"origin": list(c.frame.origin), "angle": c.frame.angle},
-                    "n_i": c.n_i, "e_i": c.e_i, "b_i": c.b_i,
-                }
-                for c in self.components
-            ],
+            "components": [{"vertices": sorted(c.vertices),
+                            "frame": {"origin": list(c.frame.origin), "angle": c.frame.angle},
+                            "n_i": c.n_i, "e_i": c.e_i, "b_i": c.b_i}
+                           for c in self.components],
         })
 
 
@@ -113,20 +114,14 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
         if len(blk.vertices) < 3 or blk.edges in seen_edge_sets:
             continue
         seen_edge_sets.add(blk.edges)
-        # a block holding every vertex and edge of g is g itself
-        whole = (len(blk.vertices) == g.n and len(blk.edges) == g.e
-                 and (g.lattice_mode or _faces_as_on_lattice(g, frame, coords)))
-        comps.append(_make_component(blk.vertices, blk.edges, frame, coords,
-                                     g if whole else None))
+        comps.append(_make_component(blk.vertices, blk.edges, frame, coords, g.lattice_mode))
     # drop components strictly contained in another
     comps = [c for c in comps
              if not any(c is not d and c.edges < d.edges for d in comps)]
     comps.sort(key=lambda c: (-c.n_i, min(c.vertices)))
 
-    b_star_val = None
-    if comps and census is not None:
-        outer_edges = _cycle_edges(faces(g).outer_face)
-        b_star_val = len(outer_edges - comps[0].boundary_edges)
+    b_star_val = (len(_cycle_edges(faces(g).outer_face) - comps[0].boundary_edges)
+                  if comps and census is not None else None)
     return DecompositionReport(
         components=tuple(comps),
         sum_n_i=sum(c.n_i for c in comps),
@@ -180,18 +175,6 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
     return candidates
 
 
-def _faces_as_on_lattice(g: MatchstickGraph, frame: LatticeFrame, coords) -> bool:
-    """Whether g's cached faces are those of the lattice points ``coords``.  They
-    are when the points are distinct with unit edges (a plane lattice graph) and
-    each is less than 1/4 from its vertex: every edge then turns less than 30
-    degrees, so each vertex keeps its neighbours' cyclic order, and each face
-    its cycle and its total turning (an edge's turn cancels at its two ends),
-    hence its orientation."""
-    pos = g.positions()
-    return (_distinct_with_unit_edges(g, coords)
-            and all(math.dist(frame.to_cartesian(p), pos[v]) < 0.25 for v, p in coords.items()))
-
-
 def _grow(pos, adj, frame, seed, tol):
     coords = dict(seed)
     used_points = set(seed.values())
@@ -220,15 +203,32 @@ def component_subgraph(comp: LatticeComponent) -> MatchstickGraph:
     return sub
 
 
-def _make_component(vset, eset, frame, coords, graph=None) -> LatticeComponent:
-    """The component on ``vset``/``eset``; ``graph``, when given, is that
-    component as an already validated graph, whose cached analysis then
-    supplies the boundary."""
+def _make_component(vset, eset, frame, coords, unit_edges) -> LatticeComponent:
+    """The component on ``vset``/``eset``, its points distinct.  Unless ``unit_edges``
+    (a validated lattice-mode graph), a non-unit edge raises component_subgraph's
+    ConsistencyError.  The lowest, then leftmost point s has neighbours only in
+    directions 0, 1, 2; the outer face enters s from the one of least index."""
     comp = LatticeComponent(vertices=frozenset(vset), edges=frozenset(eset), frame=frame,
                             coords={v: coords[v] for v in vset}, boundary_cycle=(),
                             n_i=len(vset), e_i=len(eset), b_i=0)
-    cycle, b = boundary(component_subgraph(comp) if graph is None else graph)
-    return replace(comp, boundary_cycle=tuple(cycle), b_i=b)
+    mn = {v: (p.m, p.n) for v, p in comp.coords.items()}
+    if not (unit_edges or _unit_edges(eset, mn)):
+        component_subgraph(comp)  # raises its exact-validation ConsistencyError
+    at = {p: v for v, p in mn.items()}
+
+    def neighbour(v, k):  # v's neighbour in direction k (mod 6), or None
+        dm, dn = UNIT_STEPS[k % 6]
+        u = at.get((mn[v][0] + dm, mn[v][1] + dn))
+        return u if u is not None and _norm_edge(u, v) in eset else None
+
+    s = min(mn, key=lambda v: mn[v][::-1])
+    k0 = next(k for k in range(6) if neighbour(s, k) is not None)
+    cycle, v, k = [], s, k0  # the walk is at v, come from its neighbour in direction k
+    while not cycle or (v, k) != (s, k0):
+        cycle.append(v)
+        j = next(j for j in range(k + 5, k - 1, -1) if neighbour(v, j) is not None)
+        v, k = neighbour(v, j), (j + 3) % 6
+    return replace(comp, boundary_cycle=_canonical_rotation(cycle), b_i=len(cycle))
 
 
 def component_boundary_check(comp: LatticeComponent):

@@ -31,12 +31,16 @@ import sys
 from dataclasses import dataclass
 
 from . import geometry as geo
-from .lattice import UNIT_RING, EisensteinPoint, LatticeFrame, eisenstein_norm
+from .lattice import UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame
 
 DEFAULT_TOL = 1e-9
 # from_json bound on lattice m and n: past 2**53 floats no longer hold every
 # integer, so the vertex positions lose their meaning
 _MAX_LATTICE_COORD = 2 ** 53
+# from_json and polygon bound on free coordinates (and frame origins): their
+# differences, products of two differences and sums of up to 1e100 such
+# products (squared distances, hypot, shoelace sums, the SVG size) stay finite
+_MAX_COORD = 1e100
 
 # grid pruning: cells are max(_CELL, tol + _BOX_PAD) wide, and every edge goes
 # in each cell of its bounding box widened by tol + _BOX_PAD (_BOX_PAD is slack
@@ -321,7 +325,10 @@ def _finite(x, where: str) -> float:
 def _point(xy, where: str) -> tuple[float, float]:
     if not isinstance(xy, list) or len(xy) != 2:
         raise ValueError(f"{where} must be a pair of numbers, not {xy!r}")
-    return _finite(xy[0], where), _finite(xy[1], where)
+    x, y = _finite(xy[0], where), _finite(xy[1], where)
+    if max(abs(x), abs(y)) > _MAX_COORD:
+        raise ValueError(f"{where} must be at most 1e100 in magnitude, not {xy!r}")
+    return x, y
 
 
 def _positions(g: MatchstickGraph) -> dict:
@@ -452,10 +459,17 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
                             tol_below_resolution=below)
 
 
+def _unit_edges(edges, points: dict) -> bool:
+    """Every edge joins two of the integer (m, n) ``points`` one lattice step
+    apart, i.e. has Eisenstein norm 1."""
+    return all((mb - ma, nb - na) in UNIT_STEP_INDEX
+               for (ma, na), (mb, nb) in ((points[a], points[b]) for a, b in edges))
+
+
 def _distinct_with_unit_edges(g: MatchstickGraph, points: dict) -> bool:
-    """No two vertices share a lattice point and every edge has Eisenstein norm 1."""
-    return len(set(points.values())) == g.n and all(
-        eisenstein_norm(points[b] - points[a]) == 1 for a, b in g.edges)
+    """No two vertices share a point of ``points`` (vertex -> integer (m, n))
+    and every edge has Eisenstein norm 1."""
+    return len(set(points.values())) == g.n and _unit_edges(g.edges, points)
 
 
 def _validate_exact(g: MatchstickGraph, penny_mode: bool):
@@ -464,7 +478,7 @@ def _validate_exact(g: MatchstickGraph, penny_mode: bool):
     the graph is valid (the lattice's unit-distance graph is plane), which is
     checked in O(n + e); otherwise :func:`_validate_exact_generic` lists the
     violations."""
-    if _distinct_with_unit_edges(g, {vid: c.point for vid, c in g.vertices}):
+    if _distinct_with_unit_edges(g, {vid: (c.point.m, c.point.n) for vid, c in g.vertices}):
         return "lattice-fast", []
     return "lattice-generic", _validate_exact_generic(g, penny_mode)
 
@@ -513,7 +527,7 @@ def _validate_free(g: MatchstickGraph, tol: float, penny_mode: bool, max_coord: 
         for vid, xy in pos.items():
             if (p := frame.snap(xy, tol / 4)) is None:
                 break  # one vertex off the lattice decides it
-            points[vid] = p
+            points[vid] = (p.m, p.n)
         if len(points) == g.n and _distinct_with_unit_edges(g, points):
             return "free-lift", []
     return "float", _validate_float(g, tol, penny_mode)

@@ -78,6 +78,9 @@ UNIT_RING = (
     EisensteinPoint(0, -1),
     EisensteinPoint(1, -1),
 )
+# the same six steps as integer (m, n) pairs, and the index of each in UNIT_RING
+UNIT_STEPS = tuple((d.m, d.n) for d in UNIT_RING)
+UNIT_STEP_INDEX = {d: k for k, d in enumerate(UNIT_STEPS)}
 
 
 def eisenstein_norm(p: EisensteinPoint) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .census import face_census
 from .components import decompose
-from .graph import MatchstickGraph, connectivity
+from .graph import DEFAULT_TOL, MatchstickGraph, connectivity
 from .lattice import phi
 
 BORDER = 1e-9
@@ -74,8 +74,9 @@ def _na(claim) -> ClaimRecord:
     return ClaimRecord(claim, None, None, NOT_APPLICABLE)
 
 
-def claim_trace(g: MatchstickGraph) -> TraceReport:
-    """Evaluate every traced inequality on a validated graph.
+def claim_trace(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> TraceReport:
+    """Evaluate every traced inequality on a validated graph, decomposing it
+    at ``tol``.
 
     Census- and component-dependent records degrade to NotApplicable when the
     graph is not 2-connected (single vertices and paths are legitimate inputs).
@@ -107,7 +108,7 @@ def claim_trace(g: MatchstickGraph) -> TraceReport:
     records.append(_rec("size_cutoff", float(n), 147.0, ">=", exact=True))
     records.append(_rec("face_weight_upper", float(F), sq / 11.0 - 1.0, "<"))
 
-    report = decompose(g)
+    report = decompose(g, tol)
     sum_ni = report.sum_n_i
     records.append(_rec("coverage_lower", float(report.lower), float(sum_ni), "<=", exact=True))
     records.append(_rec("coverage_upper", float(sum_ni), float(report.upper), "<=", exact=True))

@@ -9,6 +9,7 @@ import pytest
 from matchstick.builders import build_hexagon_patch
 from matchstick.census import check_harborth, face_census
 from matchstick.cli import main
+from matchstick.graph import free_graph
 
 CLI = [sys.executable, "-m", "matchstick.cli"]
 
@@ -122,6 +123,20 @@ class TestDecomposeTrace:
         data = json.loads(r.stdout)
         assert data["assumption_e_exceeds_bound"] is False
         assert any(c["claim"] == "boundary_upper" for c in data["claims"])
+
+    def test_trace_decomposes_at_its_tol(self, monkeypatch, capsys):
+        # the moved vertex is on the lattice at tol 1e-6 but not at the default
+        lat = build_hexagon_patch(2)
+        pos = lat.positions()
+        last = max(lat.ids())
+        coords = [(pos[v][0] + 2e-7, pos[v][1] + 2e-7) if v == last else pos[v] for v in lat.ids()]
+        doc = free_graph(coords, lat.edges).to_json()
+        out = []
+        for command in ("decompose", "trace"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            assert main([command, "-", "--tol", "1e-6"]) == 0
+            out.append(json.loads(capsys.readouterr().out))
+        assert out[1]["derived"]["n_1"] == out[0]["components"][0]["n_i"] == 19
 
 
 class TestIso:
@@ -240,6 +255,27 @@ class TestUsageErrors:
         assert out.out == ""
         [line] = out.err.splitlines()
         assert field in json.loads(line)["error"]
+
+    GRAPH_PAST_THE_BOUND = ('{"vertices": [{"id": 0, "free": [-1e308, 0]},'
+                            ' {"id": 1, "free": [1e308, 0]}], "edges": [[0, 1]], "frames": []}')
+
+    @pytest.mark.parametrize("command, doc, field", [
+        (["validate", "-"], GRAPH_PAST_THE_BOUND, "vertex 0 free"),
+        (["render", "-", "-o", "out.svg"], GRAPH_PAST_THE_BOUND, "vertex 0 free"),
+        (["iso", "classic", "-"], '{"vertices": [[-1e308, 0], [1e308, 0], [0, 1]]}',
+         "polygon vertex 0"),
+    ], ids=["validate", "render", "iso-classic"])
+    def test_coordinates_past_the_bound_are_usage_errors(self, command, doc, field, monkeypatch,
+                                                         tmp_path, capsys):
+        # their differences overflow: the report's edge length and the SVG width
+        # were inf, and the isoperimetric check compared nan with inf
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(command) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and not (tmp_path / "out.svg").exists()
+        [line] = out.err.splitlines()
+        assert f"{field} must be at most 1e100 in magnitude" in json.loads(line)["error"]
 
     @pytest.mark.parametrize("command", [["iso", "classic"], ["iso", "hex"], ["oracle", "rearrange"]],
                              ids=["iso-classic", "iso-hex", "oracle-rearrange"])

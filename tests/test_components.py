@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ from matchstick.components import (POS_TOL, b_star, component_boundary_check,
                                    decompose, fill_component)
 from matchstick.graph import (ConsistencyError, FreeCoord, MatchstickGraph, boundary,
                               connectivity, faces, free_graph, lattice_graph)
-from matchstick.lattice import EisensteinPoint, phi
+from matchstick.lattice import EisensteinPoint, LatticeFrame, phi
 from test_validation_oracle import rotated_free
 
 E = EisensteinPoint
@@ -110,23 +111,14 @@ class TestDecompose:
         with pytest.raises(ConsistencyError, match="NonUnitEdge"):
             decompose(g, tol=0.3)
 
-    def test_free_graph_a_quarter_off_its_lattice_takes_the_lattice_boundary(self, monkeypatch):
-        import matchstick.components as components
+    def test_free_graph_a_quarter_off_its_lattice_takes_the_lattice_boundary(self):
         lat = build_hexagon_patch(1)
         far = max(lat.ids(), key=lambda v: (lat.coord(v).point.hexdist(), v))
         x, y = lat.positions()[far]
         coords = [(1.26 * x, 1.26 * y) if v == far else lat.positions()[v] for v in lat.ids()]
         g = free_graph(coords, sorted(lat.edges))
         assert g.validate(tol=0.3).ok
-        built = []
-
-        def spy(comp):
-            built.append(comp)
-            return component_subgraph(comp)
-
-        monkeypatch.setattr(components, "component_subgraph", spy)
         [comp] = decompose(g, tol=0.3).components
-        assert [c.vertices for c in built] == [frozenset(g.ids())]
         assert comp.boundary_cycle == tuple(boundary(component_subgraph(comp))[0])
 
     def test_computed_once_per_tol(self):
@@ -497,3 +489,107 @@ class TestFreeCopiesOfLatticeGraphs:
             for c in got.components:
                 assert all(math.dist(c.frame.to_cartesian(p), pos[v]) <= POS_TOL
                            for v, p in c.coords.items())
+
+
+def patch_chain(k, r, rng):
+    """k hexagon patches of radius r as free floats, each on its own lattice
+    tilted from the last by 5 to 40 degrees; patch i + 1's west corner is patch
+    i's east corner, and a rhombus on that corner closes each joint, so the
+    chain is 2-connected."""
+    hexagon = [E(m, n) for m in range(-r, r + 1) for n in range(-r, r + 1)
+               if E(m, n).hexdist() <= r]
+    coords, edges, prev, tilt = [], [], None, rng.uniform(-20.0, 20.0)
+    for _ in range(k):
+        corner = (rng.uniform(-5, 5), rng.uniform(-5, 5)) if prev is None else coords[prev[E(r, 0)]]
+        a = math.radians(tilt)
+        frame = LatticeFrame(origin=(corner[0] + r * math.cos(a), corner[1] + r * math.sin(a)),
+                             angle=a)
+        ids = {}
+        for p in hexagon:
+            if prev is not None and p == E(-r, 0):
+                ids[p] = prev[E(r, 0)]
+            else:
+                ids[p] = len(coords)
+                coords.append(frame.to_cartesian(p))
+        edges += [(i, ids[p + d]) for p, i in ids.items() for d in (E(1, 0), E(0, 1), E(-1, 1))
+                  if p + d in ids]
+        if prev is not None:
+            qa, qb = coords[prev[E(r - 1, 1)]], coords[ids[E(-r, 1)]]
+            coords.append((qa[0] + qb[0] - corner[0], qa[1] + qb[1] - corner[1]))
+            edges += [(prev[E(r - 1, 1)], len(coords) - 1), (ids[E(-r, 1)], len(coords) - 1)]
+        prev = ids
+        while True:
+            step = rng.uniform(-20.0, 20.0)
+            if 5.0 <= abs(step - tilt) <= 40.0:
+                tilt = step
+                break
+    return free_graph(coords, edges)
+
+
+def spiral_pair(n1, n2, angle=None):
+    """Two spirals far apart: on one lattice, or with the second turned by ``angle``."""
+    a, b = build_extremal(n1), build_extremal(n2)
+    pts = [a.coord(v).point for v in a.ids()] + [b.coord(v).point + E(60, 0) for v in b.ids()]
+    g = lattice_graph(pts)
+    if angle is None:
+        return g
+    pos = g.positions()
+    ca, sa = math.cos(angle), math.sin(angle)
+    x0, y0 = E(60, 0).cartesian()
+    coords = [pos[v] if v < a.n else
+              (x0 + ca * (pos[v][0] - x0) - sa * (pos[v][1] - y0),
+               y0 + sa * (pos[v][0] - x0) + ca * (pos[v][1] - y0)) for v in g.ids()]
+    return free_graph(coords, g.edges)
+
+
+def noisy(g, noise, rng):
+    pos = g.positions()
+    return free_graph([(pos[v][0] + rng.uniform(-noise, noise), pos[v][1] + rng.uniform(-noise, noise))
+                       for v in g.ids()], g.edges)
+
+
+class TestBoundaryWalk:
+    """Each component's boundary is walked on its lattice points; it is the
+    outer face of the component rebuilt as a lattice-mode graph."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(31)
+        graphs = [patch_chain(k, r, rng) for k, r in ((2, 1), (3, 2), (5, 1), (8, 2), (16, 1))]
+        graphs += [spiral_pair(40, 25), spiral_pair(30, 19, angle=0.4),
+                   rotated_free(spiral_pair(33, 12), 1.3, (4.0, -7.5))]
+        graphs += [noisy(rotated_free(build_extremal(n), angle, (2.5, 1.0)), noise, rng)
+                   for n, angle, noise in ((60, 0.3, 1e-12), (90, 2.2, 1e-7), (45, 4.1, 0.01))]
+        graphs += [make_bowtie(), make_flap_graph()]
+        for seed in range(4):
+            lat = random_lattice_subgraph(30, seed=seed, require_2connected=True)
+            graphs += [lat, rotated_free(lat, 0.5 + seed, (seed, -seed))]
+        return graphs
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.05, 0.3])
+    def test_boundary_is_the_rebuilt_components_outer_face(self, tol):
+        checked = 0
+        for g in self.corpus():
+            if not g.validate(tol=tol).ok:
+                continue
+            try:
+                report = decompose(g, tol)
+            except ConsistencyError as exc:
+                assert str(exc).startswith("lattice component failed exact validation")
+                continue
+            for comp in report.components:
+                cycle, b = boundary(component_subgraph(comp))
+                assert (comp.boundary_cycle, comp.b_i) == (tuple(cycle), b)
+                checked += 1
+        assert checked >= 40
+
+    def test_chain_decomposes_without_rebuilding_a_component(self, monkeypatch):
+        import matchstick.components as components
+        g = validated(patch_chain(8, 1, random.Random(5)))
+
+        def rebuilt(comp):
+            raise AssertionError("decompose rebuilt a component")
+
+        monkeypatch.setattr(components, "component_subgraph", rebuilt)
+        report = decompose(g)
+        assert [c.n_i for c in report.components] == [7] * 8
