@@ -2,13 +2,13 @@
 
 A lattice component is a maximal 2-connected subgraph on at least 3 vertices
 whose vertices all lie on one triangular lattice.  Components are found by
-seeding a candidate lattice frame from wedges (pairs of adjacent edges whose
-angle is a nonzero multiple of 60 degrees; triangular faces are a special
-case) and growing the connected set of vertices consistent with that frame.
-Any point at distance 1 from two points of a lattice is itself on the
-lattice, so consistency can be checked pointwise against the seed frame.
-Growth stops once a region covers g: every later seed lies in it, so g's
-components are its own blocks on >= 3 vertices, as in lattice mode.
+growing regions with one snap-and-step rule: a neighbour of a region vertex v
+joins when LatticeFrame.snap puts it within tol of a free point one unit step
+from v's.  A wedge seed is a vertex x with neighbours y, w that join x by it
+on the frame with origin x and angle x -> y: y snaps to (1, 0), w to another
+unit step.  Only a region's unit-step edges count, so no component needs
+validating again.  Growth stops once a region covers g with unit steps only:
+every later seed lies in it, so components are g's blocks on >= 3 vertices.
 
 A component's boundary is walked on its lattice points: unit lattice edges
 point at frame.angle + k * 60 degrees, so the counterclockwise order faces()
@@ -24,16 +24,15 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import geometry as geo
 from .census import face_census
 from .graph import (ConsistencyError, LatticeCoord, MatchstickGraph, _canonical_rotation,
                     _norm_edge, _unit_edges, block_decomposition, connectivity, faces,
                     lattice_graph)
-from .lattice import UNIT_RING, UNIT_STEPS, EisensteinPoint, LatticeFrame, phi
+from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
-ANGLE_TOL = 1e-9
 POS_TOL = 1e-9
 _NONE = frozenset()
 
@@ -114,7 +113,7 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
         if len(blk.vertices) < 3 or blk.edges in seen_edge_sets:
             continue
         seen_edge_sets.add(blk.edges)
-        comps.append(_make_component(blk.vertices, blk.edges, frame, coords, g.lattice_mode))
+        comps.append(_make_component(blk.vertices, blk.edges, frame, coords))
     # drop components strictly contained in another
     comps = [c for c in comps
              if not any(c is not d and c.edges < d.edges for d in comps)]
@@ -132,14 +131,13 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
 
 
 def _grow_all_seeds(g: MatchstickGraph, tol: float):
-    """Grow the lattice-consistent region of every 60-degree wedge seed, and
-    return the blocks of each region with the region's frame and coordinates.
+    """Grow the region of every wedge seed, and return the blocks of each
+    region's unit-step edges with the region's frame and coordinates.
 
-    The grown region is the connected component (through edges of g) of the
-    set of vertices whose position lies on the seed's lattice, so seeds whose
-    three vertices already lie in one grown region would reproduce it and are
-    skipped.  A region holding every vertex of g holds every seed: the scan
-    stops there and the region's blocks are g's.
+    Seeds whose three vertices already lie in one grown region would
+    reproduce it and are skipped.  A region holding every vertex of g with a
+    unit step on every edge holds every seed: the scan stops there and the
+    region's blocks are g's.
     """
     pos = g.positions()
     adj = g.adjacency()
@@ -148,25 +146,28 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
     n_regions = 0
     for x in sorted(adj):
         nbrs = sorted(adj[x])
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                y, w = nbrs[i], nbrs[j]
+        for i, y in enumerate(nbrs):
+            # the frame (origin x, angle x -> y) and y's snap are made once, when first needed
+            frame = y_on = None
+            for w in nbrs[i + 1:]:
                 if regions_of.get(x, _NONE) & regions_of.get(y, _NONE) & regions_of.get(w, _NONE):
                     continue
-                ang_y = math.atan2(pos[y][1] - pos[x][1], pos[y][0] - pos[x][0])
-                ang_w = math.atan2(pos[w][1] - pos[x][1], pos[w][0] - pos[x][0])
-                delta = (ang_w - ang_y) % (2 * math.pi)
-                k = round(delta / (math.pi / 3))
-                if not (1 <= k <= 5) or abs(delta - k * math.pi / 3) > ANGLE_TOL:
+                if frame is None:
+                    (x0, y0), (x1, y1) = pos[x], pos[y]
+                    frame = LatticeFrame(pos[x], math.atan2(y1 - y0, x1 - x0))
+                p = frame.snap(pos[w], tol)
+                if p not in UNIT_RING[1:]:
                     continue
-                frame = LatticeFrame(origin=pos[x], angle=ang_y)
-                seed = {x: EisensteinPoint(0, 0), y: EisensteinPoint(1, 0),
-                        w: UNIT_RING[k]}
-                coords = _grow(pos, adj, frame, seed, tol)
-                if len(coords) == g.n:
+                if y_on is None:
+                    y_on = frame.snap(pos[y], tol) == UNIT_RING[0]
+                if not y_on:
+                    break
+                coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
+                if len(coords) == g.n and _unit_edges(g.edges, coords):
                     return candidates + [(blk, frame, coords) for blk in connectivity(g).blocks]
-                # the region is the subgraph of g induced on its vertices
-                region_adj = {v: [u for u in adj[v] if u in coords] for v in coords}
+                region_adj = {v: [u for u in adj[v] if u in coords
+                                  and coords[u] - coords[v] in UNIT_STEP_INDEX]
+                              for v in coords}
                 for v in coords:
                     regions_of.setdefault(v, set()).add(n_regions)
                 n_regions += 1
@@ -176,6 +177,7 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
 
 
 def _grow(pos, adj, frame, seed, tol):
+    """The region grown from ``seed`` (vertex -> point) by the snap-and-step rule."""
     coords = dict(seed)
     used_points = set(seed.values())
     queue = deque(sorted(seed))
@@ -185,7 +187,7 @@ def _grow(pos, adj, frame, seed, tol):
             if u in coords:
                 continue
             p = frame.snap(pos[u], tol)
-            if p is not None and p not in used_points:
+            if p is not None and p not in used_points and p - coords[v] in UNIT_STEP_INDEX:
                 coords[u] = p
                 used_points.add(p)
                 queue.append(u)
@@ -203,32 +205,27 @@ def component_subgraph(comp: LatticeComponent) -> MatchstickGraph:
     return sub
 
 
-def _make_component(vset, eset, frame, coords, unit_edges) -> LatticeComponent:
-    """The component on ``vset``/``eset``, its points distinct.  Unless ``unit_edges``
-    (a validated lattice-mode graph), a non-unit edge raises component_subgraph's
-    ConsistencyError.  The lowest, then leftmost point s has neighbours only in
+def _make_component(vset, eset, frame, coords) -> LatticeComponent:
+    """The component on ``vset``/``eset``, unit steps between distinct points of
+    ``coords``.  The lowest, then leftmost point s has neighbours only in
     directions 0, 1, 2; the outer face enters s from the one of least index."""
-    comp = LatticeComponent(vertices=frozenset(vset), edges=frozenset(eset), frame=frame,
-                            coords={v: coords[v] for v in vset}, boundary_cycle=(),
-                            n_i=len(vset), e_i=len(eset), b_i=0)
-    mn = {v: (p.m, p.n) for v, p in comp.coords.items()}
-    if not (unit_edges or _unit_edges(eset, mn)):
-        component_subgraph(comp)  # raises its exact-validation ConsistencyError
-    at = {p: v for v, p in mn.items()}
+    points = {v: coords[v] for v in vset}
+    at = {p: v for v, p in points.items()}
 
     def neighbour(v, k):  # v's neighbour in direction k (mod 6), or None
-        dm, dn = UNIT_STEPS[k % 6]
-        u = at.get((mn[v][0] + dm, mn[v][1] + dn))
+        u = at.get(points[v] + UNIT_RING[k % 6])
         return u if u is not None and _norm_edge(u, v) in eset else None
 
-    s = min(mn, key=lambda v: mn[v][::-1])
+    s = min(points, key=lambda v: points[v][::-1])
     k0 = next(k for k in range(6) if neighbour(s, k) is not None)
     cycle, v, k = [], s, k0  # the walk is at v, come from its neighbour in direction k
     while not cycle or (v, k) != (s, k0):
         cycle.append(v)
         j = next(j for j in range(k + 5, k - 1, -1) if neighbour(v, j) is not None)
         v, k = neighbour(v, j), (j + 3) % 6
-    return replace(comp, boundary_cycle=_canonical_rotation(cycle), b_i=len(cycle))
+    return LatticeComponent(vertices=frozenset(vset), edges=frozenset(eset), frame=frame,
+                            coords=points, boundary_cycle=_canonical_rotation(cycle),
+                            n_i=len(vset), e_i=len(eset), b_i=len(cycle))
 
 
 def component_boundary_check(comp: LatticeComponent):

@@ -103,7 +103,6 @@ class ValidationReport:
 class FaceStructure:
     faces: tuple[tuple[int, ...], ...]  # directed vertex cycles, inner ones counterclockwise
     outer_face_index: int
-    face_of_dart: dict
 
     @property
     def inner_faces(self):
@@ -460,14 +459,14 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
 
 
 def _unit_edges(edges, points: dict) -> bool:
-    """Every edge joins two of the integer (m, n) ``points`` one lattice step
-    apart, i.e. has Eisenstein norm 1."""
+    """Every edge joins two of the lattice ``points`` one lattice step apart,
+    i.e. has Eisenstein norm 1."""
     return all((mb - ma, nb - na) in UNIT_STEP_INDEX
                for (ma, na), (mb, nb) in ((points[a], points[b]) for a, b in edges))
 
 
 def _distinct_with_unit_edges(g: MatchstickGraph, points: dict) -> bool:
-    """No two vertices share a point of ``points`` (vertex -> integer (m, n))
+    """No two vertices share a point of ``points`` (vertex -> EisensteinPoint)
     and every edge has Eisenstein norm 1."""
     return len(set(points.values())) == g.n and _unit_edges(g.edges, points)
 
@@ -478,7 +477,7 @@ def _validate_exact(g: MatchstickGraph, penny_mode: bool):
     the graph is valid (the lattice's unit-distance graph is plane), which is
     checked in O(n + e); otherwise :func:`_validate_exact_generic` lists the
     violations."""
-    if _distinct_with_unit_edges(g, {vid: (c.point.m, c.point.n) for vid, c in g.vertices}):
+    if _distinct_with_unit_edges(g, {vid: c.point for vid, c in g.vertices}):
         return "lattice-fast", []
     return "lattice-generic", _validate_exact_generic(g, penny_mode)
 
@@ -527,7 +526,7 @@ def _validate_free(g: MatchstickGraph, tol: float, penny_mode: bool, max_coord: 
         for vid, xy in pos.items():
             if (p := frame.snap(xy, tol / 4)) is None:
                 break  # one vertex off the lattice decides it
-            points[vid] = (p.m, p.n)
+            points[vid] = p
         if len(points) == g.n and _distinct_with_unit_edges(g, points):
             return "free-lift", []
     return "float", _validate_float(g, tol, penny_mode)
@@ -649,21 +648,20 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
     if not connectivity(g).connected:
         raise ValueError("faces() requires a connected graph")
     if g.e == 0:
-        return FaceStructure(faces=((),), outer_face_index=0, face_of_dart={})
+        return FaceStructure(faces=((),), outer_face_index=0)
     rot = rotation_system(g)
     idx_of = {v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in rot.items()}
     pos = g.positions()
-    face_of_dart = {}
+    seen = set()  # the darts already on a face
     cycles = []
     for u0 in sorted(rot):
         for v0 in rot[u0]:
-            if (u0, v0) in face_of_dart:
+            if (u0, v0) in seen:
                 continue
             cycle = []
             u, v = u0, v0
-            fidx = len(cycles)
-            while (u, v) not in face_of_dart:
-                face_of_dart[(u, v)] = fidx
+            while (u, v) not in seen:
+                seen.add((u, v))
                 cycle.append(u)
                 nbrs = rot[v]
                 w = nbrs[(idx_of[v][u] - 1) % len(nbrs)]
@@ -679,8 +677,7 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
     total = sum(len(c) for c in cycles)
     if total != 2 * g.e:
         raise ConsistencyError(f"dart count {total} != 2e = {2 * g.e}")
-    return FaceStructure(faces=tuple(cycles), outer_face_index=outer_idx,
-                         face_of_dart=face_of_dart)
+    return FaceStructure(faces=tuple(cycles), outer_face_index=outer_idx)
 
 
 def _canonical_rotation(cycle):

@@ -20,40 +20,42 @@ sign of any orientation test is the sign of an exact integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
+_new = tuple.__new__  # _new(EisensteinPoint, (m, n)) skips the NamedTuple's Python __new__
 
 
 class BudgetError(ValueError):
     """Raised when a brute-force operation exceeds its stated size budget."""
 
 
-@dataclass(frozen=True, order=True)
-class EisensteinPoint:
-    """Triangular-lattice point m*(1,0) + n*(1/2, sqrt(3)/2), m and n integers."""
+class EisensteinPoint(NamedTuple):
+    """Triangular-lattice point m*(1,0) + n*(1/2, sqrt(3)/2), m and n integers;
+    a tuple (m, n), so it hashes, compares and orders as that pair."""
 
     m: int
     n: int
 
     def __add__(self, other: "EisensteinPoint") -> "EisensteinPoint":
-        return EisensteinPoint(self.m + other.m, self.n + other.n)
+        return _new(EisensteinPoint, (self.m + other.m, self.n + other.n))
 
     def __sub__(self, other: "EisensteinPoint") -> "EisensteinPoint":
-        return EisensteinPoint(self.m - other.m, self.n - other.n)
+        return _new(EisensteinPoint, (self.m - other.m, self.n - other.n))
 
     def __neg__(self) -> "EisensteinPoint":
-        return EisensteinPoint(-self.m, -self.n)
+        return _new(EisensteinPoint, (-self.m, -self.n))
 
     def rot60(self) -> "EisensteinPoint":
         """Rotate 60 degrees counterclockwise about the origin (a lattice automorphism)."""
-        return EisensteinPoint(-self.n, self.m + self.n)
+        return _new(EisensteinPoint, (-self.n, self.m + self.n))
 
     def reflect(self) -> "EisensteinPoint":
         """Reflect across the axis spanned by (1, 0) (a lattice automorphism)."""
-        return EisensteinPoint(self.m + self.n, -self.n)
+        return _new(EisensteinPoint, (self.m + self.n, -self.n))
 
     def cartesian(self) -> tuple[float, float]:
         return (self.m + 0.5 * self.n, self.n * HALF_SQRT3)
@@ -78,9 +80,8 @@ UNIT_RING = (
     EisensteinPoint(0, -1),
     EisensteinPoint(1, -1),
 )
-# the same six steps as integer (m, n) pairs, and the index of each in UNIT_RING
-UNIT_STEPS = tuple((d.m, d.n) for d in UNIT_RING)
-UNIT_STEP_INDEX = {d: k for k, d in enumerate(UNIT_STEPS)}
+# the index of each unit step in UNIT_RING
+UNIT_STEP_INDEX = {d: k for k, d in enumerate(UNIT_RING)}
 
 
 def eisenstein_norm(p: EisensteinPoint) -> int:
@@ -158,23 +159,27 @@ class LatticeFrame:
 
     origin: tuple[float, float] = (0.0, 0.0)
     angle: float = 0.0
+    _rotation: tuple[float, float] = field(init=False, repr=False, compare=False)  # cos, sin
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rotation", (math.cos(self.angle), math.sin(self.angle)))
 
     def to_cartesian(self, p: EisensteinPoint) -> tuple[float, float]:
         x, y = p.cartesian()
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
+        ca, sa = self._rotation
         return (self.origin[0] + ca * x - sa * y, self.origin[1] + sa * x + ca * y)
 
     def from_cartesian(self, xy: tuple[float, float]) -> tuple[float, float]:
         """Inverse map; returns fractional (m, n), exact lattice points land near integers."""
         dx, dy = xy[0] - self.origin[0], xy[1] - self.origin[1]
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
+        ca, sa = self._rotation
         x, y = ca * dx + sa * dy, -sa * dx + ca * dy
         n = y / HALF_SQRT3
         return (x - 0.5 * n, n)
 
     def nearest_point(self, xy: tuple[float, float]) -> EisensteinPoint:
         m, n = self.from_cartesian(xy)
-        return EisensteinPoint(round(m), round(n))
+        return _new(EisensteinPoint, (round(m), round(n)))
 
     def snap(self, xy: tuple[float, float], slack: float) -> EisensteinPoint | None:
         """The frame point nearest ``xy``, or None when it is farther than ``slack``."""

@@ -238,6 +238,5 @@ def unit_pair_fuzz(trials: int, seed: int = 0) -> dict:
         for q in analytic:
             err = min(math.dist(q, e) for e in exact) if exact else math.inf
             if err > 1e-9:
-                failures.append({"a": (a.m, a.n), "b": (b.m, b.n),
-                                 "point": q, "error": err})
+                failures.append({"a": a, "b": b, "point": q, "error": err})
     return {"ok": not failures, "trials": trials, "failures": failures}

@@ -26,6 +26,9 @@ HOLDS = "Holds"
 FAILS = "Fails"
 BORDERLINE = "Borderline"
 NOT_APPLICABLE = "NotApplicable"
+# the claims that read the largest lattice component
+_COMPONENT_CLAIMS = ("largest_component_share", "remainder_growth", "off_component_boundary",
+                     "face_weight_refined", "gap_exceeds_nine")
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,7 @@ def claim_trace(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> TraceReport:
 
     if not info.two_connected:
         for name in ("boundary_upper", "triangle_count_lower", "size_cutoff", "face_weight_upper",
-                     "coverage_lower", "coverage_upper", "largest_component_share",
-                     "remainder_growth", "off_component_boundary", "face_weight_refined", "gap_exceeds_nine"):
+                     "coverage_lower", "coverage_upper") + _COMPONENT_CLAIMS:
             records.append(_na(name))
         return TraceReport(tuple(records), derived, assumption)
 
@@ -129,8 +131,7 @@ def claim_trace(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> TraceReport:
         records.append(_rec("face_weight_refined", float(F), D / 6.0 + 0.5, "<"))
         records.append(_rec("gap_exceeds_nine", D, 9.0, ">"))
     else:
-        for name in ("largest_component_share", "remainder_growth", "off_component_boundary",
-                     "face_weight_refined", "gap_exceeds_nine"):
+        for name in _COMPONENT_CLAIMS:
             records.append(_na(name))
 
     return TraceReport(tuple(records), derived, assumption)

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,26 @@ class TestDecomposeTrace:
             assert main([command, "-", "--tol", "1e-6"]) == 0
             out.append(json.loads(capsys.readouterr().out))
         assert out[1]["derived"]["n_1"] == out[0]["components"][0]["n_i"] == 19
+
+    @staticmethod
+    def _decompose_and_trace(doc, tol, monkeypatch, capsys):
+        for command in ("decompose", "trace"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            assert main([command, "-", "--tol", tol]) == 0, capsys.readouterr().err
+            json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("k, r", [(2, 1), (3, 2), (4, 2), (8, 1), (8, 2), (16, 1)])
+    def test_large_tol_on_a_patch_chain(self, k, r, monkeypatch, capsys):
+        # at tol 0.45 a patch's growth snaps vertices of the next patch onto its
+        # lattice; the edges between them are no unit steps, so no component holds them
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import inputs
+        g, _ = inputs.patch_chain(k, r, random.Random(10 * k + r))
+        self._decompose_and_trace(g.to_json(), "0.45", monkeypatch, capsys)
+
+    def test_large_tol_on_a_stretched_k4(self, monkeypatch, capsys):
+        from test_components import stretched_k4
+        self._decompose_and_trace(stretched_k4().to_json(), "0.3", monkeypatch, capsys)
 
 
 class TestIso:

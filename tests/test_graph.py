@@ -191,7 +191,9 @@ class TestFaces:
         g.validate()
         fs = faces(g)
         assert sum(len(f) for f in fs.faces) == 2 * g.e
-        assert len(fs.face_of_dart) == 2 * g.e
+        darts = {(f[i], f[(i + 1) % len(f)]) for f in fs.faces for i in range(len(f))}
+        assert len(darts) == 2 * g.e
+        assert darts == {d for a, b in g.edges for d in ((a, b), (b, a))}
 
     def test_single_vertex(self):
         g = lattice_graph([E(0, 0)])
