@@ -23,18 +23,16 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from . import geometry as geo
 from .census import face_census
-from .graph import (ConsistencyError, LatticeCoord, MatchstickGraph, _canonical_rotation,
-                    _norm_edge, _unit_edges, block_decomposition, connectivity, faces,
+from .graph import (_NONE, ConsistencyError, LatticeCoord, MatchstickGraph, _canonical_rotation,
+                    _grow, _norm_edge, _unit_edges, block_decomposition, connectivity, faces,
                     lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
 POS_TOL = 1e-9
-_NONE = frozenset()
 
 
 @dataclass(frozen=True)
@@ -174,24 +172,6 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                 blocks, _ = block_decomposition(sorted(coords), region_adj)
                 candidates.extend((blk, frame, coords) for blk in blocks)
     return candidates
-
-
-def _grow(pos, adj, frame, seed, tol):
-    """The region grown from ``seed`` (vertex -> point) by the snap-and-step rule."""
-    coords = dict(seed)
-    used_points = set(seed.values())
-    queue = deque(sorted(seed))
-    while queue:
-        v = queue.popleft()
-        for u in sorted(adj[v]):
-            if u in coords:
-                continue
-            p = frame.snap(pos[u], tol)
-            if p is not None and p not in used_points and p - coords[v] in UNIT_STEP_INDEX:
-                coords[u] = p
-                used_points.add(p)
-                queue.append(u)
-    return coords
 
 
 def component_subgraph(comp: LatticeComponent) -> MatchstickGraph:

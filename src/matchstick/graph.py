@@ -14,10 +14,12 @@ validation through a non-unit edge or two vertices on one point (in penny
 mode, only duplicates come closer than 1).  Exact validation checks those two
 faults in O(n + e) and runs the generic segment-pair pass only when one of
 them fires, so an invalid graph still gets the full report.  A free-mode
-graph whose vertices all lie within tol/4 of distinct points of one lattice,
-framed on its smallest edge, with unit edges between lattice neighbours, is
-such a lattice graph written in floats; it is found valid in O(n + e) the same
-way, and every other free graph takes the float pass.  The generic
+graph is lifted in pieces: a piece is a connected part whose vertices lie
+within tol/4 of distinct points of one lattice, framed on one of its edges,
+with unit steps on its edges, i.e. such a lattice graph written in floats.
+When one piece holds the whole graph it is found valid in O(n + e) the same
+way; otherwise the float pass checks only the pairs of elements no single
+piece holds, and a graph with no piece takes the full float pass.  The generic
 passes prune candidate pairs with a spatial grid: every edge sits in each cell
 of its bounding box widened by tol, so the cost follows the number of nearby
 pairs at any tolerance.
@@ -31,7 +33,7 @@ import sys
 from dataclasses import dataclass
 
 from . import geometry as geo
-from .lattice import UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame
+from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame
 
 DEFAULT_TOL = 1e-9
 # from_json bound on lattice m and n: past 2**53 floats no longer hold every
@@ -48,6 +50,7 @@ _MAX_COORD = 1e100
 # is checked brute-force against every edge and vertex
 _CELL = 1.1
 _BOX_PAD = 0.05
+_NONE = frozenset()
 
 
 class ConsistencyError(Exception):
@@ -79,7 +82,8 @@ class ValidationReport:
     violations: tuple[Violation, ...]
     mode: str  # "lattice" or "free"
     # the check that decided the report: "lattice-fast", "lattice-generic",
-    # "free-lift" or "float" (see _validate_exact and _validate_free); not in the JSON
+    # "free-lift", "free-pieces" or "float" (see _validate_exact and
+    # _validate_free); not in the JSON
     path: str | None = None
     # free mode only: max |coordinate| * 2**-52 when it exceeds tol, i.e. float
     # spacing there is too coarse for the tolerance tests to mean anything
@@ -336,10 +340,13 @@ def _positions(g: MatchstickGraph) -> dict:
 
 
 def _adjacency(g: MatchstickGraph) -> dict:
+    """Each vertex's neighbours, in ascending order."""
     adj = {vid: [] for vid, _ in g.vertices}
-    for a, b in sorted(g.edges):
+    for a, b in g.edges:
         adj[a].append(b)
         adj[b].append(a)
+    for nbrs in adj.values():
+        nbrs.sort()
     return adj
 
 
@@ -398,7 +405,7 @@ def _near_cells(grid, x, y, cell):
             yield from grid.get((cx + dx, cy + dy), ())
 
 
-def _candidates(g: MatchstickGraph, tol: float):
+def _candidates(g: MatchstickGraph, tol: float, pieces=None):
     """Grid-pruned candidates of a validation pass, as (vertex pairs, sorted
     edges, edge index pairs, (vertex, edge index) hits).  Every pair of the
     graph's elements within ``tol`` of each other is one, and so is every
@@ -409,6 +416,13 @@ def _candidates(g: MatchstickGraph, tol: float):
     edge lies in the edge's bounding box widened by tol, so two edges within tol
     share a cell of their widened boxes and a vertex within tol of an edge is in
     one of the edge's cells.
+
+    With ``pieces`` from :func:`_lift_pieces`, only pairs that no single piece
+    holds both elements of are listed: each cell groups its edges by the piece
+    lifting them and pairs them only across groups, so a cell inside one piece
+    lists none.  A vertex-edge hit or an edge pair sharing no end is left out
+    too when their boxes, one widened by tol + _BOX_PAD, are apart (the lift's
+    tol window keeps float rounding below tol/256).
     """
     pos = g.positions()
     cell = max(_CELL, tol + _BOX_PAD)
@@ -416,16 +430,19 @@ def _candidates(g: MatchstickGraph, tol: float):
     vpairs = set()
     for vid, (x, y) in pos.items():
         for other in _near_cells(vgrid, x, y, cell):
-            if other != vid:
-                vpairs.add(_norm_edge(vid, other))
+            if other > vid:  # the pair is found from both ends
+                vpairs.add((vid, other))
     edges = sorted(g.edges)
     r = (tol + _BOX_PAD) / cell  # the widening in cells; dividing first cannot overflow
     egrid = {}
     brute = []
+    boxes = []
     for idx, (a, b) in enumerate(edges):
         (ax, ay), (bx, by) = pos[a], pos[b]
-        x0, x1 = math.floor(min(ax, bx) / cell - r), math.floor(max(ax, bx) / cell + r)
-        y0, y1 = math.floor(min(ay, by) / cell - r), math.floor(max(ay, by) / cell + r)
+        box = (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+        boxes.append(box)
+        x0, x1 = math.floor(box[0] / cell - r), math.floor(box[1] / cell + r)
+        y0, y1 = math.floor(box[2] / cell - r), math.floor(box[3] / cell + r)
         if (x1 - x0 + 1) * (y1 - y0 + 1) > g.n + g.e:
             brute.append(idx)
             continue
@@ -435,13 +452,61 @@ def _candidates(g: MatchstickGraph, tol: float):
     epairs = set()
     vhits = set()
     for c, members in egrid.items():  # each cell's edge indices, ascending
+        vids = vgrid.get(c, ())
+        if pieces is not None:
+            _add_across_pieces(members, vids, *pieces, epairs, vhits)
+            continue
         for k, i in enumerate(members):
             epairs.update((i, j) for j in members[k + 1:])
-            vhits.update((vid, i) for vid in vgrid.get(c, ()))
+            vhits.update((vid, i) for vid in vids)
     for i in brute:
         epairs.update((min(i, j), max(i, j)) for j in range(len(edges)) if j != i)
         vhits.update((vid, i) for vid in pos)
+    if pieces is not None:
+        vpairs, epairs, vhits = _near_across_pieces(pos, edges, boxes, vpairs, epairs, vhits,
+                                                    pieces[0], tol + _BOX_PAD)
     return vpairs, edges, epairs, vhits
+
+
+def _add_across_pieces(members, vids, held, edge_piece, epairs, vhits):
+    """Add the pairs of one cell's edges ``members`` and vertices ``vids`` that
+    no single piece holds both of to ``epairs`` and ``vhits``."""
+    groups = {}  # piece -> the cell's edges it lifts; None -> the unlifted ones
+    for i in members:
+        groups.setdefault(edge_piece[i], []).append(i)
+    groups = list(groups.items())
+    for x, (k, group) in enumerate(groups):
+        if k is None:
+            for y, i in enumerate(group):
+                epairs.update((i, j) for j in group[y + 1:])
+        for _, other in groups[x + 1:]:
+            epairs.update((i, j) if i < j else (j, i) for i in group for j in other)
+        vhits.update((vid, i) for vid in vids if k not in held.get(vid, _NONE) for i in group)
+
+
+def _near_across_pieces(pos, edges, boxes, vpairs, epairs, vhits, held, w):
+    """The vertex pairs of ``vpairs`` with no common piece, and the vertex-edge
+    hits and edge pairs of ``vhits`` and ``epairs`` less those of a vertex and
+    an edge or of two edges sharing no end whose ``boxes`` are more than ``w``
+    apart in x or y."""
+    vpairs = {(a, b) for a, b in vpairs if not held.get(a, _NONE) & held.get(b, _NONE)}
+    hits = set()
+    for vid, i in vhits:
+        if vid not in edges[i]:
+            x, y = pos[vid]
+            x0, x1, y0, y1 = boxes[i]
+            if x0 - w <= x <= x1 + w and y0 - w <= y <= y1 + w:
+                hits.add((vid, i))
+    pairs = set()
+    for i, j in epairs:
+        (a1, b1), (a2, b2) = edges[i], edges[j]
+        if a1 not in (a2, b2) and b1 not in (a2, b2):
+            p0, p1, p2, p3 = boxes[i]
+            q0, q1, q2, q3 = boxes[j]
+            if p1 + w < q0 or q1 + w < p0 or p3 + w < q2 or q3 + w < p2:
+                continue
+        pairs.add((i, j))
+    return vpairs, pairs, hits
 
 
 def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> ValidationReport:
@@ -461,14 +526,11 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
 def _unit_edges(edges, points: dict) -> bool:
     """Every edge joins two of the lattice ``points`` one lattice step apart,
     i.e. has Eisenstein norm 1."""
-    return all((mb - ma, nb - na) in UNIT_STEP_INDEX
-               for (ma, na), (mb, nb) in ((points[a], points[b]) for a, b in edges))
-
-
-def _distinct_with_unit_edges(g: MatchstickGraph, points: dict) -> bool:
-    """No two vertices share a point of ``points`` (vertex -> EisensteinPoint)
-    and every edge has Eisenstein norm 1."""
-    return len(set(points.values())) == g.n and _unit_edges(g.edges, points)
+    for a, b in edges:
+        (ma, na), (mb, nb) = points[a], points[b]
+        if (mb - ma, nb - na) not in UNIT_STEP_INDEX:
+            return False
+    return True
 
 
 def _validate_exact(g: MatchstickGraph, penny_mode: bool):
@@ -477,7 +539,8 @@ def _validate_exact(g: MatchstickGraph, penny_mode: bool):
     the graph is valid (the lattice's unit-distance graph is plane), which is
     checked in O(n + e); otherwise :func:`_validate_exact_generic` lists the
     violations."""
-    if _distinct_with_unit_edges(g, {vid: c.point for vid, c in g.vertices}):
+    points = {vid: c.point for vid, c in g.vertices}
+    if len(set(points.values())) == g.n and _unit_edges(g.edges, points):
         return "lattice-fast", []
     return "lattice-generic", _validate_exact_generic(g, penny_mode)
 
@@ -489,16 +552,20 @@ _LIFT_MAX_TOL = 0.1
 
 
 def _validate_free(g: MatchstickGraph, tol: float, penny_mode: bool, max_coord: float):
-    """Validation of a free-mode graph, as (path, violations): the lift onto one
-    lattice in O(n + e) when it holds, else :func:`_validate_float`.
+    """Validation of a free-mode graph, as (path, violations).  Within the lift's
+    tol window, (M + 1) * 2**-44 <= tol <= 0.1 (M = ``max_coord``, the largest
+    |coordinate|), :func:`_lift_pieces` lifts pieces of the graph onto lattices.
+    When one piece holds every vertex with a unit step on every edge the graph
+    is valid ("free-lift"); otherwise, when some piece lifts,
+    :func:`_validate_float` checks only the pairs of elements that no single
+    piece holds both of ("free-pieces").  With no piece it checks every pair
+    ("float").
 
-    The lift frames the graph on its smallest edge (a, b): origin a, angle the
-    direction of b - a.  It holds when the graph has an edge, (M + 1) * 2**-44
-    <= tol <= 0.1 (M = ``max_coord``, the largest |coordinate|), every vertex is
-    within tol/4 of its nearest frame point, these points are distinct and
-    every edge joins two of them at Eisenstein norm 1.  Such a graph is a unit
+    A piece is framed on an edge (a, b): origin a, angle the direction of
+    b - a.  Its vertices are within tol/4 of distinct frame points, and each of
+    its edges joins two of them at Eisenstein norm 1.  So the piece is a unit
     lattice graph on distinct points with each vertex moved by some d, and the
-    float pass finds nothing:
+    float pass finds nothing among its elements:
 
     - Rounding: ``to_cartesian`` puts a frame point within 32 * 2**-52 * (M + 1)
       of its exact image (a few roundings of numbers below 3M + 1), which is at
@@ -516,20 +583,86 @@ def _validate_free(g: MatchstickGraph, tol: float, penny_mode: bool, max_coord: 
       lattice edges do not cross).  Moved by d, each is still above
       sqrt(3)/2 - 2d > 0.79 > tol, with rounding of order M * 2**-52 <= tol/256,
       so the moved edges do not cross either.
+
+    The argument looks at one piece's frame points only, so it holds for a
+    vertex that several pieces hold (a corner two patches share) in each of
+    them, whatever its point in the others; pairs across pieces go to the
+    float predicates.
     """
+    path, pieces = "float", None
     if g.edges and (max_coord + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL:
-        pos = g.positions()
-        a, b = min(g.edges)
-        (ax, ay), (bx, by) = pos[a], pos[b]
-        frame = LatticeFrame(origin=(ax, ay), angle=math.atan2(by - ay, bx - ax))
-        points = {}
-        for vid, xy in pos.items():
-            if (p := frame.snap(xy, tol / 4)) is None:
-                break  # one vertex off the lattice decides it
-            points[vid] = p
-        if len(points) == g.n and _distinct_with_unit_edges(g, points):
-            return "free-lift", []
-    return "float", _validate_float(g, tol, penny_mode)
+        path, pieces = _lift_pieces(g, tol)
+    return path, ([] if path == "free-lift" else _validate_float(g, tol, penny_mode, pieces))
+
+
+def _lift_pieces(g: MatchstickGraph, tol: float):
+    """The lattice pieces of a free graph, as (path, pieces): ("free-lift",
+    None) when the first piece holds every vertex with a unit step on every
+    edge, ("free-pieces", (held, edge_piece)) when some piece exists, else
+    ("float", None).  ``held`` maps a vertex to the indices of the pieces
+    holding it; ``edge_piece`` gives, for each edge in ascending order, a piece
+    holding its ends a unit step apart (the edge is lifted), or None.
+
+    Each edge (a, b), in ascending order, whose length is within tol/2 of 1
+    and that no piece lifts yet seeds a piece when b snaps to (1, 0) on the
+    frame with origin a and angle a -> b.  An edge off by more counts as
+    unlifted: at most rounding could let a piece lift it, and an unlifted edge
+    only sends more pairs to the float predicates.  The piece grows by
+    :func:`_grow` at slack tol/4 from the vertices no earlier piece holds;
+    those of earlier pieces may join it as leaves (the corner two patches
+    share).  So each vertex is grown from at most once: at most e + 2e snaps.
+    """
+    pos = g.positions()
+    if not any(abs(math.dist(pos[a], pos[b]) - 1.0) <= tol / 2 for a, b in g.edges):
+        return "float", None  # no edge can seed a piece
+    adj = g.adjacency()
+    slack = tol / 4
+    points = []  # each piece's vertex -> EisensteinPoint
+    held = {}
+    edge_piece = []
+    for a, b in ((a, b) for a in sorted(adj) for b in adj[a] if b > a):  # ascending, lazily
+        if abs(math.dist(pos[a], pos[b]) - 1.0) > tol / 2:
+            edge_piece.append(None)
+            continue
+        k = next((k for k in held.get(a, _NONE) & held.get(b, _NONE)
+                  if _unit_edges(((a, b),), points[k])), None)
+        if k is None:
+            (ax, ay), (bx, by) = pos[a], pos[b]
+            frame = LatticeFrame(origin=(ax, ay), angle=math.atan2(by - ay, bx - ax))
+            if frame.snap(pos[b], slack) == UNIT_RING[0]:
+                piece = _grow(pos, adj, frame, {a: ORIGIN, b: UNIT_RING[0]}, slack, held)
+                if not points and len(piece) == g.n and _unit_edges(g.edges, piece):
+                    return "free-lift", None
+                k = len(points)
+                points.append(piece)
+                for v in piece:
+                    held.setdefault(v, set()).add(k)
+        edge_piece.append(k)
+    return ("free-pieces", (held, edge_piece)) if points else ("float", None)
+
+
+def _grow(pos, adj, frame, seed, slack, held=_NONE):
+    """The vertices reached from ``seed`` (vertex -> EisensteinPoint) by the
+    snap-and-step rule, with their points: a neighbour u of a reached vertex v
+    joins when ``frame.snap`` puts it within ``slack`` of an unused point one
+    unit step from v's.  Vertices in ``held`` join, but nothing is reached from
+    them."""
+    coords = dict(seed)
+    used = set(seed.values())
+    queue = sorted(v for v in seed if v not in held)
+    snap = frame.snap
+    for v in queue:  # breadth first: the loop also visits what is appended
+        mv, nv = coords[v]
+        for u in adj[v]:
+            if u in coords:
+                continue
+            p = snap(pos[u], slack)
+            if p is not None and p not in used and (p[0] - mv, p[1] - nv) in UNIT_STEP_INDEX:
+                coords[u] = p
+                used.add(p)
+                if u not in held:
+                    queue.append(u)
+    return coords
 
 
 def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
@@ -571,11 +704,14 @@ def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
     return out
 
 
-def _validate_float(g: MatchstickGraph, tol: float, penny_mode: bool):
+def _validate_float(g: MatchstickGraph, tol: float, penny_mode: bool, pieces=None):
+    """Every violation of a free-mode graph, from the float predicates on all
+    grid-pruned candidate pairs; with ``pieces`` (see :func:`_lift_pieces`),
+    on the pairs and unlifted edges no single piece holds."""
     pos = g.positions()
-    vpairs, edges, epairs, vhits = _candidates(g, tol)
+    vpairs, edges, epairs, vhits = _candidates(g, tol, pieces)
     out = []
-    for a, b in edges:
+    for a, b in edges if pieces is None else (e for e, k in zip(edges, pieces[1]) if k is None):
         (ax, ay), (bx, by) = pos[a], pos[b]
         length = math.hypot(bx - ax, by - ay)
         if abs(length - 1.0) > tol:

@@ -182,6 +182,16 @@ class LatticeFrame:
         return _new(EisensteinPoint, (round(m), round(n)))
 
     def snap(self, xy: tuple[float, float], slack: float) -> EisensteinPoint | None:
-        """The frame point nearest ``xy``, or None when it is farther than ``slack``."""
-        p = self.nearest_point(xy)
-        return p if math.dist(self.to_cartesian(p), xy) <= slack else None
+        """The frame point nearest ``xy``, or None when it is farther than ``slack``.
+
+        The arithmetic of :meth:`nearest_point` and :meth:`to_cartesian`, written
+        out: validation and ``decompose`` snap once per vertex or wedge."""
+        (ox, oy), (ca, sa) = self.origin, self._rotation
+        dx, dy = xy[0] - ox, xy[1] - oy
+        n = (-sa * dx + ca * dy) / HALF_SQRT3
+        m = round(ca * dx + sa * dy - 0.5 * n)
+        n = round(n)
+        x, y = m + 0.5 * n, n * HALF_SQRT3
+        if math.dist((ox + ca * x - sa * y, oy + sa * x + ca * y), xy) <= slack:
+            return _new(EisensteinPoint, (m, n))
+        return None

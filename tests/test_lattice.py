@@ -234,6 +234,16 @@ class TestLatticeFrame:
         frame = LatticeFrame(origin=(ox, oy), angle=ang)
         assert frame.nearest_point(frame.to_cartesian(p)) == p
 
+    @given(st.floats(min_value=-1e3, max_value=1e3), st.floats(min_value=-1e3, max_value=1e3),
+           st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5),
+           st.floats(min_value=-math.pi, max_value=math.pi), st.floats(min_value=0, max_value=0.6))
+    def test_snap_is_nearest_point_within_slack(self, x, y, ox, oy, ang, slack):
+        # snap writes out the arithmetic of nearest_point and to_cartesian
+        frame = LatticeFrame(origin=(ox, oy), angle=ang)
+        p = frame.nearest_point((x, y))
+        assert frame.snap((x, y), slack) == (p if math.dist(frame.to_cartesian(p), (x, y)) <= slack
+                                             else None)
+
     def test_snap_slack_is_inclusive(self):
         # (2.25, 0) and (1, 0.25) are exactly 0.25 from the images (2, 0) and (1, 0)
         # of E(1, 0) and E(0, 0), also in floats

@@ -325,8 +325,9 @@ class TestFreeLift:
                     got = g.validate(tol=tol, penny_mode=penny)
                     assert got.to_json() == float_report(g, tol, penny).to_json(), \
                         (trial, tol, penny)
-                    assert got.path in ("free-lift", "float")
-                    assert got.path == "float" or (tol <= 0.1 and got.ok)
+                    assert got.path in ("free-lift", "free-pieces", "float")
+                    assert got.path == "float" or tol <= 0.1
+                    assert got.path != "free-lift" or got.ok
                     paths.add(got.path)
         assert "float" in paths
         if faults in ("clean", "squeezed"):
@@ -360,19 +361,145 @@ class TestFreeLift:
             assert report.path == ("free-lift" if lifts else "float")
             assert report.ok == lifts and (report.tol_below_resolution is None) == lifts
 
-    def test_chain_on_two_lattices_runs_float_pass(self, monkeypatch):
-        calls = []
-        float_pass = graph._validate_float
-
-        def counted(g, tol, penny_mode):
-            calls.append(tol)
-            return float_pass(g, tol, penny_mode)
-
-        monkeypatch.setattr(graph, "_validate_float", counted)
+    def test_chain_on_two_lattices_lifts_each_patch(self, monkeypatch):
         g = two_patch_chain()
         assert g.n == 13 and g.e == 24
+        vertex_at = {xy: v for v, xy in g.positions().items()}
+        corner = next(iter(set(range(7)) & {a for e in g.edges for a in e if max(e) >= 7}))
+        patches = (set(range(7)), {corner} | set(range(7, 13)))
+        calls = []
+        distance = geo.point_segment_distance
+
+        def spy(p, a, b):
+            calls.append({vertex_at[p], vertex_at[a], vertex_at[b]})
+            return distance(p, a, b)
+
+        monkeypatch.setattr(geo, "point_segment_distance", spy)
         report = g.validate()
-        assert report.ok and report.path == "float" and calls == [DEFAULT_TOL]
+        assert report.ok and report.path == "free-pieces"
+        assert calls and not any(c <= patch for c in calls for patch in patches)
+        assert report.to_json() == float_report(g, DEFAULT_TOL, False).to_json()
+
+
+def overlaid_spirals(n1: int, n2: int, angle: float, offset: float) -> MatchstickGraph:
+    """A spiral and a second one on top of it, turned by ``angle`` and moved by
+    ``offset`` along its first lattice direction, both then turned by 0.3: at
+    offset 0.5 and angle 0 each spiral's vertices sit on the other's edges."""
+    a = build_extremal(n1)
+    b = rotated_free(build_extremal(n2), angle, (offset, 0.0))
+    coords = [a.position(v) for v in a.ids()] + [b.position(v) for v in b.ids()]
+    both = free_graph(coords, list(a.edges) + [(x + a.n, y + a.n) for x, y in b.edges])
+    return rotated_free(both, 0.3, (0.0, 0.0))
+
+
+def in_lift_window(g: MatchstickGraph, tol: float) -> bool:
+    max_coord = max(abs(c) for xy in g.positions().values() for c in xy)
+    return (max_coord + 1) * 2.0 ** -44 <= tol <= 0.1
+
+
+class TestLiftPieces:
+    """Graphs made of lattice pieces: the lift of each piece leaves only the
+    pairs across pieces to the float predicates, with the same report."""
+
+    TOLS = (1e-13, 1e-9, 1e-6, 0.05, 0.1)
+
+    @staticmethod
+    def corpus():
+        from test_components import patch_chain, spiral_pair
+        rng = random.Random(2024)
+        chains = [patch_chain(k, r, rng) for k, r in ((2, 1), (3, 2), (5, 1), (8, 2), (16, 1),
+                                                     (64, 1))]
+        return [("chain", g) for g in chains] + [
+            ("overlaid", overlaid_spirals(40, 30, 0.0, 0.5)),
+            ("crossing", overlaid_spirals(19, 37, 0.5, 0.2)),
+            ("far-apart", rotated_free(spiral_pair(40, 25), 1.3, (4.0, -7.5))),
+        ]
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e7])
+    def test_same_report_as_float_pass(self, shift):
+        lifted = 0
+        for kind, base in self.corpus():
+            g = rotated_free(base, 0.0, (shift, -shift / 2))
+            for tol in self.TOLS:
+                for penny in (False, True):
+                    got = g.validate(tol=tol, penny_mode=penny)
+                    assert got.to_json() == float_report(g, tol, penny).to_json(), \
+                        (kind, g.n, tol, penny)
+                    assert got.path == ("free-pieces" if in_lift_window(g, tol) else "float")
+                    lifted += got.path == "free-pieces"
+                    kinds = {v.kind for v in got.violations}
+                    if kind == "overlaid":
+                        assert {"Crossing", "VertexOnEdge"} <= kinds
+                    elif kind == "crossing":
+                        assert "Crossing" in kinds
+                    else:  # the rhombus joints of a chain are closer than 1
+                        assert got.ok or penny or got.tol_below_resolution is not None
+        assert lifted >= 54  # every graph at tol 1e-6, 0.05 and 0.1
+
+    @pytest.mark.parametrize("noise", [0.9, 1.1])
+    def test_noisy_chain(self, noise):
+        from test_components import patch_chain
+        rng = random.Random(f"noisy-chain-{noise}")
+        base = patch_chain(16, 1, rng)
+        for tol in self.TOLS:
+            g = moved(rng, base, noise * tol / 4)
+            for penny in (False, True):
+                got = g.validate(tol=tol, penny_mode=penny)
+                assert got.to_json() == float_report(g, tol, penny).to_json(), (tol, penny)
+                assert got.path == ("free-pieces" if in_lift_window(g, tol) else "float")
+                assert got.ok or penny
+
+    def test_no_unit_edge_takes_float_pass_without_a_frame(self, monkeypatch):
+        frames = []
+        monkeypatch.setattr(LatticeFrame, "__post_init__", lambda frame: frames.append(frame))
+        coords = []
+        for i in range(300):
+            x, y = 3.0 * (i % 17) + (i % 8) / 16, 1.5 * (i // 17) + (i % 4) / 16
+            coords += [(x, y), (x + 2.0, y)]
+        g = free_graph(coords, [(2 * i, 2 * i + 1) for i in range(300)])
+        report = g.validate()
+        assert report.path == "float" and len(report.violations) == 300 and not frames
+
+    @pytest.mark.parametrize("shape", ["chain", "noisy-spiral", "long-star", "unit-star"])
+    def test_snaps_linear_in_graph_size(self, shape, monkeypatch):
+        from test_components import patch_chain
+        rng = random.Random(f"snaps-{shape}")
+        if shape == "chain":
+            g = patch_chain(256, 1, rng)
+        elif shape == "noisy-spiral":
+            # every vertex 1.1 * tol/4 off its lattice point: nearly every seed fails
+            flat = rotated_free(build_extremal(2000), 0.7, (3.0, -2.0))
+            d = 1.1 * DEFAULT_TOL / 4
+            coords = []
+            for v in flat.ids():
+                (x, y), t = flat.position(v), rng.uniform(0, 2 * math.pi)
+                coords.append((x + d * math.cos(t), y + d * math.sin(t)))
+            g = free_graph(coords, flat.edges)
+        elif shape == "long-star":
+            # a centre with 400 spokes of length 5: no edge seeds a piece
+            angles = [rng.uniform(0, 2 * math.pi) for _ in range(400)]
+            g = free_graph([(0.0, 0.0)] + [(5 * math.cos(t), 5 * math.sin(t)) for t in angles],
+                           [(0, i) for i in range(1, 401)])
+        else:
+            # 400 rays of two unit edges at random angles from a centre (the
+            # largest id): each ray is a piece seeded at its outer edge, and
+            # the centre joins all but the first as a leaf, never grown from
+            angles = [rng.uniform(0, 2 * math.pi) for _ in range(400)]
+            coords = [(r * math.cos(t), r * math.sin(t)) for r in (2, 1) for t in angles]
+            rays = [(i, 400 + i) for i in range(400)] + [(400 + i, 800) for i in range(400)]
+            g = free_graph(coords + [(0.0, 0.0)], rays)
+        snaps = []
+        snap = LatticeFrame.snap
+
+        def counted(frame, xy, slack):
+            snaps.append(xy)
+            return snap(frame, xy, slack)
+
+        monkeypatch.setattr(LatticeFrame, "snap", counted)
+        report = g.validate()
+        assert len(snaps) <= 4 * (g.n + g.e)
+        assert report.path == {"chain": "free-pieces", "noisy-spiral": "free-pieces",
+                               "long-star": "float", "unit-star": "free-pieces"}[shape]
 
 
 class TestTolBelowResolution:
