@@ -38,7 +38,7 @@ class FaceCensus:
             "n": self.n, "e": self.e, "b": self.b,
             "f": {str(k): v for k, v in sorted(self.f.items())},
             "F": self.F, "f3": self.f3,
-        })
+        }, allow_nan=False)
 
 
 def face_census(g: MatchstickGraph) -> FaceCensus:
@@ -82,7 +82,8 @@ class BoundCheck:
     tight: bool
 
     def to_json(self) -> str:
-        return json.dumps({"bound": self.bound, "e": self.e, "tight": self.tight})
+        return json.dumps({"bound": self.bound, "e": self.e, "tight": self.tight},
+                          allow_nan=False)
 
 
 def check_harborth(g: MatchstickGraph) -> BoundCheck:

@@ -48,7 +48,7 @@ def _load_polygon(path: str):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj) if not isinstance(obj, str) else obj)
+    print(json.dumps(obj, allow_nan=False) if not isinstance(obj, str) else obj)
 
 
 def cmd_validate(args) -> int:

@@ -77,7 +77,7 @@ class DecompositionReport:
                             "frame": {"origin": list(c.frame.origin), "angle": c.frame.angle},
                             "n_i": c.n_i, "e_i": c.e_i, "b_i": c.b_i}
                            for c in self.components],
-        })
+        }, allow_nan=False)
 
 
 def decompose(g: MatchstickGraph, tol: float = POS_TOL) -> DecompositionReport:

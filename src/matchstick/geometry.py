@@ -99,10 +99,11 @@ def segments_properly_cross(p1, p2, q1, q2) -> bool:
     """Strict sign test: the open segments cross in a single interior point."""
     d1 = cross(q1, q2, p1)
     d2 = cross(q1, q2, p2)
+    if not ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0):
+        return False
     d3 = cross(p1, p2, q1)
     d4 = cross(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
-            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0)
+    return (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
 
 
 def segment_distance(p1, p2, q1, q2) -> float:

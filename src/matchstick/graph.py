@@ -100,7 +100,7 @@ class ValidationReport:
         }
         if self.tol_below_resolution is not None:
             doc["tol_below_resolution"] = self.tol_below_resolution
-        return json.dumps(doc)
+        return json.dumps(doc, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -352,6 +352,8 @@ def _adjacency(g: MatchstickGraph) -> dict:
 
 def _f(x: float) -> str:
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot write the non-finite number {x!r} as JSON")
     if x == 0.0:
         x = 0.0  # canonicalize -0.0
     return format(x, ".17g")

@@ -4,9 +4,15 @@
 connected n-point subsets of the triangular lattice (n <= 12), enumerating
 translation classes once each with the untranslated-anchor growth technique
 (no set is ever revisited, so no canonical-form deduplication is needed
-during the search).  ``max_area_rearrangement`` exhausts edge orderings of a
-small polygon to certify the convex rearrangement.  ``unit_pair_fuzz`` checks
-floating circle-circle intersections against the exact lattice prediction.
+during the search); the search reads one flat code-indexed neighbour table and
+keeps animal and `seen` membership in byte arrays.  ``max_area_rearrangement``
+exhausts edge orderings of a small polygon to certify the convex
+rearrangement; it skips the point-segment distances to every placed segment
+whose bounding box is farther than the 1e-12 threshold plus a rounding
+allowance that grows with the coordinates, which provably leaves every
+decision, and so the returned float, unchanged (see its docstring).
+``unit_pair_fuzz`` checks floating circle-circle intersections against the
+exact lattice prediction.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import cross, dot, segment_distance, shoelace2
+from .geometry import (cross, dot, segment_distance, segments_properly_cross,
+                       shoelace2)
 from .lattice import (UNIT_RING, BudgetError, EisensteinPoint,
                       complete_unit_pair)
 
@@ -70,62 +77,65 @@ def _decode(code: int) -> EisensteinPoint:
     return EisensteinPoint(m - _OFF, n - _OFF)
 
 
-def _allowed_cells(n_max: int) -> frozenset:
-    # cells >= origin in (n, m) order, within reach of an n_max-cell animal
-    cells = set()
+def _allowed_neighbours(n_max: int) -> list:
+    """Code-indexed table: for each allowed cell (>= origin in (n, m) order,
+    within reach of an n_max-cell animal) the tuple of its allowed neighbours in
+    UNIT_RING order; None for every other code."""
+    allowed = set()
     for m in range(-n_max - 1, n_max + 2):
         for n in range(-n_max - 1, n_max + 2):
             p = EisensteinPoint(m, n)
             if p.hexdist() <= n_max and (n > 0 or (n == 0 and m >= 0)):
-                cells.add(_encode(p))
-    return frozenset(cells)
+                allowed.add(_encode(p))
+    table = [None] * (_STRIDE * _STRIDE)
+    for c in allowed:
+        table[c] = tuple(c + d for d in _NEIGH_OFFS if c + d in allowed)
+    return table
 
 
 @lru_cache(maxsize=4)
 def _exhaustive_profile(n_max: int):
-    """(max_e, witness_codes) per size 1..n_max over all connected lattice sets."""
+    """(max_e, witness_codes) per size 1..n_max over all connected lattice sets.
+
+    Every animal cell is allowed, so the neighbours that gain an edge and the
+    neighbours that join the untried list both come from one neighbour table;
+    membership in the animal and in `seen` is a byte per cell code."""
     root = _encode(EisensteinPoint(0, 0))
-    allowed = _allowed_cells(n_max)
+    neighbours = _allowed_neighbours(n_max)
     best = [-1] * (n_max + 1)
     witness = [None] * (n_max + 1)
     best[1] = 0
     witness[1] = (root,)
-    animal = {root}
-    offs = _NEIGH_OFFS
-    seen = {root}
-    initial = []
-    for d in offs:
-        q = root + d
-        if q in allowed:
-            seen.add(q)
-            initial.append(q)
+    animal = [root]
+    in_animal = bytearray(_STRIDE * _STRIDE)
+    in_animal[root] = 1
+    seen = bytearray(in_animal)
+    initial = list(neighbours[root])
+    for q in initial:
+        seen[q] = 1
 
     def extend(untried, ecount, size):
+        s2 = size + 1
         while untried:
             c = untried.pop()
-            gained = 0
-            for d in offs:
-                if c + d in animal:
-                    gained += 1
-            animal.add(c)
-            e2 = ecount + gained
-            s2 = size + 1
+            nb = neighbours[c]
+            e2 = ecount
+            for q in nb:
+                e2 += in_animal[q]
+            in_animal[c] = 1
+            animal.append(c)
             if e2 > best[s2]:
                 best[s2] = e2
                 witness[s2] = tuple(animal)
             if s2 < n_max:
-                new_untried = untried.copy()
-                added = []
-                for d in offs:
-                    q = c + d
-                    if q not in seen and q in allowed:
-                        seen.add(q)
-                        new_untried.append(q)
-                        added.append(q)
-                extend(new_untried, e2, s2)
+                added = [q for q in nb if not seen[q]]
                 for q in added:
-                    seen.discard(q)
-            animal.discard(c)
+                    seen[q] = 1
+                extend(untried + added, e2, s2)
+                for q in added:
+                    seen[q] = 0
+            in_animal[c] = 0
+            animal.pop()
 
     if n_max >= 2:
         extend(initial, 0, 1)
@@ -159,7 +169,43 @@ def max_area_rearrangement(p) -> float:
     """Maximum area over all orderings of the directed edge vectors that close
     into a strictly simple polygon.  Cyclic rotations give the same polygon,
     so the first edge is fixed; the chain is pruned depth-first as soon as a
-    partial self-intersection appears."""
+    partial self-intersection appears.
+
+    A new segment is clear of a placed one when ``segment_distance(...) >
+    1e-12``.  Every placed segment keeps its bounding box.  When the new
+    segment's box is more than ``far = 1e-12 + 2**-40 * M`` from it along x
+    or y, the four point-segment distances of that test are skipped and only
+    its proper-crossing sign test runs.  The outcome is the same, so the
+    search visits the same chains and returns the same float.
+
+    Proof.  Let u = 2**-53.  M = 2 * sum(|x| + |y|) over the edge vectors
+    bounds every coordinate the search computes, since a point is a sum of
+    at most 8 of them, each addition off by a factor of at most 1 + u.  The
+    skip is on only while M < 2**500, so no product below overflows.  Say
+    the boxes of P and Q are apart along x, with computed gap
+    g = fl(Qmin - Pmax) > far, and take an endpoint p of one segment and the
+    other segment ab.  ``point_segment_distance`` clamps t to [0, 1] and
+    computes the foot's x as fl(ax + fl(t * fl(bx - ax))), or ax when
+    the segment is a point.  The exact ax + t (bx - ax) lies in the x range
+    of ab's box, and three roundings of quantities below 3M move it by less
+    than 8uM.  The distance is a faithfully rounded hypot, so it is at least
+    |fl(px - fx)| >= (1 - u)(G - 8uM), where the exact gap
+    G >= g / (1 + u) > far / (1 + u) >= (1e-12 + 2**-40 M)(1 - 2u).  That
+    is more than 1e-12 + M (2**-40 - 9u) - 3u * 1e-12 > 1e-12, because a
+    skip needs 2M >= G > 0.99e-12.  Underflow adds at most 2**-1075 per
+    operation, far below the slack M * 2**-41.  So every skipped distance
+    is above 1e-12, and ``segment_distance`` is above 1e-12 exactly when the
+    sign test finds no proper crossing.
+
+    2**-40 = 2**13 u leaves a factor of about 900 over the 9u the rounding
+    needs, and the pad stays near 1e-12 of the polygon's size, so almost
+    every far segment is skipped at any scale up to the 1e100 coordinate
+    bound of the CLI.
+
+    The sign test itself is never skipped.  For collinear segments its four
+    orientations are rounding noise, and it can report a proper crossing
+    for two collinear segments that lie far apart.  So a box gap does not
+    decide it."""
     vecs = p.edge_vectors()
     m = len(vecs)
     if m > MAX_ORACLE_EDGES:
@@ -167,14 +213,24 @@ def max_area_rearrangement(p) -> float:
     rest = sorted(vecs[1:])
     origin = (0.0, 0.0)
     pts = [origin, vecs[0]]
+    boxes = [_box(origin, vecs[0])]
+    far = _far_gap(2.0 * sum(abs(x) + abs(y) for x, y in vecs))
     best = [-math.inf]
 
     def turn_ok(shared, a, b):
         # adjacent segments meeting at `shared` must not overlap (anti-parallel)
         return not (abs(cross(shared, a, b)) <= 1e-12 and dot(shared, a, b) > 0)
 
-    def clear_of(a, b, indices):
-        return all(segment_distance(pts[i], pts[i + 1], a, b) > 1e-12 for i in indices)
+    def clear_of(a, b, box, indices):
+        x0, x1, y0, y1 = box
+        for i in indices:
+            px0, px1, py0, py1 = boxes[i]
+            if x0 - px1 > far or px0 - x1 > far or y0 - py1 > far or py0 - y1 > far:
+                if segments_properly_cross(pts[i], pts[i + 1], a, b):
+                    return False
+            elif not segment_distance(pts[i], pts[i + 1], a, b) > 1e-12:
+                return False
+        return True
 
     def rec(remaining):
         k = len(pts) - 1  # segments placed so far: S_0 .. S_{k-1}
@@ -182,7 +238,7 @@ def max_area_rearrangement(p) -> float:
             # closing edge runs from pts[-1] back to the exact origin
             a = pts[-1]
             if (turn_ok(a, pts[-2], origin) and turn_ok(origin, a, pts[1])
-                    and clear_of(a, origin, range(1, k - 1))):
+                    and clear_of(a, origin, _box(a, origin), range(1, k - 1))):
                 best[0] = max(best[0], abs(shoelace2(pts)) / 2.0)
             return
         prev = None
@@ -194,16 +250,33 @@ def max_area_rearrangement(p) -> float:
             b = (a[0] + v[0], a[1] + v[1])
             if not turn_ok(a, pts[-2], b):
                 continue
-            if not clear_of(a, b, range(k - 1)):
+            box = _box(a, b)
+            if not clear_of(a, b, box, range(k - 1)):
                 continue
             pts.append(b)
+            boxes.append(box)
             rec(remaining[:i] + remaining[i + 1:])
             pts.pop()
+            boxes.pop()
 
     rec(rest)
     if best[0] == -math.inf:
         raise ValueError("no simple rearrangement found (degenerate edge set)")
     return best[0]
+
+
+def _far_gap(reach: float) -> float:
+    """Box gap past which two segments with coordinates at most `reach` in
+    magnitude are more than 1e-12 apart by every ``point_segment_distance``
+    (proof in max_area_rearrangement); inf, so nothing is skipped, when
+    products of such coordinates could overflow."""
+    return 1e-12 + 2.0 ** -40 * reach if reach < 2.0 ** 500 else math.inf
+
+
+def _box(a, b):
+    """(min x, max x, min y, max y) of segment ab."""
+    (ax, ay), (bx, by) = a, b
+    return (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
 
 
 # ---------------------------------------------------------------------------

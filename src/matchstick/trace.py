@@ -59,7 +59,7 @@ class TraceReport:
                 {"claim": r.claim, "lhs": r.lhs, "rhs": r.rhs, "status": r.status}
                 for r in self.records
             ],
-        })
+        }, allow_nan=False)
 
 
 def _rec(claim, lhs, rhs, relation, exact=False) -> ClaimRecord:

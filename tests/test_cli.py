@@ -341,6 +341,22 @@ class TestUsageErrors:
         assert json.loads(line)["error"] == f"tol must be a finite number >= 0, not {float(tol)!r}"
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_result_is_usage_error(self, bad, hexagon_polygon_file, monkeypatch,
+                                              capsys):
+        # no known input gives a non-finite result, so fake one at the command
+        # layer to pin the contract: exit 2, one JSON error line, no stdout
+        import matchstick.cli as cli
+
+        monkeypatch.setattr(cli, "check_classic", lambda p: {"lhs": bad, "rhs": 1.0})
+        assert cli.main(["iso", "classic", hexagon_polygon_file]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        [line] = out.err.splitlines()
+        assert "JSON" in json.loads(line)["error"]
+
+
 class TestConsistencyExit:
     def test_theorem_violation_maps_to_exit_three(self, monkeypatch):
         # no real input can trip a theorem invariant, so fake one at the

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchstick.builders import build_hexagon_patch, random_lattice_subgraph
-from matchstick.graph import (DEFAULT_TOL, MatchstickGraph, _candidates,
-                              boundary, connectivity, faces, free_graph, lattice_graph,
-                              rotation_system)
+from matchstick.graph import (DEFAULT_TOL, MatchstickGraph, ValidationReport, Violation,
+                              _candidates, boundary, connectivity, faces, free_graph,
+                              lattice_graph, rotation_system)
 from matchstick.lattice import EisensteinPoint, eisenstein_norm, harborth_bound
 
 E = EisensteinPoint
@@ -320,6 +320,17 @@ class TestJson:
         assert set(data) == {"frames", "vertices", "edges"}
         assert data["frames"][0]["id"] == 0
         assert {"frame", "m", "n"} == set(data["vertices"][0]["lattice"])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_are_not_written(self, bad):
+        # JSON has no Infinity or NaN: writing one raises instead of printing
+        # a document no strict parser reads
+        report = ValidationReport(ok=False, violations=(Violation("NonUnitEdge", (0, 1), bad),),
+                                  mode="free")
+        with pytest.raises(ValueError):
+            report.to_json()
+        with pytest.raises(ValueError):
+            free_graph([(0.0, 0.0), (bad, 0.0)], [(0, 1)]).to_json()
 
 
 class TestFaceCycleShape:

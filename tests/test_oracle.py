@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from matchstick import oracle
 from matchstick.builders import build_hexagon_patch
+from matchstick.geometry import cross, dot, segment_distance, shoelace2
 from matchstick.isoperimetry import polygon, random_simple_polygon
-from matchstick.lattice import BudgetError, EisensteinPoint, harborth_bound
+from matchstick.lattice import UNIT_RING, BudgetError, EisensteinPoint, harborth_bound
 from matchstick.oracle import (CanonicalPointSet, canonicalize, unit_pair_fuzz,
                                max_area_rearrangement, max_edges_lattice,
                                max_edges_profile)
@@ -60,6 +62,26 @@ class TestMaxEdges:
             assert max_e == harborth_bound(n)
             assert isinstance(w, CanonicalPointSet) and len(w) == n
 
+    def test_profile_witnesses_are_pinned(self):
+        # the first maximal animal the search meets at each size, in canonical
+        # form; any change to the search order shows up here
+        want = [
+            (1, 0, [(0, 0)]),
+            (2, 1, [(0, 0), (0, 1)]),
+            (3, 3, [(0, 0), (0, 1), (1, 0)]),
+            (4, 5, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+            (5, 7, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]),
+            (6, 9, [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]),
+            (7, 12, [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]),
+            (8, 14, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]),
+            (9, 16, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0),
+                     (2, 1)]),
+            (10, 19, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0),
+                      (2, 1), (2, 2)]),
+        ]
+        got = [(n, max_e, w.points) for n, max_e, w in max_edges_profile(10)]
+        assert got == [(n, e, tuple(E(m, k) for m, k in pts)) for n, e, pts in want]
+
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             max_edges_lattice(13)
@@ -94,6 +116,178 @@ class TestMaxAreaRearrangement:
                for k in range(9)]
         with pytest.raises(BudgetError):
             max_area_rearrangement(polygon(pts))
+
+
+def _unpruned_rearrangement(p) -> float:
+    """max_area_rearrangement without the box skip: every placed segment goes
+    through ``oracle.segment_distance``.  It and ``oracle.shoelace2`` are
+    looked up at call time, so a spy on either sees these calls too."""
+    vecs = p.edge_vectors()
+    rest = sorted(vecs[1:])
+    origin = (0.0, 0.0)
+    pts = [origin, vecs[0]]
+    best = [-math.inf]
+
+    def turn_ok(shared, a, b):
+        return not (abs(cross(shared, a, b)) <= 1e-12 and dot(shared, a, b) > 0)
+
+    def clear_of(a, b, indices):
+        return all(oracle.segment_distance(pts[i], pts[i + 1], a, b) > 1e-12 for i in indices)
+
+    def rec(remaining):
+        k = len(pts) - 1
+        if len(remaining) == 1:
+            a = pts[-1]
+            if (turn_ok(a, pts[-2], origin) and turn_ok(origin, a, pts[1])
+                    and clear_of(a, origin, range(1, k - 1))):
+                best[0] = max(best[0], abs(oracle.shoelace2(pts)) / 2.0)
+            return
+        prev = None
+        for i, v in enumerate(remaining):
+            if v == prev:
+                continue
+            prev = v
+            a = pts[-1]
+            b = (a[0] + v[0], a[1] + v[1])
+            if not turn_ok(a, pts[-2], b):
+                continue
+            if not clear_of(a, b, range(k - 1)):
+                continue
+            pts.append(b)
+            rec(remaining[:i] + remaining[i + 1:])
+            pts.pop()
+
+    rec(rest)
+    if best[0] == -math.inf:
+        raise ValueError("no simple rearrangement found (degenerate edge set)")
+    return best[0]
+
+
+def _run(search, p, monkeypatch):
+    """(area or error, every closed chain in the order the search scored it)."""
+    closed = []
+
+    def spy(points):
+        closed.append(tuple(points))
+        return shoelace2(points)
+
+    monkeypatch.setattr(oracle, "shoelace2", spy)
+    try:
+        return search(p), closed
+    except ValueError as exc:
+        return ("ValueError", str(exc)), closed
+
+
+def _random_corpus():
+    rng = random.Random(10)
+    return [random_simple_polygon(rng, m, m) for m in range(3, 9) for _ in range(3)]
+
+
+def _special_corpus():
+    ring = [d.cartesian() for d in UNIT_RING]
+    turned = [(math.cos(0.3) * x - math.sin(0.3) * y, math.sin(0.3) * x + math.cos(0.3) * y)
+              for x, y in ring]
+    h = math.sqrt(3) / 2
+    return [
+        [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],             # L-shape
+        ring,                                                       # hexagon-patch boundary
+        turned,
+        [(0, 0), (1, 0), (2, 0), (3, 0), (2.5, h), (1.5, h), (0.5, h)],  # lattice trapezoid
+        [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (2, 1), (1, 1), (0, 1)],  # split rectangle
+        [(0, 0), (4, 0), (4, 2), (2, 2e-12), (0, 2)],               # vertex 2e-12 off an edge
+        [(0, 0), (4, 0), (4, 2), (2, 5e-13), (0, 2)],
+        [(0, 0), (1, 0), (0.5, 1e-13)],                             # no simple rearrangement
+    ]
+
+
+def _moved(p, scale, shift):
+    return polygon([(x * scale + shift[0], y * scale + shift[1]) for x, y in p.vertices])
+
+
+class TestBoxSkip:
+    """max_area_rearrangement against the unpruned search it shortcuts."""
+
+    def corpus(self):
+        base = _random_corpus() + [polygon(pts) for pts in _special_corpus()]
+        out = list(base)
+        for scale, shift in ((1e-6, (0.0, 0.0)), (1e6, (0.0, 0.0)), (1e90, (0.0, 0.0)),
+                             (1.0, (123.456, -78.9)), (1e-6, (1.0, 1.0)),
+                             (1e90, (-3e90, 7e89))):
+            for p in base:
+                try:
+                    out.append(_moved(p, scale, shift))
+                except ValueError:
+                    pass  # rounding made the moved copy degenerate or not simple
+        assert len(out) > 6 * len(base)
+        return out
+
+    def test_same_chains_and_float_as_the_unpruned_search(self, monkeypatch):
+        errors = 0
+        for p in self.corpus():
+            want = _run(_unpruned_rearrangement, p, monkeypatch)
+            assert _run(max_area_rearrangement, p, monkeypatch) == want, p.vertices
+            errors += isinstance(want[0], tuple)
+        assert errors > 0
+
+    def test_fewer_distance_calls_on_eight_edges(self, monkeypatch):
+        calls = [0]
+
+        def spy(*args):
+            calls[0] += 1
+            return segment_distance(*args)
+
+        monkeypatch.setattr(oracle, "segment_distance", spy)
+        eight = [p for p in _random_corpus() if len(p.vertices) == 8]
+        assert eight
+        for p in eight:
+            calls[0] = 0
+            want = _unpruned_rearrangement(p)
+            unpruned = calls[0]
+            calls[0] = 0
+            assert max_area_rearrangement(p) == want
+            assert calls[0] < unpruned
+
+    def test_far_boxes_are_more_than_the_threshold_apart(self):
+        # the lemma behind the skip, on pairs built to be as close as it allows:
+        # an endpoint of P just past the end of Q's box, at every scale
+        rng = random.Random(11)
+        skipped = 0
+        for _ in range(20000):
+            reach = 10.0 ** rng.uniform(-3, 100)
+            a = (rng.uniform(-reach, reach) / 2, rng.uniform(-reach, reach) / 2)
+            b = (rng.uniform(-reach, reach) / 2, rng.uniform(-reach, reach) / 2)
+            left, right = sorted((a, b))
+            gap = 10.0 ** rng.uniform(-13, math.log10(reach) - 10)
+            p1 = (left[0] - gap, left[1] + rng.uniform(-gap, gap))
+            p2 = (p1[0] - rng.uniform(0, reach / 2), rng.uniform(-reach, reach) / 2)
+            if (left[0] - p1[0] > oracle._far_gap(reach)
+                    and not oracle.segments_properly_cross(p1, p2, a, b)):
+                skipped += 1
+                assert segment_distance(p1, p2, a, b) > 1e-12, (p1, p2, a, b)
+        assert skipped > 1000
+
+    def test_a_fixed_pad_is_not_enough(self):
+        # boxes 2 ulps apart at coordinates near 2e7, yet the computed foot on
+        # ab lands on p1: the allowance must grow with the coordinates
+        p1 = (-14078086.271134809, -22373845.64217437)
+        p2 = (-22953543.234651864, -35028974.339194864)
+        a = (13519801.139071986, -9308246.969314117)
+        b = (-14078086.271134807, -22373845.64217437)
+        assert b[0] - p1[0] > 1e-9
+        assert segment_distance(p1, p2, a, b) == 0.0
+        assert b[0] - p1[0] < oracle._far_gap(4e7)
+
+    def test_sign_test_can_cross_far_collinear_segments(self):
+        # why the skip keeps the proper-crossing test: these two segments lie
+        # on one line about 0.8 apart, with boxes far apart in x, yet rounding
+        # makes the four orientations alternate, so segment_distance is 0.0
+        p1 = (1.2544885755603807, -5.431807993889613)
+        p2 = (0.25885091715245045, -0.5810939643381292)
+        q1 = (-0.4432577753748589, 2.8395565668583127)
+        q2 = (0.09074853142839179, 0.23789534763371245)
+        assert math.dist(p2, q2) > 0.8
+        assert p2[0] - q2[0] > oracle._far_gap(10.0)
+        assert segment_distance(p1, p2, q1, q2) == 0.0
 
 
 class TestUnitPairFuzz:
