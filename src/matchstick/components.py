@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from . import geometry as geo
 from .census import face_census
 from .graph import (_NONE, ConsistencyError, LatticeCoord, MatchstickGraph, _canonical_rotation,
-                    _grow, _norm_edge, _unit_edges, block_decomposition, connectivity, faces,
-                    lattice_graph)
+                    _grow, _lattice_points, _norm_edge, _unit_edges, block_decomposition,
+                    connectivity, faces, lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
 POS_TOL = 1e-9
@@ -99,9 +99,8 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
     if g.lattice_mode:
         # every vertex is on the one input lattice, so the components are just
         # the 2-connected blocks on >= 3 vertices, with the input coordinates
-        frame = g.frames[next(iter(g.coord(v).frame for v in g.ids()))]
-        coords = {vid: g.coord(vid).point for vid in g.ids()}
-        candidates = [(blk, frame, coords) for blk in info.blocks]
+        frame = g.frames[g.vertices[0][1].frame]
+        candidates = [(blk, frame, g._once(_lattice_points)) for blk in info.blocks]
     else:
         candidates = _grow_all_seeds(g, tol)
 
@@ -188,8 +187,9 @@ def component_subgraph(comp: LatticeComponent) -> MatchstickGraph:
 def _make_component(vset, eset, frame, coords) -> LatticeComponent:
     """The component on ``vset``/``eset``, unit steps between distinct points of
     ``coords``.  The lowest, then leftmost point s has neighbours only in
-    directions 0, 1, 2; the outer face enters s from the one of least index."""
-    points = {v: coords[v] for v in vset}
+    directions 0, 1, 2; the outer face enters s from the one of least index.
+    The component shares ``coords`` when it holds every vertex of it."""
+    points = coords if len(vset) == len(coords) else {v: coords[v] for v in vset}
     at = {p: v for v, p in points.items()}
 
     def neighbour(v, k):  # v's neighbour in direction k (mod 6), or None

@@ -57,13 +57,13 @@ class ConsistencyError(Exception):
     """A theorem-level invariant failed; indicates a bug or corrupted input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeCoord:
     frame: int
     point: EisensteinPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeCoord:
     x: float
     y: float
@@ -149,24 +149,23 @@ class MatchstickGraph:
         vertices = tuple(vertices)
         if not vertices:
             raise ValueError("graph needs at least one vertex")
-        ids = [vid for vid, _ in vertices]
-        if len(set(ids)) != len(ids):
+        coord_of = dict(vertices)
+        if len(coord_of) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        idset = set(ids)
         norm_edges = set()
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
-            if a not in idset or b not in idset:
+            if a not in coord_of or b not in coord_of:
                 raise ValueError(f"edge ({a},{b}) references unknown vertex")
-            norm_edges.add(_norm_edge(a, b))
+            norm_edges.add((a, b) if a < b else (b, a))
         self.vertices = vertices
         self.edges = frozenset(norm_edges)
         self.frames = tuple(frames)
         for vid, coord in vertices:
             if isinstance(coord, LatticeCoord) and not (0 <= coord.frame < len(self.frames)):
                 raise ValueError(f"vertex {vid} references unknown frame {coord.frame}")
-        self._coord = dict(vertices)
+        self._coord = coord_of
         self._validated_ok = False
         self._derived = {}
 
@@ -197,12 +196,7 @@ class MatchstickGraph:
     @property
     def lattice_mode(self) -> bool:
         """True when every vertex is a lattice coordinate on a single frame."""
-        frames_used = set()
-        for _, c in self.vertices:
-            if isinstance(c, FreeCoord):
-                return False
-            frames_used.add(c.frame)
-        return len(frames_used) == 1
+        return self._once(_lattice_mode)
 
     def position(self, vid: int) -> tuple[float, float]:
         return self.positions()[vid]
@@ -279,25 +273,33 @@ class MatchstickGraph:
                                        angle=_finite(_field(fr, "angle", "frame"), "frame angle"))
         if None in frames:
             raise ValueError(f"frame id {frames.index(None)} is missing")
+        top = _MAX_LATTICE_COORD
         vertices = []
         for v in _list(_field(data, "vertices", "graph document"), "graph document field 'vertices'"):
+            lat = v.get("lattice") if type(v) is dict else None
+            if type(lat) is dict:
+                vid, fid, m, n = v.get("id"), lat.get("frame"), lat.get("m"), lat.get("n")
+                if (type(vid) is int and type(fid) is int and type(m) is int and type(n) is int
+                        and -top <= m <= top and -top <= n <= top):
+                    vertices.append((vid, LatticeCoord(fid, EisensteinPoint(m, n))))
+                    continue
+            # a free vertex, or one the checks above reject: the helpers name the fault
             vid = _int(_field(v, "id", "vertex"), "vertex id")
             if "lattice" in v:
                 where = f"vertex {vid} lattice"
-                fid, m, n = (_int(_field(v["lattice"], key, where), f"{where} {key!r}")
-                             for key in ("frame", "m", "n"))
-                if max(abs(m), abs(n)) > _MAX_LATTICE_COORD:
-                    raise ValueError(f"{where} 'm' and 'n' must be at most 2**53 in magnitude")
-                vertices.append((vid, LatticeCoord(fid, EisensteinPoint(m, n))))
-            elif "free" in v:
-                vertices.append((vid, FreeCoord(*_point(v["free"], f"vertex {vid} free"))))
-            else:
+                for key in ("frame", "m", "n"):
+                    _int(_field(v["lattice"], key, where), f"{where} {key!r}")
+                raise ValueError(f"{where} 'm' and 'n' must be at most 2**53 in magnitude")
+            if "free" not in v:
                 raise ValueError(f"vertex {vid} has neither 'free' nor 'lattice'")
-        edges = []
-        for e in _list(_field(data, "edges", "graph document"), "graph document field 'edges'"):
-            if not (isinstance(e, list) and len(e) == 2):
+            vertices.append((vid, FreeCoord(*_point(v["free"], f"vertex {vid} free"))))
+        edges = _list(_field(data, "edges", "graph document"), "graph document field 'edges'")
+        for e in edges:
+            if type(e) is not list or len(e) != 2:
                 raise ValueError(f"edge {e!r} must be a pair of vertex ids")
-            edges.append((_int(e[0], "edge endpoint"), _int(e[1], "edge endpoint")))
+            if type(e[0]) is not int or type(e[1]) is not int:
+                _int(e[0], "edge endpoint")
+                _int(e[1], "edge endpoint")
         return cls(vertices, edges, frames)
 
 
@@ -332,6 +334,16 @@ def _point(xy, where: str) -> tuple[float, float]:
     if max(abs(x), abs(y)) > _MAX_COORD:
         raise ValueError(f"{where} must be at most 1e100 in magnitude, not {xy!r}")
     return x, y
+
+
+def _lattice_mode(g: MatchstickGraph) -> bool:
+    frames_used = {c.frame if isinstance(c, LatticeCoord) else None for _, c in g.vertices}
+    return len(frames_used) == 1 and None not in frames_used
+
+
+def _lattice_points(g: MatchstickGraph) -> dict:
+    """Each vertex's EisensteinPoint, for a lattice-mode graph; use through g._once."""
+    return {vid: c.point for vid, c in g.vertices}
 
 
 def _positions(g: MatchstickGraph) -> dict:
@@ -541,7 +553,7 @@ def _validate_exact(g: MatchstickGraph, penny_mode: bool):
     the graph is valid (the lattice's unit-distance graph is plane), which is
     checked in O(n + e); otherwise :func:`_validate_exact_generic` lists the
     violations."""
-    points = {vid: c.point for vid, c in g.vertices}
+    points = g._once(_lattice_points)
     if len(set(points.values())) == g.n and _unit_edges(g.edges, points):
         return "lattice-fast", []
     return "lattice-generic", _validate_exact_generic(g, penny_mode)
@@ -764,12 +776,8 @@ def rotation_system(g: MatchstickGraph) -> dict:
     rot = {}
     for vid, nbrs in g.adjacency().items():
         x, y = pos[vid]
-
-        def angle(u):
-            a = math.atan2(pos[u][1] - y, pos[u][0] - x)
-            return a if a >= 0 else a + 2 * math.pi
-
-        rot[vid] = tuple(sorted(nbrs, key=angle))
+        rot[vid] = tuple(sorted(
+            nbrs, key=lambda u: math.atan2(pos[u][1] - y, pos[u][0] - x) % math.tau))
     return rot
 
 
@@ -777,45 +785,56 @@ def faces(g: MatchstickGraph) -> FaceStructure:
     """Face cycles by the next-dart rule: at the head of dart (u, v) continue to
     the neighbor immediately clockwise of u around v.  Inner faces come out
     counterclockwise; the outer face is the unique clockwise one (negative
-    shoelace sum over its closed walk).  Computed once per graph."""
+    shoelace sum over its closed walk), found during the walk.  Each cycle is
+    its lexicographically least rotation, so it starts at its smallest vertex.
+    Computed once per graph."""
     return g._once(_faces)
 
 
 def _faces(g: MatchstickGraph) -> FaceStructure:
+    """Walks start at vertices in ascending order, so a walked cycle starts at
+    its smallest vertex and is canonical unless it passes that vertex twice;
+    only then is it rotated, and its shoelace sum taken again in that order."""
     g.require_validated()
     if not connectivity(g).connected:
         raise ValueError("faces() requires a connected graph")
     if g.e == 0:
         return FaceStructure(faces=((),), outer_face_index=0)
     rot = rotation_system(g)
-    idx_of = {v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in rot.items()}
     pos = g.positions()
-    seen = set()  # the darts already on a face
+    nxt = {}  # dart (u, v) -> the neighbour just clockwise of u around v
+    for v, nbrs in rot.items():
+        prev = nbrs[-1]
+        for u in nbrs:
+            nxt[(u, v)] = prev
+            prev = u
     cycles = []
+    outer = []
     for u0 in sorted(rot):
         for v0 in rot[u0]:
-            if (u0, v0) in seen:
-                continue
             cycle = []
+            s = 0
             u, v = u0, v0
-            while (u, v) not in seen:
-                seen.add((u, v))
+            xu, yu = pos[u0]
+            while (w := nxt.pop((u, v), None)) is not None:
                 cycle.append(u)
-                nbrs = rot[v]
-                w = nbrs[(idx_of[v][u] - 1) % len(nbrs)]
-                u, v = v, w
-            cycles.append(_canonical_rotation(cycle))
-    outer = [i for i, c in enumerate(cycles) if geo.shoelace2([pos[v] for v in c]) < 0]
-    if len(cycles) == 1:
-        outer_idx = 0
-    elif len(outer) == 1:
-        outer_idx = outer[0]
-    else:
+                xv, yv = pos[v]
+                s += xu * yv - xv * yu
+                u, v, xu, yu = v, w, xv, yv
+            if not cycle:
+                continue  # the dart is on a face already walked
+            if cycle.count(u0) > 1:
+                cycle = _canonical_rotation(cycle)
+                s = geo.shoelace2([pos[v] for v in cycle])
+            if s < 0:
+                outer.append(len(cycles))
+            cycles.append(tuple(cycle))
+    if len(cycles) > 1 and len(outer) != 1:
         raise ConsistencyError(f"expected exactly one clockwise face, found {len(outer)}")
     total = sum(len(c) for c in cycles)
     if total != 2 * g.e:
         raise ConsistencyError(f"dart count {total} != 2e = {2 * g.e}")
-    return FaceStructure(faces=tuple(cycles), outer_face_index=outer_idx)
+    return FaceStructure(faces=tuple(cycles), outer_face_index=outer[0] if len(cycles) > 1 else 0)
 
 
 def _canonical_rotation(cycle):
@@ -837,8 +856,9 @@ def boundary(g: MatchstickGraph) -> tuple[list, int]:
 
 
 def block_decomposition(ids, adj):
-    """Blocks and cut vertices of the graph given as an adjacency dict,
-    via iterative Hopcroft-Tarjan.  Isolated vertices become vertex-only blocks."""
+    """Blocks and cut vertices of the graph given as an adjacency dict, which
+    lists each vertex's neighbours in ascending order, via iterative
+    Hopcroft-Tarjan.  Isolated vertices become vertex-only blocks."""
     disc = {}
     low = {}
     edge_stack = []
@@ -851,7 +871,7 @@ def block_decomposition(ids, adj):
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
-        stack = [(root, None, iter(sorted(adj[root])))]
+        stack = [(root, None, iter(adj[root]))]
         while stack:
             v, parent, it = stack[-1]
             advanced = False
@@ -862,7 +882,7 @@ def block_decomposition(ids, adj):
                     edge_stack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(sorted(adj[w]))))
+                    stack.append((w, v, iter(adj[w])))
                     advanced = True
                     break
                 elif disc[w] < disc[v]:

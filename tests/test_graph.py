@@ -1,14 +1,21 @@
+import json
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchstick.builders import build_hexagon_patch, random_lattice_subgraph
-from matchstick.graph import (DEFAULT_TOL, MatchstickGraph, ValidationReport, Violation,
-                              _candidates, boundary, connectivity, faces, free_graph,
+from matchstick import geometry as geo
+from matchstick import graph
+from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
+from matchstick.graph import (DEFAULT_TOL, ConsistencyError, MatchstickGraph, ValidationReport,
+                              Violation, _candidates, boundary, connectivity, faces, free_graph,
                               lattice_graph, rotation_system)
 from matchstick.lattice import EisensteinPoint, eisenstein_norm, harborth_bound
+from test_validation_oracle import rotated_free
 
 E = EisensteinPoint
 
@@ -235,6 +242,150 @@ class TestFaces:
         assert sum(len(f) for f in fs.faces) == 2 * g.e
 
 
+def _reference_rotation_system(g: MatchstickGraph) -> dict:
+    g.require_validated()
+    pos = g.positions()
+    rot = {}
+    for vid, nbrs in g.adjacency().items():
+        x, y = pos[vid]
+
+        def angle(u):
+            a = math.atan2(pos[u][1] - y, pos[u][0] - x)
+            return a if a >= 0 else a + 2 * math.pi
+
+        rot[vid] = tuple(sorted(nbrs, key=angle))
+    return rot
+
+
+def _reference_faces(g: MatchstickGraph) -> graph.FaceStructure:
+    """The face walk with a seen-dart set, the rotation index of every dart,
+    each cycle rotated afterwards and one shoelace sum per rotated cycle: the
+    reference the one-pass walk of graph._faces is checked against."""
+    g.require_validated()
+    if not connectivity(g).connected:
+        raise ValueError("faces() requires a connected graph")
+    if g.e == 0:
+        return graph.FaceStructure(faces=((),), outer_face_index=0)
+    rot = _reference_rotation_system(g)
+    idx_of = {v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in rot.items()}
+    pos = g.positions()
+    seen = set()  # the darts already on a face
+    cycles = []
+    for u0 in sorted(rot):
+        for v0 in rot[u0]:
+            if (u0, v0) in seen:
+                continue
+            cycle = []
+            u, v = u0, v0
+            while (u, v) not in seen:
+                seen.add((u, v))
+                cycle.append(u)
+                nbrs = rot[v]
+                w = nbrs[(idx_of[v][u] - 1) % len(nbrs)]
+                u, v = v, w
+            cycles.append(_reference_canonical_rotation(cycle))
+    outer = [i for i, c in enumerate(cycles) if geo.shoelace2([pos[v] for v in c]) < 0]
+    if len(cycles) == 1:
+        outer_idx = 0
+    elif len(outer) == 1:
+        outer_idx = outer[0]
+    else:
+        raise ConsistencyError(f"expected exactly one clockwise face, found {len(outer)}")
+    total = sum(len(c) for c in cycles)
+    if total != 2 * g.e:
+        raise ConsistencyError(f"dart count {total} != 2e = {2 * g.e}")
+    return graph.FaceStructure(faces=tuple(cycles), outer_face_index=outer_idx)
+
+
+def _reference_canonical_rotation(cycle):
+    low = min(cycle)
+    return min(tuple(cycle[i:] + cycle[:i]) for i, v in enumerate(cycle) if v == low)
+
+
+# In the star and the dumbbell the outer face passes vertex 0 more than once,
+# and the walk's first dart on it, 0 -> the neighbour of least angle, is not
+# where its lexicographically least rotation starts.
+
+def _star():
+    return lattice_graph([E(0, 0), E(0, 1), E(1, 0), E(-1, 0)], edges=[(0, 1), (0, 2), (0, 3)])
+
+
+def _dumbbell():
+    # two triangles joined by a two-edge path from the cut vertex 0
+    pts = [E(0, 0), E(-1, 1), E(-1, 0), E(1, 0), E(2, 0), E(3, 0), E(2, 1)]
+    return lattice_graph(pts, edges=[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4),
+                                     (4, 5), (5, 6), (6, 4)])
+
+
+def _bowtie():
+    # two unit triangles sharing the cut vertex 0
+    return lattice_graph([E(0, 0), E(1, 0), E(0, 1), E(-1, 0), E(0, -1)])
+
+
+def _patch_chain(k):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    return inputs.patch_chain(k, 1, random.Random(5))[0]
+
+
+def _face_graphs():
+    out = [(f"spiral-{n}", lambda n=n: build_extremal(n)) for n in (3, 7, 19, 100, 500)]
+    out += [(f"random-{n}-{seed}", lambda n=n, seed=seed: random_lattice_subgraph(n, seed))
+            for n in (4, 9, 25, 60) for seed in range(6)]
+    out += [("star", _star), ("dumbbell", _dumbbell), ("bowtie", _bowtie),
+            ("path", lambda: lattice_graph([E(0, 0), E(1, 0), E(2, 0)], edges=[(0, 1), (1, 2)]))]
+    for k in range(7):  # frame angles on and 1e-12 off the lattice directions k * pi/3
+        for off in (0.0, 1e-12, -1e-12, 3e-13):
+            out.append((f"rotated-{k}pi/3{off:+g}", lambda a=k * math.pi / 3 + off:
+                        rotated_free(build_extremal(136), a, (3.0, -2.0))))
+    out += [("rotated-0.7", lambda: rotated_free(random_lattice_subgraph(40, 3), 0.7, (-5.0, 1e3)))]
+    out += [(f"patch-chain-{k}", lambda k=k: _patch_chain(k)) for k in (8, 64)]
+    return out
+
+
+class TestFaceWalkDifferential:
+    """graph._faces against the reference walk kept above: the same cycles in
+    the same order, the same outer face and the same rotation."""
+
+    @pytest.mark.parametrize("make", [m for _, m in _face_graphs()],
+                             ids=[name for name, _ in _face_graphs()])
+    def test_same_faces_as_the_reference_walk(self, make):
+        g = make()
+        assert g.validate().ok
+        assert rotation_system(g) == _reference_rotation_system(g)
+        ref = _reference_faces(g)
+        fs = faces(g)
+        assert fs.faces == ref.faces
+        assert fs.outer_face_index == ref.outer_face_index
+
+
+class TestFaceChecks:
+    """The two ConsistencyError checks of the face walk fire on a broken rotation."""
+
+    def test_reversed_rotation_at_one_vertex_gives_two_clockwise_faces(self, monkeypatch):
+        g = _bowtie()
+        assert g.validate().ok
+        rot = rotation_system(g)
+        assert len(rot[0]) == 4
+        monkeypatch.setattr(graph, "rotation_system", lambda h: {**rot, 0: rot[0][::-1]})
+        with pytest.raises(ConsistencyError, match="exactly one clockwise face, found 2"):
+            faces(g)
+
+    def test_walk_that_misses_darts_fails_the_dart_count(self, monkeypatch):
+        # the star's centre loses leaf 3 from its rotation, so no walk uses the
+        # darts between them: one face of 4 darts, not 6
+        g = _star()
+        assert g.validate().ok
+        rot = rotation_system(g)
+        monkeypatch.setattr(graph, "rotation_system",
+                            lambda h: {**rot, 0: tuple(u for u in rot[0] if u != 3)})
+        with pytest.raises(ConsistencyError, match=r"dart count 4 != 2e = 6"):
+            faces(g)
+
+
 class TestBoundary:
     def test_triangle(self):
         g = triangle()
@@ -331,6 +482,69 @@ class TestJson:
             report.to_json()
         with pytest.raises(ValueError):
             free_graph([(0.0, 0.0), (bad, 0.0)], [(0, 1)]).to_json()
+
+
+_FRAME = [{"id": 0, "origin": [0, 0], "angle": 0}]
+_SECOND = {"id": 1, "lattice": {"frame": 0, "m": 1, "n": 0}}
+
+
+def _lattice_doc(vertex, edges=()) -> str:
+    return json.dumps({"frames": _FRAME, "vertices": [vertex, _SECOND], "edges": list(edges)})
+
+
+def _at(m, n, **extra) -> dict:
+    return {"id": 0, "lattice": {"frame": 0, "m": m, "n": n, **extra}}
+
+
+class TestFromJsonFields:
+    """from_json checks each lattice vertex and edge inline; every document
+    it rejects gets the message naming the first field at fault."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (_lattice_doc(_at(True, 0)), "vertex 0 lattice 'm' must be an integer, not True"),
+        (_lattice_doc(_at(0, 1.0)), "vertex 0 lattice 'n' must be an integer, not 1.0"),
+        (_lattice_doc(_at(2 ** 53 + 1, 0)),
+         "vertex 0 lattice 'm' and 'n' must be at most 2**53 in magnitude"),
+        (_lattice_doc(_at(0, -2 ** 53 - 1)),
+         "vertex 0 lattice 'm' and 'n' must be at most 2**53 in magnitude"),
+        (_lattice_doc({"id": 0, "lattice": {"m": 0, "n": 0}}),
+         "vertex 0 lattice has no field 'frame'"),
+        (_lattice_doc({"id": 0, "lattice": [0, 0, 0]}), "vertex 0 lattice has no field 'frame'"),
+        (_lattice_doc({"id": 0, "lattice": None}), "vertex 0 lattice has no field 'frame'"),
+        (_lattice_doc({"id": 0, "lattice": {"frame": 0, "m": "a", "n": 0}, "free": [0, 0]}),
+         "vertex 0 lattice 'm' must be an integer, not 'a'"),
+        (_lattice_doc({"lattice": {"frame": 0, "m": 0, "n": 0}}), "vertex has no field 'id'"),
+        (_lattice_doc({"id": 0.0, "lattice": {"frame": 0, "m": 0, "n": 0}}),
+         "vertex id must be an integer, not 0.0"),
+        (_lattice_doc([0, 0]), "vertex has no field 'id'"),
+        (_lattice_doc(_at(0, 0), [[0, 1, 1]]), "edge [0, 1, 1] must be a pair of vertex ids"),
+        (_lattice_doc(_at(0, 0), [[0, 1.0]]), "edge endpoint must be an integer, not 1.0"),
+        (_lattice_doc(_at(0, 0), [[True, 1]]), "edge endpoint must be an integer, not True"),
+    ], ids=["boolean-m", "float-n", "m-past-2**53", "n-past-minus-2**53", "missing-frame",
+            "lattice-a-list", "lattice-null", "lattice-before-free", "missing-id", "float-id",
+            "vertex-a-list", "edge-of-three", "float-edge-id", "boolean-edge-id"])
+    def test_rejected_field_keeps_its_message(self, doc, message):
+        with pytest.raises(ValueError) as err:
+            MatchstickGraph.from_json(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("vertex", [_at(2 ** 53, 0), _at(0, -2 ** 53),
+                                        _at(0, 0, note="ignored")],
+                             ids=["m-at-2**53", "n-at-minus-2**53", "extra-lattice-key"])
+    def test_accepted_lattice_vertex_round_trips(self, vertex):
+        g = MatchstickGraph.from_json(_lattice_doc(vertex, [[1, 0]]))
+        m, n = vertex["lattice"]["m"], vertex["lattice"]["n"]
+        assert g.coord(0).point == E(m, n) and g.edges == frozenset({(0, 1)})
+        text = g.to_json()
+        assert json.loads(text)["vertices"][0] == _at(m, n)
+        assert MatchstickGraph.from_json(text).to_json() == text
+
+    def test_free_round_trip_is_bit_exact(self):
+        g = rotated_free(random_lattice_subgraph(30, 4), 0.3, (1e6 / 3, -math.pi))
+        text = g.to_json()
+        g2 = MatchstickGraph.from_json(text)
+        assert g2.to_json() == text
+        assert all(g2.coord(v) == g.coord(v) for v in g.ids())
 
 
 class TestFaceCycleShape:
