@@ -21,6 +21,7 @@ from .graph import ConsistencyError, MatchstickGraph, connectivity, lattice_grap
 from .lattice import ORIGIN, UNIT_RING, EisensteinPoint, harborth_bound
 
 log = logging.getLogger(__name__)
+_MAX_RETRIES = 200  # random_lattice_subgraph's regrowths for a 2-connected graph
 
 
 def ring_points(k: int) -> list[EisensteinPoint]:
@@ -128,17 +129,17 @@ def _augmentation_search(n: int, bound: int) -> MatchstickGraph:
     return lattice_graph(best)
 
 
-def random_lattice_subgraph(n: int, seed: int, require_2connected: bool = False,
-                            max_retries: int = 200) -> MatchstickGraph:
+def random_lattice_subgraph(n: int, seed: int, require_2connected: bool = False) -> MatchstickGraph:
     """Connected random lattice point set grown by seeded BFS with random
     frontier selection; includes all unit edges on the set.  With
-    require_2connected, regrows until the unit-edge graph is 2-connected."""
+    require_2connected, regrows until the unit-edge graph is 2-connected, at
+    most _MAX_RETRIES times."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if require_2connected and n < 3:
         raise ValueError("2-connected graphs need n >= 3")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         points = _grow_random(rng, n)
         g = lattice_graph(points)
         if not require_2connected or connectivity(g).two_connected:
@@ -147,7 +148,7 @@ def random_lattice_subgraph(n: int, seed: int, require_2connected: bool = False,
                 raise ConsistencyError("random lattice subgraph failed validation")
             return g
     raise ValueError(f"could not grow a 2-connected subgraph with n={n} "
-                     f"in {max_retries} attempts (seed={seed})")
+                     f"in {_MAX_RETRIES} attempts (seed={seed})")
 
 
 def _grow_random(rng: random.Random, n: int) -> list[EisensteinPoint]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import ConsistencyError, MatchstickGraph, connectivity, faces
+from .graph import DEFAULT_TOL, ConsistencyError, MatchstickGraph, connectivity, faces
 from .lattice import harborth_bound
 
 
@@ -97,7 +97,7 @@ def check_harborth(g: MatchstickGraph) -> BoundCheck:
     return BoundCheck(bound=bound, e=g.e, tight=g.e == bound)
 
 
-def check_penny_harborth(g: MatchstickGraph, tol: float = 1e-9) -> BoundCheck:
+def check_penny_harborth(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> BoundCheck:
     """Same bound under the penny hypothesis (pairwise vertex distances >= 1),
     which is verified first."""
     report = g.validate(tol=tol, penny_mode=True)

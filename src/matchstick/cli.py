@@ -15,7 +15,7 @@ import sys
 from .builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from .census import check_harborth, face_census
 from .components import decompose
-from .graph import ConsistencyError, MatchstickGraph, _field, _finite, _list, _point
+from .graph import DEFAULT_TOL, ConsistencyError, MatchstickGraph, _field, _finite, _list, _point
 from .isoperimetry import DirectionSet, check_classic, check_hexagonal, polygon
 from .lattice import BudgetError, harborth_bound
 from .oracle import max_area_rearrangement, max_edges_lattice
@@ -150,13 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="geometric validation report")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--penny", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="face census and edge-bound check")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("bound", help="max edges of an n-vertex matchstick graph")
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="lattice-component decomposition")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("iso", help="isoperimetric inequality checks")
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="diagnostic claim trace")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("oracle", help="brute-force oracles")

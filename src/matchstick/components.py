@@ -27,12 +27,10 @@ from dataclasses import dataclass
 
 from . import geometry as geo
 from .census import face_census
-from .graph import (_NONE, ConsistencyError, LatticeCoord, MatchstickGraph, _canonical_rotation,
-                    _grow, _lattice_points, _norm_edge, _unit_edges, block_decomposition,
-                    connectivity, faces, lattice_graph)
+from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, LatticeCoord, MatchstickGraph,
+                    _canonical_rotation, _grow, _lattice_points, _norm_edge, _unit_edges,
+                    block_decomposition, connectivity, faces, lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
-
-POS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ class DecompositionReport:
         }, allow_nan=False)
 
 
-def decompose(g: MatchstickGraph, tol: float = POS_TOL) -> DecompositionReport:
+def decompose(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> DecompositionReport:
     """Find all lattice components of a validated graph.
 
     Output order is deterministic: decreasing n_i, ties by smallest vertex id.
@@ -104,16 +102,8 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
     else:
         candidates = _grow_all_seeds(g, tol)
 
-    comps = []
-    seen_edge_sets = set()
-    for blk, frame, coords in candidates:
-        if len(blk.vertices) < 3 or blk.edges in seen_edge_sets:
-            continue
-        seen_edge_sets.add(blk.edges)
-        comps.append(_make_component(blk.vertices, blk.edges, frame, coords))
-    # drop components strictly contained in another
-    comps = [c for c in comps
-             if not any(c is not d and c.edges < d.edges for d in comps)]
+    comps = [_make_component(blk.vertices, blk.edges, frame, coords)
+             for blk, frame, coords in candidates if len(blk.vertices) >= 3]
     comps.sort(key=lambda c: (-c.n_i, min(c.vertices)))
 
     b_star_val = (len(_cycle_edges(faces(g).outer_face) - comps[0].boundary_edges)
@@ -128,13 +118,15 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
 
 
 def _grow_all_seeds(g: MatchstickGraph, tol: float):
-    """Grow the region of every wedge seed, and return the blocks of each
-    region's unit-step edges with the region's frame and coordinates.
+    """Grow the region of every wedge seed, and return the maximal blocks of
+    the regions' unit-step edges (see :func:`_maximal`), each with its
+    region's frame and coordinates.
 
     Seeds whose three vertices already lie in one grown region would
     reproduce it and are skipped.  A region holding every vertex of g with a
     unit step on every edge holds every seed: the scan stops there and the
-    region's blocks are g's.
+    region's blocks are g's, which are edge-disjoint, so when that region is
+    the first they are returned as they are.
     """
     pos = g.positions()
     adj = g.adjacency()
@@ -142,7 +134,7 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
     regions_of = {}  # vertex -> indices of the grown regions holding it
     n_regions = 0
     for x in sorted(adj):
-        nbrs = sorted(adj[x])
+        nbrs = adj[x]
         for i, y in enumerate(nbrs):
             # the frame (origin x, angle x -> y) and y's snap are made once, when first needed
             frame = y_on = None
@@ -161,7 +153,8 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                     break
                 coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
                 if len(coords) == g.n and _unit_edges(g.edges, coords):
-                    return candidates + [(blk, frame, coords) for blk in connectivity(g).blocks]
+                    whole = [(blk, frame, coords) for blk in connectivity(g).blocks]
+                    return _maximal(candidates + whole) if candidates else whole
                 region_adj = {v: [u for u in adj[v] if u in coords
                                   and coords[u] - coords[v] in UNIT_STEP_INDEX]
                               for v in coords}
@@ -170,7 +163,23 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                 n_regions += 1
                 blocks, _ = block_decomposition(sorted(coords), region_adj)
                 candidates.extend((blk, frame, coords) for blk in blocks)
-    return candidates
+    return _maximal(candidates)
+
+
+def _maximal(candidates):
+    """The first of ``candidates`` (block, frame, coords) for each edge set on
+    at least 3 vertices, less those whose edges lie strictly inside another's.
+    A block can only lie inside a block holding its smallest edge, so only
+    those are compared."""
+    first = {}  # edge set -> its first candidate
+    for c in candidates:
+        if len(c[0].vertices) >= 3:
+            first.setdefault(c[0].edges, c)
+    holders = {}  # edge -> the edge sets holding it
+    for edges in first:
+        for e in edges:
+            holders.setdefault(e, []).append(edges)
+    return [c for edges, c in first.items() if not any(edges < d for d in holders[min(edges)])]
 
 
 def component_subgraph(comp: LatticeComponent) -> MatchstickGraph:

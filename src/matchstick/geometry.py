@@ -143,22 +143,17 @@ def perimeter(points) -> float:
                           points[(i + 1) % n][1] - points[i][1]) for i in range(n))
 
 
-def polygon_is_simple(points, eps: float = 0.0) -> bool:
-    """No repeated vertices, no zero edges, and no two edges meeting off-endpoint.
+def polygon_is_simple(points) -> bool:
+    """No repeated vertices (so no zero edges) and no two edges meeting off-endpoint.
 
     Adjacent edges may only share their common endpoint (anti-parallel overlap
-    is rejected); non-adjacent edges must not touch at all.  With eps > 0,
-    non-adjacent edges closer than eps are also rejected.
+    is rejected); non-adjacent edges must not touch at all.
     """
     n = len(points)
     if n < 3:
         return False
     if len({(float(x), float(y)) for x, y in points}) != n:
         return False
-    for i in range(n):
-        a, b = points[i], points[(i + 1) % n]
-        if a == b:
-            return False
     for i in range(n):
         p1, p2 = points[i], points[(i + 1) % n]
         for j in range(i + 1, n):
@@ -169,9 +164,7 @@ def polygon_is_simple(points, eps: float = 0.0) -> bool:
                 if cross(shared, pa, qa) == 0 and dot(shared, pa, qa) > 0:
                     return False
                 continue
-            if segments_properly_cross(p1, p2, q1, q2):
-                return False
-            if segment_distance(p1, p2, q1, q2) <= eps:
+            if segment_distance(p1, p2, q1, q2) <= 0.0:
                 return False
     return True
 

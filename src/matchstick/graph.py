@@ -419,11 +419,11 @@ def _near_cells(grid, x, y, cell):
             yield from grid.get((cx + dx, cy + dy), ())
 
 
-def _candidates(g: MatchstickGraph, tol: float, pieces=None):
-    """Grid-pruned candidates of a validation pass, as (vertex pairs, sorted
-    edges, edge index pairs, (vertex, edge index) hits).  Every pair of the
-    graph's elements within ``tol`` of each other is one, and so is every
-    vertex pair closer than 1.1.
+def _candidates(g: MatchstickGraph, pos: dict, tol: float, pieces=None):
+    """Grid-pruned candidates of a validation pass on the vertex positions
+    ``pos``, as (vertex pairs, sorted edges, edge index pairs, (vertex, edge
+    index) hits).  Every pair of the graph's elements within ``tol`` of each
+    other is one, and so is every vertex pair closer than 1.1.
 
     Cells are ``cell = max(_CELL, tol + _BOX_PAD)`` wide, so two vertices within
     ``cell`` of each other are in neighbouring cells.  A point within tol of an
@@ -438,7 +438,6 @@ def _candidates(g: MatchstickGraph, tol: float, pieces=None):
     too when their boxes, one widened by tol + _BOX_PAD, are apart (the lift's
     tol window keeps float rounding below tol/256).
     """
-    pos = g.positions()
     cell = max(_CELL, tol + _BOX_PAD)
     vgrid = _grid_of(pos.items(), cell)
     vpairs = set()
@@ -681,9 +680,13 @@ def _grow(pos, adj, frame, seed, slack, held=_NONE):
 
 def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
     """Every violation of a lattice-mode graph, from exact integer predicates
-    on all grid-pruned candidate pairs."""
+    on all grid-pruned candidate pairs.  The grid is built on each point's
+    frame-free ``cartesian()``, whose coordinates are monotone in 2m + n and n:
+    a point on a segment stays in its box, and segments that meet keep
+    overlapping boxes (a turned frame's positions round by ~1 near 2**53)."""
     sp = {vid: c.point.scaled() for vid, c in g.vertices}  # doubled integer coordinates
-    vpairs, edges, epairs, vhits = _candidates(g, 0.0)
+    pos = {vid: c.point.cartesian() for vid, c in g.vertices}
+    vpairs, edges, epairs, vhits = _candidates(g, pos, 0.0)
     out = []
     for a, b in edges:
         du = sp[b][0] - sp[a][0]
@@ -723,7 +726,7 @@ def _validate_float(g: MatchstickGraph, tol: float, penny_mode: bool, pieces=Non
     grid-pruned candidate pairs; with ``pieces`` (see :func:`_lift_pieces`),
     on the pairs and unlifted edges no single piece holds."""
     pos = g.positions()
-    vpairs, edges, epairs, vhits = _candidates(g, tol, pieces)
+    vpairs, edges, epairs, vhits = _candidates(g, pos, tol, pieces)
     out = []
     for a, b in edges if pieces is None else (e for e, k in zip(edges, pieces[1]) if k is None):
         (ax, ay), (bx, by) = pos[a], pos[b]
@@ -857,66 +860,59 @@ def boundary(g: MatchstickGraph) -> tuple[list, int]:
 
 def block_decomposition(ids, adj):
     """Blocks and cut vertices of the graph given as an adjacency dict, which
-    lists each vertex's neighbours in ascending order, via iterative
-    Hopcroft-Tarjan.  Isolated vertices become vertex-only blocks."""
+    lists each vertex's neighbours in ascending order, by the vertex-stack form
+    of Hopcroft and Tarjan's iterative DFS.  Blocks are sorted by smallest
+    vertex, ties in discovery order; an isolated vertex is a vertex-only block.
+
+    When the DFS returns from v to p with ``low[v] >= disc[p]``, p and the
+    vertices found since v form a block; the parent edge only lowers ``low[v]``
+    to ``disc[p]``, so it is not skipped.  Blocks share at most one vertex, so
+    the block's edges are those of its popped vertices with both ends in it,
+    each read once, from its smaller end or from its end other than p."""
     disc = {}
     low = {}
-    edge_stack = []
-    raw_blocks = []
+    blocks = []
     cut = set()
-    timer = 0
     for root in sorted(ids):
         if root in disc:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
+        disc[root] = low[root] = len(disc)
+        found = [root]  # discovered vertices not yet in a block
+        stack = [(root, iter(adj[root]))]
         root_children = 0
-        stack = [(root, None, iter(adj[root]))]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
+            v, it = stack[-1]
             for w in it:
-                if w == parent:
-                    continue
                 if w not in disc:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(adj[w])))
-                    advanced = True
+                    disc[w] = low[w] = len(disc)
+                    found.append(w)
+                    stack.append((w, iter(adj[w])))
                     break
-                elif disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if not advanced:
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= disc[p]:
-                        comp = []
-                        while edge_stack[-1] != (p, v):
-                            comp.append(edge_stack.pop())
-                        comp.append(edge_stack.pop())
-                        raw_blocks.append(comp)
-                        if p == root:
-                            root_children += 1
-                        else:
-                            cut.add(p)
+                if not stack:
+                    break
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    comp = [p]
+                    while comp[-1] != v:
+                        comp.append(found.pop())
+                    vs = frozenset(comp)
+                    blocks.append(Block(vertices=vs, edges=frozenset(
+                        (u, w) if u < w else (w, u)
+                        for u in comp[1:] for w in adj[u] if w == p or (u < w and w in vs))))
+                    if p == root:
+                        root_children += 1
+                    else:
+                        cut.add(p)
         if root_children > 1:
             cut.add(root)
         if not adj[root]:
-            raw_blocks.append([(root, root)])  # isolated-vertex marker, unpacked below
-    blocks = []
-    for comp in raw_blocks:
-        if len(comp) == 1 and comp[0][0] == comp[0][1]:
-            blocks.append(Block(vertices=frozenset({comp[0][0]}), edges=frozenset()))
-        else:
-            vs = frozenset(v for e in comp for v in e)
-            es = frozenset(_norm_edge(*e) for e in comp)
-            blocks.append(Block(vertices=vs, edges=es))
+            blocks.append(Block(vertices=frozenset((root,)), edges=_NONE))
     blocks.sort(key=lambda b: min(b.vertices))
     return tuple(blocks), frozenset(cut)
 

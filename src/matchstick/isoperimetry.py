@@ -81,9 +81,9 @@ class DirectionSet:
 
     theta0: float = 0.0
 
-    def is_parallel(self, angle: float, tol: float = DEFAULT_ANGLE_TOL) -> bool:
+    def is_parallel(self, angle: float) -> bool:
         rem = (angle - self.theta0) % (math.pi / 3)
-        return min(rem, math.pi / 3 - rem) <= tol
+        return min(rem, math.pi / 3 - rem) <= DEFAULT_ANGLE_TOL
 
     def normals(self):
         """Outward normals of the six hexagon sides, counterclockwise."""
@@ -110,14 +110,13 @@ def check_classic(p: Polygon) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": holds, "margin": rhs - lhs}
 
 
-def hex_parallel_split(p: Polygon, d: DirectionSet,
-                       angle_tol: float = DEFAULT_ANGLE_TOL) -> SplitLengths:
+def hex_parallel_split(p: Polygon, d: DirectionSet) -> SplitLengths:
     """Split the perimeter into hexagon-parallel and unconstrained length."""
     par = 0.0
     star = 0.0
     for vx, vy in p.edge_vectors():
         length = math.hypot(vx, vy)
-        if d.is_parallel(math.atan2(vy, vx), angle_tol):
+        if d.is_parallel(math.atan2(vy, vx)):
             par += length
         else:
             star += length
@@ -194,11 +193,10 @@ def circumscribed_hexagon(p: Polygon, d: DirectionSet) -> Hexagon:
     return hexagon
 
 
-def check_hexagonal(p: Polygon, d: DirectionSet,
-                    angle_tol: float = DEFAULT_ANGLE_TOL) -> dict:
+def check_hexagonal(p: Polygon, d: DirectionSet) -> dict:
     """8*sqrt(3)*A <= (b + (2/sqrt(3)-1)*b_star)**2 for every simple polygon
     and every direction set; equality for the aligned regular hexagon."""
-    split = hex_parallel_split(p, d, angle_tol)
+    split = hex_parallel_split(p, d)
     lhs = 8.0 * SQRT3 * p.area
     rhs = (p.perimeter + HEX_COEFF * split.b_star) ** 2
     margin = rhs - lhs

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from .graph import MatchstickGraph, _norm_edge, boundary, connectivity
 
+SCALE = 48.0  # SVG units per unit of length
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#17becf", "#8c564b", "#e377c2")
 
 
-def render_svg(g: MatchstickGraph, report=None, scale: float = 48.0) -> str:
+def render_svg(g: MatchstickGraph, report=None) -> str:
     """Render a graph to an SVG document string.
 
     When a DecompositionReport is given, edges are colored by their lattice
@@ -21,12 +22,12 @@ def render_svg(g: MatchstickGraph, report=None, scale: float = 48.0) -> str:
     pad = 0.6
     minx, maxx = min(xs) - pad, max(xs) + pad
     miny, maxy = min(ys) - pad, max(ys) + pad
-    width = (maxx - minx) * scale
-    height = (maxy - miny) * scale
+    width = (maxx - minx) * SCALE
+    height = (maxy - miny) * SCALE
 
     def pt(v):
         x, y = pos[v]
-        return ((x - minx) * scale, (maxy - y) * scale)  # flip y for SVG
+        return ((x - minx) * SCALE, (maxy - y) * SCALE)  # flip y for SVG
 
     edge_color = {}
     if report is not None:

@@ -5,10 +5,10 @@ import pytest
 
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from matchstick.census import face_census
-from matchstick.components import (POS_TOL, b_star, component_boundary_check,
+from matchstick.components import (b_star, component_boundary_check,
                                    component_subgraph, coverage_bounds,
                                    decompose, fill_component)
-from matchstick.graph import (FreeCoord, MatchstickGraph, boundary,
+from matchstick.graph import (DEFAULT_TOL, FreeCoord, MatchstickGraph, boundary,
                               connectivity, faces, free_graph, lattice_graph)
 from matchstick.lattice import EisensteinPoint, LatticeFrame, phi
 from matchstick.trace import claim_trace
@@ -137,7 +137,7 @@ class TestDecompose:
     def test_computed_once_per_tol(self):
         g = validated(rotated_free(build_hexagon_patch(2), 0.4, (1.0, 2.0)))
         report = decompose(g)
-        assert decompose(g) is report and decompose(g, tol=POS_TOL) is report
+        assert decompose(g) is report and decompose(g, tol=DEFAULT_TOL) is report
         other = decompose(g, tol=1e-6)
         assert other is not report and decompose(g, 1e-6) is other
         assert other.to_json() == report.to_json()
@@ -500,7 +500,7 @@ class TestFreeCopiesOfLatticeGraphs:
                    (want.sum_n_i, want.lower, want.upper, want.b_star)
             pos = gf.positions()
             for c in got.components:
-                assert all(math.dist(c.frame.to_cartesian(p), pos[v]) <= POS_TOL
+                assert all(math.dist(c.frame.to_cartesian(p), pos[v]) <= DEFAULT_TOL
                            for v, p in c.coords.items())
 
 
@@ -622,3 +622,51 @@ class TestBoundaryWalk:
         monkeypatch.setattr(components, "component_subgraph", rebuilt)
         report = decompose(g)
         assert [c.n_i for c in report.components] == [7] * 8
+
+
+def _reference_components(g, tol, monkeypatch):
+    """decompose's components with the filter it had before :func:`_maximal`:
+    every region block deduplicated and built, then each compared with every
+    other for strict containment."""
+    import matchstick.components as components
+    with monkeypatch.context() as m:
+        m.setattr(components, "_maximal", lambda candidates: candidates)
+        candidates = components._grow_all_seeds(g, tol)
+    comps = []
+    seen_edge_sets = set()
+    for blk, frame, coords in candidates:
+        if len(blk.vertices) < 3 or blk.edges in seen_edge_sets:
+            continue
+        seen_edge_sets.add(blk.edges)
+        comps.append(components._make_component(blk.vertices, blk.edges, frame, coords))
+    kept = [c for c in comps if not any(c is not d and c.edges < d.edges for d in comps)]
+    kept.sort(key=lambda c: (-c.n_i, min(c.vertices)))
+    return kept, len(comps) - len(kept)
+
+
+class TestContainmentFilter:
+    """decompose keeps a block only when no block holding its smallest edge
+    contains it: the components of the all-pairs filter, in the same order."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(41)
+        graphs = [patch_chain(k, r, rng) for k, r in ((2, 1), (3, 2), (8, 1), (16, 2), (64, 1))]
+        graphs += [noisy(rotated_free(build_extremal(n), angle, (2.5, 1.0)), noise, rng)
+                   for n, angle, noise in ((60, 0.3, 0.01), (90, 2.2, 0.05), (45, 4.1, 0.1))]
+        graphs += [noisy(patch_chain(6, 2, rng), noise, rng) for noise in (0.01, 0.05)]
+        graphs += [make_bowtie(), make_flap_graph(), make_bridged_patches(), stretched_k4(),
+                   spiral_pair(30, 19, angle=0.4)]
+        return graphs
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.2, 0.3, 0.45])
+    def test_same_components_as_the_all_pairs_filter(self, tol, monkeypatch):
+        dropped = 0
+        for g in self.corpus():
+            if not g.validate(tol=tol).ok:
+                continue
+            want, contained = _reference_components(g, tol, monkeypatch)
+            assert list(decompose(g, tol).components) == want
+            dropped += contained
+        if tol >= 0.2:
+            assert dropped > 0  # the corpus has contained blocks to drop there

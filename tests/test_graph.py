@@ -110,7 +110,7 @@ class TestValidate:
                 x, y = 3.0 * (i % 20), 1.5 * (i // 20)
                 coords += [(x, y), (x + 2.0, y)]
             g = free_graph(coords, [(2 * i, 2 * i + 1) for i in range(m)])
-            _, _, epairs, vhits = _candidates(g, DEFAULT_TOL)
+            _, _, epairs, vhits = _candidates(g, g.positions(), DEFAULT_TOL)
             return len(epairs), len(vhits)
 
         (pairs200, hits200), (pairs400, hits400) = candidates(200), candidates(400)
@@ -443,6 +443,142 @@ class TestConnectivity:
         g = lattice_graph(pts, edges=[(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)])
         blocks = connectivity(g).blocks
         assert min(blocks[0].vertices) <= min(blocks[1].vertices)
+
+
+def _reference_block_decomposition(ids, adj):
+    """The edge-stack form of Hopcroft and Tarjan's DFS, as graph.block_decomposition
+    had it before the vertex-stack form: the reference the latter is checked against."""
+    disc = {}
+    low = {}
+    edge_stack = []
+    raw_blocks = []
+    cut = set()
+    timer = 0
+    for root in sorted(ids):
+        if root in disc:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        root_children = 0
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if w not in disc:
+                    edge_stack.append((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v, iter(adj[w])))
+                    advanced = True
+                    break
+                elif disc[w] < disc[v]:
+                    edge_stack.append((v, w))
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            if not advanced:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        comp = []
+                        while edge_stack[-1] != (p, v):
+                            comp.append(edge_stack.pop())
+                        comp.append(edge_stack.pop())
+                        raw_blocks.append(comp)
+                        if p == root:
+                            root_children += 1
+                        else:
+                            cut.add(p)
+        if root_children > 1:
+            cut.add(root)
+        if not adj[root]:
+            raw_blocks.append([(root, root)])  # isolated-vertex marker, unpacked below
+    blocks = []
+    for comp in raw_blocks:
+        if len(comp) == 1 and comp[0][0] == comp[0][1]:
+            blocks.append(graph.Block(vertices=frozenset({comp[0][0]}), edges=frozenset()))
+        else:
+            vs = frozenset(v for e in comp for v in e)
+            es = frozenset(graph._norm_edge(*e) for e in comp)
+            blocks.append(graph.Block(vertices=vs, edges=es))
+    blocks.sort(key=lambda b: min(b.vertices))
+    return tuple(blocks), frozenset(cut)
+
+
+def _adjacency_of(n, edges):
+    adj = {v: [] for v in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return {v: sorted(nbrs) for v, nbrs in adj.items()}
+
+
+def _random_graphs(rng):
+    """1000 each of G(n, p) graphs, trees, stars with extra edges, and
+    disconnected graphs of several G(n, p) parts with isolated vertices; ids
+    are listed in shuffled order."""
+    for kind in ("gnp", "tree", "star", "disconnected"):
+        for _ in range(1000):
+            n = rng.randint(1, 40)
+            if kind == "gnp":
+                p = rng.choice((0.03, 0.08, 0.15, 0.3, 0.6))
+                edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+            elif kind == "tree":
+                edges = [(rng.randrange(v), v) for v in range(1, n)]
+            elif kind == "star":
+                edges = [(0, v) for v in range(1, n)]
+                edges += [(v, v + 1) for v in range(1, n - 1) if rng.random() < 0.2]
+            else:
+                edges, start = [], 0
+                while start < n:
+                    size = rng.randint(1, 8)
+                    part = range(start, min(n, start + size))
+                    edges += [(a, b) for a in part for b in part if a < b and rng.random() < 0.4]
+                    start += size
+            labels = rng.sample(range(3 * n), n)  # ids need not be 0..n-1
+            adj = _adjacency_of(n, edges)
+            adj = {labels[v]: sorted(labels[u] for u in nbrs) for v, nbrs in adj.items()}
+            ids = list(adj)
+            rng.shuffle(ids)
+            yield ids, adj
+
+
+class TestBlockDecompositionDifferential:
+    """graph.block_decomposition against the edge-stack reference kept above:
+    the same blocks in the same order, and the same cut vertices."""
+
+    def test_random_graphs(self):
+        count = 0
+        for ids, adj in _random_graphs(random.Random(447)):
+            assert graph.block_decomposition(ids, adj) == _reference_block_decomposition(ids, adj)
+            count += 1
+        assert count == 4000
+
+    @pytest.mark.parametrize("make", [m for _, m in _face_graphs()],
+                             ids=[name for name, _ in _face_graphs()])
+    def test_lattice_and_chain_graphs(self, make):
+        g = make()
+        ids, adj = g.ids(), g.adjacency()
+        assert graph.block_decomposition(ids, adj) == _reference_block_decomposition(ids, adj)
+
+    def test_regions_grown_on_the_64_patch_chain(self, monkeypatch):
+        from matchstick import components
+        calls = []
+
+        def recorded(ids, adj):
+            calls.append((ids, adj))
+            return graph.block_decomposition(ids, adj)
+
+        monkeypatch.setattr(components, "block_decomposition", recorded)
+        components._grow_all_seeds(_patch_chain(64), DEFAULT_TOL)
+        assert len(calls) >= 64  # one region per patch at least
+        for ids, adj in calls:
+            assert graph.block_decomposition(ids, adj) == _reference_block_decomposition(ids, adj)
 
 
 class TestJson:

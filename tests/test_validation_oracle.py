@@ -18,7 +18,7 @@ from matchstick import graph
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from matchstick.graph import (DEFAULT_TOL, LatticeCoord, MatchstickGraph, ValidationReport,
                               free_graph, lattice_graph)
-from matchstick.lattice import EisensteinPoint, LatticeFrame
+from matchstick.lattice import UNIT_RING, EisensteinPoint, LatticeFrame
 
 
 def brute_force_violations(g: MatchstickGraph, tol: float, penny: bool):
@@ -232,6 +232,55 @@ class TestLatticeFastPath:
         monkeypatch.setattr(graph, "_validate_exact_generic", generic)
         g = build_extremal(2000)
         assert g.validate().ok and g.validate(penny_mode=True).ok
+
+
+def turned_lattice_graph(points, edges, angle: float) -> MatchstickGraph:
+    return MatchstickGraph([(i, LatticeCoord(0, p)) for i, p in enumerate(points)], edges,
+                           frames=(LatticeFrame((0.0, 0.0), angle),))
+
+
+def far_collinear_case(rng):
+    """Points a, a + 2d and a + d near the 2**53 coordinate bound, with the
+    edge (0, 1) through point 2, and half the time an edge (3, 4) crossing it
+    at a + d: an invalid lattice graph whose report needs the grid."""
+    top = 2 ** 53
+    a = EisensteinPoint(rng.choice((-1, 1)) * rng.randint(top - 2 ** 20, top - 4),
+                        rng.choice((-1, 1)) * rng.randint(top - 2 ** 20, top - 4))
+    k = rng.randrange(6)
+    d = UNIT_RING[k]
+    while max(abs(c) for c in a + d + d) > top:
+        a = a - d
+    points, edges = [a, a + d + d, a + d], [(0, 1)]
+    if rng.random() < 0.5:
+        e = UNIT_RING[(k + rng.choice((1, 2))) % 6]
+        points += [a + d - e, a + d + e]
+        edges.append((3, 4))
+    return points, edges
+
+
+class TestTurnedFrameAtLargeCoordinates:
+    """The exact pass finds its candidates on frame-free coordinates, so a
+    turned frame, whose positions round by about 1 near 2**53, gives the
+    report of the same points on the unturned frame."""
+
+    def test_vertex_on_edge_on_a_turned_frame(self):
+        points = [EisensteinPoint(8102849068493987, 2349064213343310),
+                  EisensteinPoint(8102849068493985, 2349064213343312),
+                  EisensteinPoint(8102849068493986, 2349064213343311)]
+        got = turned_lattice_graph(points, [(0, 1)], 0.7).validate()
+        assert [(v.kind, v.ids) for v in got.violations] == \
+            [("NonUnitEdge", (0, 1)), ("VertexOnEdge", (2, 0, 1))]
+        assert got.to_json() == turned_lattice_graph(points, [(0, 1)], 0.0).validate().to_json()
+
+    def test_seeded_turned_frames_give_the_unturned_report(self):
+        rng = random.Random(53)
+        for trial in range(400):
+            points, edges = far_collinear_case(rng)
+            angle = rng.uniform(0.0, 2 * math.pi)
+            for penny in (False, True):
+                want = turned_lattice_graph(points, edges, 0.0).validate(penny_mode=penny)
+                got = turned_lattice_graph(points, edges, angle).validate(penny_mode=penny)
+                assert got.to_json() == want.to_json(), (trial, angle)
 
 
 def float_report(g: MatchstickGraph, tol: float, penny: bool) -> ValidationReport:
