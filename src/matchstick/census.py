@@ -87,13 +87,18 @@ class BoundCheck:
 
 
 def check_harborth(g: MatchstickGraph) -> BoundCheck:
-    """e <= floor(3n - sqrt(12n-3)) is a theorem for every matchstick graph;
-    a violation means the input slipped past validation or there is a bug."""
+    """e <= floor(3n - sqrt(12n-3)) is a theorem for every matchstick graph.  In
+    lattice mode a violation means a bug (ConsistencyError).  A large tol lets
+    free drawings that no matchstick graph matches pass validation (K4 within
+    0.3 of unit edges), so in free mode it means invalid input (ValueError)."""
     g.require_validated()
     bound = harborth_bound(g.n)
     if g.e > bound:
-        raise ConsistencyError(
-            f"edge bound violated: e={g.e} > {bound} for n={g.n} (validator inconsistency)")
+        message = f"edge bound violated: e={g.e} > {bound} for n={g.n}"
+        if not g.lattice_mode and g._validated_tol is not None:
+            raise ValueError(f"{message}, so no matchstick graph: the drawing passed "
+                             f"validation only within tol={g._validated_tol!r}")
+        raise ConsistencyError(f"{message} (validator inconsistency)")
     return BoundCheck(bound=bound, e=g.e, tight=g.e == bound)
 
 

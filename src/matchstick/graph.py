@@ -22,7 +22,9 @@ way; otherwise the float pass checks only the pairs of elements no single
 piece holds, and a graph with no piece takes the full float pass.  The generic
 passes prune candidate pairs with a spatial grid: every edge sits in each cell
 of its bounding box widened by tol, so the cost follows the number of nearby
-pairs at any tolerance.
+pairs at any tolerance.  One generator serves every pass and filters as it
+goes: a vertex-edge or edge-edge pair whose boxes are apart, or that one piece
+holds, is never stored.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import geometry as geo
@@ -167,6 +170,7 @@ class MatchstickGraph:
                 raise ValueError(f"vertex {vid} references unknown frame {coord.frame}")
         self._coord = coord_of
         self._validated_ok = False
+        self._validated_tol = None  # the largest tol a validate() call passed at
         self._derived = {}
 
     def _once(self, compute, *args):
@@ -226,6 +230,7 @@ class MatchstickGraph:
         report = self._once(_validation_report, tol, penny_mode)
         if report.ok:
             self._validated_ok = True
+            self._validated_tol = max(tol, self._validated_tol or 0.0)
         return report
 
     def require_validated(self):
@@ -404,122 +409,99 @@ _HALF_RING = UNIT_RING[:3]  # one per unordered direction pair
 # validation internals
 
 
-def _grid_of(points, cell):
-    grid = {}
-    for key, (x, y) in points:
-        c = (math.floor(x / cell), math.floor(y / cell))
-        grid.setdefault(c, []).append(key)
-    return grid
-
-
-def _near_cells(grid, x, y, cell):
-    cx, cy = math.floor(x / cell), math.floor(y / cell)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            yield from grid.get((cx + dx, cy + dy), ())
-
-
 def _candidates(g: MatchstickGraph, pos: dict, tol: float, pieces=None):
     """Grid-pruned candidates of a validation pass on the vertex positions
     ``pos``, as (vertex pairs, sorted edges, edge index pairs, (vertex, edge
     index) hits).  Every pair of the graph's elements within ``tol`` of each
-    other is one, and so is every vertex pair closer than 1.1.
+    other is one, and so is every vertex pair closer than 1.1.  Pairs are
+    filtered as they are found, so none is stored only to be dropped.
 
     Cells are ``cell = max(_CELL, tol + _BOX_PAD)`` wide, so two vertices within
-    ``cell`` of each other are in neighbouring cells.  A point within tol of an
-    edge lies in the edge's bounding box widened by tol, so two edges within tol
-    share a cell of their widened boxes and a vertex within tol of an edge is in
-    one of the edge's cells.
+    ``cell`` of each other are in the same or neighbouring cells; each cell is
+    paired with itself and its four forward neighbours, so each pair is seen
+    once.  Every edge goes in each cell of its bounding box widened by
+    w = tol + _BOX_PAD.  A vertex in one of those cells is kept for the edge
+    when it is no end of it and lies in the widened box; two edges in a cell
+    are kept when they share an end or when one's widened box meets the
+    other's box.  An element within tol of a segment lies in the segment's box
+    widened by tol, so both tests hold in every pass: in the float pass
+    _BOX_PAD is slack for rounding, as for the grid, and the exact pass's
+    frame-free boxes keep meeting segments overlapping (see
+    :func:`_validate_exact_generic`).
 
-    With ``pieces`` from :func:`_lift_pieces`, only pairs that no single piece
-    holds both elements of are listed: each cell groups its edges by the piece
-    lifting them and pairs them only across groups, so a cell inside one piece
-    lists none.  A vertex-edge hit or an edge pair sharing no end is left out
-    too when their boxes, one widened by tol + _BOX_PAD, are apart (the lift's
-    tol window keeps float rounding below tol/256).
+    With ``pieces`` from :func:`_lift_pieces`, pairs that one piece holds both
+    elements of are left out too: two vertices held by a common piece, two
+    edges lifted by the same piece, and a vertex and an edge whose lifting
+    piece holds it.
     """
-    cell = max(_CELL, tol + _BOX_PAD)
-    vgrid = _grid_of(pos.items(), cell)
-    vpairs = set()
-    for vid, (x, y) in pos.items():
-        for other in _near_cells(vgrid, x, y, cell):
-            if other > vid:  # the pair is found from both ends
-                vpairs.add((vid, other))
     edges = sorted(g.edges)
-    r = (tol + _BOX_PAD) / cell  # the widening in cells; dividing first cannot overflow
-    egrid = {}
+    held, edge_piece = pieces if pieces is not None else ({}, [None] * len(edges))
+    w = tol + _BOX_PAD
+    cell = max(_CELL, w)
+    floor = math.floor
+    vgrid = defaultdict(list)
+    for vid, (x, y) in pos.items():
+        vgrid[(floor(x / cell), floor(y / cell))].append(vid)
+    vpairs = []
+    for (cx, cy), vids in vgrid.items():
+        row = vids + [u for c in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
+                      for u in vgrid.get(c, ())]
+        for k, a in enumerate(vids):
+            ha = held.get(a)
+            for b in row[k + 1:]:
+                if not ha or ha.isdisjoint(held.get(b, _NONE)):
+                    vpairs.append((a, b) if a < b else (b, a))
+    r = w / cell  # the widening in cells; dividing first cannot overflow
+    egrid = defaultdict(list)
     brute = []
     boxes = []
     for idx, (a, b) in enumerate(edges):
         (ax, ay), (bx, by) = pos[a], pos[b]
-        box = (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
-        boxes.append(box)
-        x0, x1 = math.floor(box[0] / cell - r), math.floor(box[1] / cell + r)
-        y0, y1 = math.floor(box[2] / cell - r), math.floor(box[3] / cell + r)
-        if (x1 - x0 + 1) * (y1 - y0 + 1) > g.n + g.e:
+        x0, x1 = (ax, bx) if ax < bx else (bx, ax)
+        y0, y1 = (ay, by) if ay < by else (by, ay)
+        boxes.append((x0, x1, y0, y1))
+        cx0, cx1 = floor(x0 / cell - r), floor(x1 / cell + r)
+        cy0, cy1 = floor(y0 / cell - r), floor(y1 / cell + r)
+        if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) > g.n + g.e:
             brute.append(idx)
             continue
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                egrid.setdefault((cx, cy), []).append(idx)
+        for cx in range(cx0, cx1 + 1):
+            for cy in range(cy0, cy1 + 1):
+                egrid[(cx, cy)].append(idx)
     epairs = set()
-    vhits = set()
+    vhits = []
+
+    def scan(i, others, vids):
+        """Add the kept pairs of edge i with the edges ``others`` and the
+        vertices ``vids``."""
+        a1, b1 = edges[i]
+        p0, p1, p2, p3 = boxes[i]
+        k = edge_piece[i]
+        for j in others:
+            if k is not None and edge_piece[j] == k:
+                continue
+            a2, b2 = edges[j]
+            if a1 != a2 and a1 != b2 and b1 != a2 and b1 != b2:
+                q0, q1, q2, q3 = boxes[j]
+                if p1 + w < q0 or q1 + w < p0 or p3 + w < q2 or q3 + w < p2:
+                    continue
+            epairs.add((i, j) if i < j else (j, i))
+        for v in vids:
+            if v == a1 or v == b1 or (k is not None and k in held.get(v, _NONE)):
+                continue
+            x, y = pos[v]
+            if p0 - w <= x <= p1 + w and p2 - w <= y <= p3 + w:
+                vhits.append((v, i))
+
     for c, members in egrid.items():  # each cell's edge indices, ascending
         vids = vgrid.get(c, ())
-        if pieces is not None:
-            _add_across_pieces(members, vids, *pieces, epairs, vhits)
-            continue
-        for k, i in enumerate(members):
-            epairs.update((i, j) for j in members[k + 1:])
-            vhits.update((vid, i) for vid in vids)
-    for i in brute:
-        epairs.update((min(i, j), max(i, j)) for j in range(len(edges)) if j != i)
-        vhits.update((vid, i) for vid in pos)
-    if pieces is not None:
-        vpairs, epairs, vhits = _near_across_pieces(pos, edges, boxes, vpairs, epairs, vhits,
-                                                    pieces[0], tol + _BOX_PAD)
+        for m, i in enumerate(members):
+            scan(i, members[m + 1:], vids)
+    done = set()
+    for i in brute:  # against every edge not scanned against it yet, and every vertex
+        done.add(i)
+        scan(i, [j for j in range(len(edges)) if j not in done], pos)
     return vpairs, edges, epairs, vhits
-
-
-def _add_across_pieces(members, vids, held, edge_piece, epairs, vhits):
-    """Add the pairs of one cell's edges ``members`` and vertices ``vids`` that
-    no single piece holds both of to ``epairs`` and ``vhits``."""
-    groups = {}  # piece -> the cell's edges it lifts; None -> the unlifted ones
-    for i in members:
-        groups.setdefault(edge_piece[i], []).append(i)
-    groups = list(groups.items())
-    for x, (k, group) in enumerate(groups):
-        if k is None:
-            for y, i in enumerate(group):
-                epairs.update((i, j) for j in group[y + 1:])
-        for _, other in groups[x + 1:]:
-            epairs.update((i, j) if i < j else (j, i) for i in group for j in other)
-        vhits.update((vid, i) for vid in vids if k not in held.get(vid, _NONE) for i in group)
-
-
-def _near_across_pieces(pos, edges, boxes, vpairs, epairs, vhits, held, w):
-    """The vertex pairs of ``vpairs`` with no common piece, and the vertex-edge
-    hits and edge pairs of ``vhits`` and ``epairs`` less those of a vertex and
-    an edge or of two edges sharing no end whose ``boxes`` are more than ``w``
-    apart in x or y."""
-    vpairs = {(a, b) for a, b in vpairs if not held.get(a, _NONE) & held.get(b, _NONE)}
-    hits = set()
-    for vid, i in vhits:
-        if vid not in edges[i]:
-            x, y = pos[vid]
-            x0, x1, y0, y1 = boxes[i]
-            if x0 - w <= x <= x1 + w and y0 - w <= y <= y1 + w:
-                hits.add((vid, i))
-    pairs = set()
-    for i, j in epairs:
-        (a1, b1), (a2, b2) = edges[i], edges[j]
-        if a1 not in (a2, b2) and b1 not in (a2, b2):
-            p0, p1, p2, p3 = boxes[i]
-            q0, q1, q2, q3 = boxes[j]
-            if p1 + w < q0 or q1 + w < p0 or p3 + w < q2 or q3 + w < p2:
-                continue
-        pairs.add((i, j))
-    return vpairs, pairs, hits
 
 
 def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> ValidationReport:
@@ -624,6 +606,8 @@ def _lift_pieces(g: MatchstickGraph, tol: float):
     :func:`_grow` at slack tol/4 from the vertices no earlier piece holds;
     those of earlier pieces may join it as leaves (the corner two patches
     share).  So each vertex is grown from at most once: at most e + 2e snaps.
+    A piece lifting an edge is looked for among the pieces of the end fewer
+    pieces hold, so a star's centre, which hundreds hold, costs no more.
     """
     pos = g.positions()
     if not any(abs(math.dist(pos[a], pos[b]) - 1.0) <= tol / 2 for a, b in g.edges):
@@ -633,24 +617,37 @@ def _lift_pieces(g: MatchstickGraph, tol: float):
     points = []  # each piece's vertex -> EisensteinPoint
     held = {}
     edge_piece = []
-    for a, b in ((a, b) for a in sorted(adj) for b in adj[a] if b > a):  # ascending, lazily
-        if abs(math.dist(pos[a], pos[b]) - 1.0) > tol / 2:
-            edge_piece.append(None)
-            continue
-        k = next((k for k in held.get(a, _NONE) & held.get(b, _NONE)
-                  if _unit_edges(((a, b),), points[k])), None)
-        if k is None:
-            (ax, ay), (bx, by) = pos[a], pos[b]
-            frame = LatticeFrame(origin=(ax, ay), angle=math.atan2(by - ay, bx - ax))
-            if frame.snap(pos[b], slack) == UNIT_RING[0]:
-                piece = _grow(pos, adj, frame, {a: ORIGIN, b: UNIT_RING[0]}, slack, held)
-                if not points and len(piece) == g.n and _unit_edges(g.edges, piece):
-                    return "free-lift", None
-                k = len(points)
-                points.append(piece)
-                for v in piece:
-                    held.setdefault(v, set()).add(k)
-        edge_piece.append(k)
+    for a in sorted(adj):  # the edges (a, b) in ascending order
+        pa = pos[a]
+        for b in adj[a]:
+            if b < a:
+                continue
+            if abs(math.dist(pa, pos[b]) - 1.0) > tol / 2:
+                edge_piece.append(None)
+                continue
+            k = None
+            ha, hb = held.get(a), held.get(b)
+            if ha and hb:
+                if len(hb) < len(ha):
+                    ha, hb = hb, ha
+                for j in ha:  # a piece holding both ends a unit step apart
+                    if j in hb:
+                        (ma, na), (mb, nb) = points[j][a], points[j][b]
+                        if (mb - ma, nb - na) in UNIT_STEP_INDEX:
+                            k = j
+                            break
+            if k is None:
+                (ax, ay), (bx, by) = pa, pos[b]
+                frame = LatticeFrame(origin=pa, angle=math.atan2(by - ay, bx - ax))
+                if frame.snap(pos[b], slack) == UNIT_RING[0]:
+                    piece = _grow(pos, adj, frame, {a: ORIGIN, b: UNIT_RING[0]}, slack, held)
+                    if not points and len(piece) == g.n and _unit_edges(g.edges, piece):
+                        return "free-lift", None
+                    k = len(points)
+                    points.append(piece)
+                    for v in piece:
+                        held.setdefault(v, set()).add(k)
+            edge_piece.append(k)
     return ("free-pieces", (held, edge_piece)) if points else ("float", None)
 
 
@@ -701,8 +698,6 @@ def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
                 out.append(Violation("PennyDistance", (a, b), 0.0))
     for vid, ei in vhits:
         a, b = edges[ei]
-        if vid in (a, b):
-            continue
         if geo.strictly_inside_segment_int(sp[a], sp[b], sp[vid]):
             out.append(Violation("VertexOnEdge", (vid, a, b), 0.0))
     for i, j in epairs:
@@ -741,8 +736,6 @@ def _validate_float(g: MatchstickGraph, tol: float, penny_mode: bool, pieces=Non
             out.append(Violation("PennyDistance", (a, b), d))
     for vid, ei in vhits:
         a, b = edges[ei]
-        if vid in (a, b):
-            continue
         d = geo.point_segment_distance(pos[vid], pos[a], pos[b])
         if d <= tol and math.dist(pos[vid], pos[a]) > tol and math.dist(pos[vid], pos[b]) > tol:
             out.append(Violation("VertexOnEdge", (vid, a, b), d))

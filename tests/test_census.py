@@ -110,3 +110,12 @@ class TestInconsistencyPath:
         g._validated_ok = True  # bypass: e = 6 > bound(4) = 5
         with pytest.raises(ConsistencyError):
             check_harborth(g)
+
+    def test_free_bound_violation_is_invalid_input_naming_the_tol(self):
+        # K4 within 0.3 of unit edges passes validation at tol 0.3, though no
+        # matchstick graph on 4 vertices has 6 edges
+        from test_components import stretched_k4
+        g = stretched_k4()
+        assert g.validate(tol=0.3).ok
+        with pytest.raises(ValueError, match=r"e=6 > 5 .*tol=0\.3"):
+            check_harborth(g)

@@ -371,6 +371,33 @@ class TestConsistencyExit:
         assert cli.main(["bound", "7"]) == 3
 
 
+class TestLargeTolBound:
+    """A free drawing that passes only within a large tol may have more edges
+    than any matchstick graph: invalid input (exit 1), not a program fault."""
+
+    def test_stretched_k4_stats_exits_one_naming_tol(self, monkeypatch, capsys):
+        from test_components import stretched_k4
+        monkeypatch.setattr("sys.stdin", io.StringIO(stretched_k4().to_json()))
+        assert main(["stats", "-", "--tol", "0.3"]) == 1
+        out = capsys.readouterr()
+        error = json.loads(out.out)["error"]
+        assert "e=6 > 5" in error and "tol=0.3" in error and out.err == ""
+
+    def test_stretched_k4_rejected_below_the_k4_tol(self, monkeypatch, capsys):
+        from test_components import stretched_k4
+        monkeypatch.setattr("sys.stdin", io.StringIO(stretched_k4().to_json()))
+        assert main(["validate", "-", "--tol", "0.25"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert {v["kind"] for v in report["violations"]} == {"NonUnitEdge"}
+
+    def test_lattice_mode_bound_failure_still_exits_three(self, monkeypatch, capsys):
+        import matchstick.census as census
+        monkeypatch.setattr(census, "harborth_bound", lambda n: n)
+        monkeypatch.setattr("sys.stdin", io.StringIO(build_hexagon_patch(1).to_json()))
+        assert main(["stats", "-"]) == 3
+        assert "validator inconsistency" in json.loads(capsys.readouterr().err)["consistency_error"]
+
+
 class TestBuildTwoConnectedFlag:
     def test_flag_produces_two_connected_graph(self):
         from matchstick.graph import MatchstickGraph, connectivity

@@ -102,18 +102,20 @@ class TestValidate:
         assert any(v.kind == "Crossing" for v in rep.violations)
 
     def test_long_edge_candidates_grow_linearly(self):
-        # m disjoint length-2 segments, 20 to a row: each meets only its
+        # m disjoint length-2 segments, 20 to a row 0.04 apart, so that
+        # neighbouring boxes are within the 0.05 box pad: each meets only its
         # neighbours' grid cells, so the candidate pairs grow like m, not m^2
         def candidates(m):
             coords = []
             for i in range(m):
-                x, y = 3.0 * (i % 20), 1.5 * (i // 20)
+                x, y = 2.04 * (i % 20), 1.5 * (i // 20)
                 coords += [(x, y), (x + 2.0, y)]
             g = free_graph(coords, [(2 * i, 2 * i + 1) for i in range(m)])
             _, _, epairs, vhits = _candidates(g, g.positions(), DEFAULT_TOL)
             return len(epairs), len(vhits)
 
         (pairs200, hits200), (pairs400, hits400) = candidates(200), candidates(400)
+        assert pairs200 >= 19 * 10 and hits200 >= 2 * 19 * 10  # each row's neighbours
         assert pairs400 <= 2.2 * pairs200 and hits400 <= 2.2 * hits200
         assert pairs400 < 10 * 400  # all pairs would be 400 * 399 / 2
 
