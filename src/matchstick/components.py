@@ -238,7 +238,7 @@ def fill_component(comp: LatticeComponent) -> MatchstickGraph:
     for m in range(min(ms), max(ms) + 1):
         for n in range(min(ns), max(ns) + 1):
             p = EisensteinPoint(m, n)
-            if geo.point_in_polygon_int(p.scaled(), poly):
+            if geo.point_in_polygon(p.scaled(), poly):
                 points.append(p)
     return lattice_graph(points, frame=comp.frame)
 

@@ -1,17 +1,25 @@
-"""Segment and polygon predicates, in two regimes.
+"""Segment and polygon predicates on one exact orientation sign, plus float
+distances.
 
-Integer predicates operate on doubled lattice coordinates (u, v) = (2m+n, n)
-and are exact: every orientation or incidence test is the sign of an integer.
-Float predicates operate on cartesian pairs and take an explicit tolerance.
+:func:`orient` is exact for Python ints and finite floats, so the predicates
+built on it are exact on doubled lattice coordinates (u, v) = (2m+n, n) and on
+float pairs alike.  Callers compare the float distances with a tolerance.
 """
 
 from __future__ import annotations
 
 import math
 
+# orient2d's static filter (Shewchuk, "Adaptive Precision Floating-Point
+# Arithmetic and Fast Robust Geometric Predicates", 1997): with u = 2**-53 a
+# float cross product l - r is off by at most (3 + 16u) u (|l| + |r|), plus at
+# most 2**-1073 from underflowed products, which _ORIENT_TINY covers
+_ORIENT_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_ORIENT_TINY = 2.0 ** -1022  # the smallest normal float
+
 
 # ---------------------------------------------------------------------------
-# shared (works for int or float pairs)
+# signs and exact predicates (int or float pairs)
 
 
 def cross(o, a, b):
@@ -22,66 +30,82 @@ def dot(o, a, b):
     return (a[0] - o[0]) * (b[0] - o[0]) + (a[1] - o[1]) * (b[1] - o[1])
 
 
-# ---------------------------------------------------------------------------
-# exact integer predicates
+def orient(o, a, b) -> int:
+    """The exact sign of cross(o, a, b): 1 counterclockwise, -1 clockwise, 0
+    collinear, for Python ints and finite floats (ints mixed with floats at most
+    2**53 in magnitude).  A float cross product decides when it exceeds its
+    rounding error; otherwise the six coordinates, all dyadic rationals, are
+    scaled to integers over one power-of-two denominator."""
+    ox, oy = o
+    left = (a[0] - ox) * (b[1] - oy)
+    right = (a[1] - oy) * (b[0] - ox)
+    det = left - right
+    if type(det) is int:
+        return (det > 0) - (det < 0)
+    bound = _ORIENT_ERR * (abs(left) + abs(right)) + _ORIENT_TINY
+    if det > bound:  # never for nan; bound is inf when a product is
+        return 1
+    if -det > bound:
+        return -1
+    ratios = [c.as_integer_ratio() for c in (ox, oy, *a, *b)]
+    den = max(d for _, d in ratios)
+    ox, oy, ax, ay, bx, by = (n * (den // d) for n, d in ratios)
+    det = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    return (det > 0) - (det < 0)
 
 
-def on_segment_int(a, b, p) -> bool:
-    """p lies on the closed segment ab (a, b, p integer pairs)."""
-    if cross(a, b, p) != 0:
-        return False
+def box(a, b):
+    """(min x, max x, min y, max y) of segment ab."""
+    (ax, ay), (bx, by) = a, b
+    return (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+
+
+def _in_box(a, b, p) -> bool:
     return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
 
 
-def strictly_inside_segment_int(a, b, p) -> bool:
+def on_segment(a, b, p) -> bool:
+    """p lies on the closed segment ab."""
+    return _in_box(a, b, p) and orient(a, b, p) == 0
+
+
+def strictly_inside_segment(a, b, p) -> bool:
     """p lies in the relative interior of segment ab."""
-    return on_segment_int(a, b, p) and p != a and p != b
+    return on_segment(a, b, p) and p != a and p != b
 
 
-def segments_intersect_int(p1, p2, q1, q2) -> bool:
+def segments_intersect(p1, p2, q1, q2) -> bool:
     """Closed segments p1p2 and q1q2 share at least one point."""
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
-            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
-        return True
-    if d1 == 0 and on_segment_int(q1, q2, p1):
-        return True
-    if d2 == 0 and on_segment_int(q1, q2, p2):
-        return True
-    if d3 == 0 and on_segment_int(p1, p2, q1):
-        return True
-    if d4 == 0 and on_segment_int(p1, p2, q2):
-        return True
-    return False
+    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+    return ((d1 * d2 < 0 and d3 * d4 < 0)
+            or (d1 == 0 and _in_box(q1, q2, p1)) or (d2 == 0 and _in_box(q1, q2, p2))
+            or (d3 == 0 and _in_box(p1, p2, q1)) or (d4 == 0 and _in_box(p1, p2, q2)))
 
 
-def point_in_polygon_int(pt, poly) -> bool:
-    """pt inside or on the boundary of the simple polygon poly (integer pairs).
+def segments_properly_cross(p1, p2, q1, q2) -> bool:
+    """The open segments cross in a single interior point."""
+    return orient(q1, q2, p1) * orient(q1, q2, p2) < 0 and orient(p1, p2, q1) * orient(p1, p2, q2) < 0
 
-    Crossing-number test with exact arithmetic; boundary points count as inside.
+
+def point_in_polygon(pt, poly) -> bool:
+    """pt inside or on the boundary of the simple polygon poly.
+
+    Crossing-number test on exact signs; boundary points count as inside.
     """
-    n = len(poly)
-    for i in range(n):
-        if on_segment_int(poly[i], poly[(i + 1) % n], pt):
-            return True
-    px, py = pt
+    edges = [(poly[i - 1], poly[i]) for i in range(len(poly))]
+    if any(on_segment(a, b, pt) for a, b in edges):
+        return True
     inside = False
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        if (ay > py) != (by > py):
-            # px strictly left of the edge's crossing with the horizontal through pt
-            t = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
-            if (t > 0) if by > ay else (t < 0):
-                inside = not inside
+    for a, b in edges:
+        # pt strictly left of the edge's crossing with the horizontal through pt
+        if (a[1] > pt[1]) != (b[1] > pt[1]) and orient(a, b, pt) == (1 if b[1] > a[1] else -1):
+            inside = not inside
     return inside
 
 
 # ---------------------------------------------------------------------------
-# float predicates
+# float distances
 
 
 def point_segment_distance(p, a, b) -> float:
@@ -93,17 +117,6 @@ def point_segment_distance(p, a, b) -> float:
     t = ((p[0] - ax) * vx + (p[1] - ay) * vy) / L2
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     return math.hypot(p[0] - (ax + t * vx), p[1] - (ay + t * vy))
-
-
-def segments_properly_cross(p1, p2, q1, q2) -> bool:
-    """Strict sign test: the open segments cross in a single interior point."""
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    if not ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0):
-        return False
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
-    return (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
 
 
 def segment_distance(p1, p2, q1, q2) -> float:
@@ -147,24 +160,23 @@ def polygon_is_simple(points) -> bool:
     """No repeated vertices (so no zero edges) and no two edges meeting off-endpoint.
 
     Adjacent edges may only share their common endpoint (anti-parallel overlap
-    is rejected); non-adjacent edges must not touch at all.
+    is rejected); non-adjacent edges must not touch at all, which needs their
+    boxes to meet.
     """
     n = len(points)
-    if n < 3:
+    if n < 3 or len({(float(x), float(y)) for x, y in points}) != n:
         return False
-    if len({(float(x), float(y)) for x, y in points}) != n:
-        return False
+    for i in range(n):  # edges i and i + 1 share points[i]
+        s, pa, qa = points[i], points[i - 1], points[(i + 1) % n]
+        if orient(s, pa, qa) == 0 and (_in_box(s, pa, qa) or _in_box(s, qa, pa)):
+            return False
+    boxes = [box(points[i - 1], points[i]) for i in range(n)]  # edge i ends at points[i]
     for i in range(n):
-        p1, p2 = points[i], points[(i + 1) % n]
-        for j in range(i + 1, n):
-            q1, q2 = points[j], points[(j + 1) % n]
-            if j == i + 1 or (i == 0 and j == n - 1):
-                # adjacent: shared endpoint allowed, overlap not
-                shared, pa, qa = ((p2, p1, q2) if j == i + 1 else (p1, p2, q1))
-                if cross(shared, pa, qa) == 0 and dot(shared, pa, qa) > 0:
-                    return False
-                continue
-            if segment_distance(p1, p2, q1, q2) <= 0.0:
+        x0, x1, y0, y1 = boxes[i]
+        for j in range(i + 2, n - (i == 0)):
+            u0, u1, v0, v1 = boxes[j]
+            if (u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1
+                    and segments_intersect(points[i - 1], points[i], points[j - 1], points[j])):
                 return False
     return True
 

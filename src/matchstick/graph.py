@@ -333,7 +333,7 @@ def _finite(x, where: str) -> float:
 
 
 def _point(xy, where: str) -> tuple[float, float]:
-    if not isinstance(xy, list) or len(xy) != 2:
+    if not isinstance(xy, (list, tuple)) or len(xy) != 2:
         raise ValueError(f"{where} must be a pair of numbers, not {xy!r}")
     x, y = _finite(xy[0], where), _finite(xy[1], where)
     if max(abs(x), abs(y)) > _MAX_COORD:
@@ -698,7 +698,7 @@ def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
                 out.append(Violation("PennyDistance", (a, b), 0.0))
     for vid, ei in vhits:
         a, b = edges[ei]
-        if geo.strictly_inside_segment_int(sp[a], sp[b], sp[vid]):
+        if geo.strictly_inside_segment(sp[a], sp[b], sp[vid]):
             out.append(Violation("VertexOnEdge", (vid, a, b), 0.0))
     for i, j in epairs:
         a1, b1 = edges[i]
@@ -708,10 +708,10 @@ def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
             s = shared.pop()
             p = b1 if a1 == s else a1
             q = b2 if a2 == s else a2
-            if geo.cross(sp[s], sp[p], sp[q]) == 0 and geo.dot(sp[s], sp[p], sp[q]) > 0:
+            if geo.orient(sp[s], sp[p], sp[q]) == 0 and geo.dot(sp[s], sp[p], sp[q]) > 0:
                 out.append(Violation("Crossing", (a1, b1, a2, b2), 0.0))
         elif not shared:
-            if geo.segments_intersect_int(sp[a1], sp[b1], sp[a2], sp[b2]):
+            if geo.segments_intersect(sp[a1], sp[b1], sp[a2], sp[b2]):
                 out.append(Violation("Crossing", (a1, b1, a2, b2), 0.0))
     return out
 

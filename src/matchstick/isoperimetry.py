@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from . import geometry as geo
-from .graph import ConsistencyError, MatchstickGraph, boundary
+from .graph import ConsistencyError, MatchstickGraph, _point, boundary
 from .census import face_census
 
 SQRT3 = math.sqrt(3.0)
@@ -59,9 +59,10 @@ def polygon(points) -> Polygon:
     """Validate and orient a vertex list: simple, no zero edges, area > 0.
 
     Clockwise input is reversed to counterclockwise; degenerate or
-    self-intersecting input raises ValueError.
+    self-intersecting input, or a vertex that is not a pair of finite numbers
+    at most 1e100 in magnitude, raises ValueError.
     """
-    pts = [(float(x), float(y)) for x, y in points]
+    pts = [_point(xy, f"polygon vertex {i}") for i, xy in enumerate(points)]
     if len(pts) < 3:
         raise ValueError("polygon needs at least 3 vertices")
     if not geo.polygon_is_simple(pts):

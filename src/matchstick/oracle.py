@@ -7,10 +7,10 @@ translation classes once each with the untranslated-anchor growth technique
 during the search); the search reads one flat code-indexed neighbour table and
 keeps animal and `seen` membership in byte arrays.  ``max_area_rearrangement``
 exhausts edge orderings of a small polygon to certify the convex
-rearrangement; it skips the point-segment distances to every placed segment
-whose bounding box is farther than the 1e-12 threshold plus a rounding
-allowance that grows with the coordinates, which provably leaves every
-decision, and so the returned float, unchanged (see its docstring).
+rearrangement; it skips every placed segment whose bounding box is farther
+than the 1e-12 threshold plus a rounding allowance that grows with the
+coordinates, which provably leaves every decision, and so the returned float,
+unchanged (see its docstring).
 ``unit_pair_fuzz`` checks floating circle-circle intersections against the
 exact lattice prediction.
 """
@@ -22,8 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import (cross, dot, segment_distance, segments_properly_cross,
-                       shoelace2)
+from .geometry import box, cross, dot, segment_distance, shoelace2
 from .lattice import (UNIT_RING, BudgetError, EisensteinPoint,
                       complete_unit_pair)
 
@@ -174,9 +173,8 @@ def max_area_rearrangement(p) -> float:
     A new segment is clear of a placed one when ``segment_distance(...) >
     1e-12``.  Every placed segment keeps its bounding box.  When the new
     segment's box is more than ``far = 1e-12 + 2**-40 * M`` from it along x
-    or y, the four point-segment distances of that test are skipped and only
-    its proper-crossing sign test runs.  The outcome is the same, so the
-    search visits the same chains and returns the same float.
+    or y, that test is skipped.  The outcome is the same, so the search
+    visits the same chains and returns the same float.
 
     Proof.  Let u = 2**-53.  M = 2 * sum(|x| + |y|) over the edge vectors
     bounds every coordinate the search computes, since a point is a sum of
@@ -194,18 +192,14 @@ def max_area_rearrangement(p) -> float:
     is more than 1e-12 + M (2**-40 - 9u) - 3u * 1e-12 > 1e-12, because a
     skip needs 2M >= G > 0.99e-12.  Underflow adds at most 2**-1075 per
     operation, far below the slack M * 2**-41.  So every skipped distance
-    is above 1e-12, and ``segment_distance`` is above 1e-12 exactly when the
-    sign test finds no proper crossing.
+    is above 1e-12.  The exact proper-crossing test of ``segment_distance``
+    finds no crossing either, as the boxes are disjoint, so the skipped test
+    would have found the segments clear.
 
     2**-40 = 2**13 u leaves a factor of about 900 over the 9u the rounding
     needs, and the pad stays near 1e-12 of the polygon's size, so almost
     every far segment is skipped at any scale up to the 1e100 coordinate
-    bound of the CLI.
-
-    The sign test itself is never skipped.  For collinear segments its four
-    orientations are rounding noise, and it can report a proper crossing
-    for two collinear segments that lie far apart.  So a box gap does not
-    decide it."""
+    bound of the CLI."""
     vecs = p.edge_vectors()
     m = len(vecs)
     if m > MAX_ORACLE_EDGES:
@@ -213,7 +207,7 @@ def max_area_rearrangement(p) -> float:
     rest = sorted(vecs[1:])
     origin = (0.0, 0.0)
     pts = [origin, vecs[0]]
-    boxes = [_box(origin, vecs[0])]
+    boxes = [box(origin, vecs[0])]
     far = _far_gap(2.0 * sum(abs(x) + abs(y) for x, y in vecs))
     best = [-math.inf]
 
@@ -221,14 +215,13 @@ def max_area_rearrangement(p) -> float:
         # adjacent segments meeting at `shared` must not overlap (anti-parallel)
         return not (abs(cross(shared, a, b)) <= 1e-12 and dot(shared, a, b) > 0)
 
-    def clear_of(a, b, box, indices):
-        x0, x1, y0, y1 = box
+    def clear_of(a, b, ab_box, indices):
+        x0, x1, y0, y1 = ab_box
         for i in indices:
             px0, px1, py0, py1 = boxes[i]
             if x0 - px1 > far or px0 - x1 > far or y0 - py1 > far or py0 - y1 > far:
-                if segments_properly_cross(pts[i], pts[i + 1], a, b):
-                    return False
-            elif not segment_distance(pts[i], pts[i + 1], a, b) > 1e-12:
+                continue
+            if not segment_distance(pts[i], pts[i + 1], a, b) > 1e-12:
                 return False
         return True
 
@@ -238,7 +231,7 @@ def max_area_rearrangement(p) -> float:
             # closing edge runs from pts[-1] back to the exact origin
             a = pts[-1]
             if (turn_ok(a, pts[-2], origin) and turn_ok(origin, a, pts[1])
-                    and clear_of(a, origin, _box(a, origin), range(1, k - 1))):
+                    and clear_of(a, origin, box(a, origin), range(1, k - 1))):
                 best[0] = max(best[0], abs(shoelace2(pts)) / 2.0)
             return
         prev = None
@@ -250,11 +243,11 @@ def max_area_rearrangement(p) -> float:
             b = (a[0] + v[0], a[1] + v[1])
             if not turn_ok(a, pts[-2], b):
                 continue
-            box = _box(a, b)
-            if not clear_of(a, b, box, range(k - 1)):
+            ab_box = box(a, b)
+            if not clear_of(a, b, ab_box, range(k - 1)):
                 continue
             pts.append(b)
-            boxes.append(box)
+            boxes.append(ab_box)
             rec(remaining[:i] + remaining[i + 1:])
             pts.pop()
             boxes.pop()
@@ -271,12 +264,6 @@ def _far_gap(reach: float) -> float:
     (proof in max_area_rearrangement); inf, so nothing is skipped, when
     products of such coordinates could overflow."""
     return 1e-12 + 2.0 ** -40 * reach if reach < 2.0 ** 500 else math.inf
-
-
-def _box(a, b):
-    """(min x, max x, min y, max y) of segment ab."""
-    (ax, ay), (bx, by) = a, b
-    return (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,15 @@ class TestPolygon:
         with pytest.raises(ValueError):
             polygon([(0, 0), (1, 0), (2, 0)])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e101])
+    def test_non_finite_or_huge_vertex_rejected(self, bad):
+        # bad input, not a failed theorem: a ValueError naming the vertex
+        # before any area or predicate sees the value
+        with pytest.raises(ValueError, match="polygon vertex 1 "):
+            polygon([(0, 0), (bad, 0), (0, 1)])
+        with pytest.raises(ValueError, match="polygon vertex 2 "):
+            polygon([(0, 0), (1, 0), (0, bad)])
+
 
 class TestClassic:
     def test_square(self):

@@ -5,7 +5,8 @@ import pytest
 
 from matchstick import oracle
 from matchstick.builders import build_hexagon_patch
-from matchstick.geometry import cross, dot, segment_distance, shoelace2
+from matchstick.geometry import (cross, dot, segment_distance, segments_properly_cross,
+                                 shoelace2)
 from matchstick.isoperimetry import polygon, random_simple_polygon
 from matchstick.lattice import UNIT_RING, BudgetError, EisensteinPoint, harborth_bound
 from matchstick.oracle import (CanonicalPointSet, canonicalize, unit_pair_fuzz,
@@ -261,7 +262,7 @@ class TestBoxSkip:
             p1 = (left[0] - gap, left[1] + rng.uniform(-gap, gap))
             p2 = (p1[0] - rng.uniform(0, reach / 2), rng.uniform(-reach, reach) / 2)
             if (left[0] - p1[0] > oracle._far_gap(reach)
-                    and not oracle.segments_properly_cross(p1, p2, a, b)):
+                    and not segments_properly_cross(p1, p2, a, b)):
                 skipped += 1
                 assert segment_distance(p1, p2, a, b) > 1e-12, (p1, p2, a, b)
         assert skipped > 1000
@@ -277,17 +278,18 @@ class TestBoxSkip:
         assert segment_distance(p1, p2, a, b) == 0.0
         assert b[0] - p1[0] < oracle._far_gap(4e7)
 
-    def test_sign_test_can_cross_far_collinear_segments(self):
-        # why the skip keeps the proper-crossing test: these two segments lie
-        # on one line about 0.8 apart, with boxes far apart in x, yet rounding
-        # makes the four orientations alternate, so segment_distance is 0.0
+    def test_far_collinear_segments_do_not_cross(self):
+        # two segments on one line about 0.8 apart, with boxes far apart in x:
+        # their four float orientations are rounding noise that alternates,
+        # and the exact sign finds no crossing, as the skip assumes
         p1 = (1.2544885755603807, -5.431807993889613)
         p2 = (0.25885091715245045, -0.5810939643381292)
         q1 = (-0.4432577753748589, 2.8395565668583127)
         q2 = (0.09074853142839179, 0.23789534763371245)
         assert math.dist(p2, q2) > 0.8
         assert p2[0] - q2[0] > oracle._far_gap(10.0)
-        assert segment_distance(p1, p2, q1, q2) == 0.0
+        assert segments_properly_cross(p1, p2, q1, q2) is False
+        assert segment_distance(p1, p2, q1, q2) > 0.8
 
 
 class TestUnitPairFuzz:

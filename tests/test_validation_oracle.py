@@ -179,6 +179,17 @@ class TestAgainstBruteForce:
         g = free_graph([(0, 0), (1e308, 0), (5e307, 1e307)], [(0, 1)])
         assert as_pairs(g.validate(tol=1e308)) == brute_force_violations(g, 1e308, False)
 
+    def test_far_collinear_edges_do_not_cross(self):
+        # two edges on one line about 0.836 apart, whose float orientations
+        # alternate in sign: the exact sign reports no Crossing at tol 0.8
+        g = free_graph([(1.2544885755603807, -5.431807993889613),
+                        (0.25885091715245045, -0.5810939643381292),
+                        (-0.4432577753748589, 2.8395565668583127),
+                        (0.09074853142839179, 0.23789534763371245)], [(0, 1), (2, 3)])
+        got = as_pairs(g.validate(tol=0.8))
+        assert got == {("NonUnitEdge", (0, 1)), ("NonUnitEdge", (2, 3))}
+        assert got == brute_force_violations(g, 0.8, False)
+
 
 def generic_report(g: MatchstickGraph, penny: bool) -> ValidationReport:
     """The report of the generic exact pass, called directly."""
