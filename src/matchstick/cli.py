@@ -9,6 +9,7 @@ writes an SVG file.  `-` means stdin for file arguments.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -142,7 +143,11 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one
+    in the process, so it must not be mutated.  It holds no command functions:
+    :func:`main` looks ``cmd_<command>`` up when it is called."""
     ap = argparse.ArgumentParser(prog="matchstick",
                                  description="Matchstick-graph toolbox")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -151,53 +156,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--penny", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="face census and edge-bound check")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("bound", help="max edges of an n-vertex matchstick graph")
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("build", help="construct lattice graphs")
     p.add_argument("kind", choices=["extremal", "hexagon", "random"])
     p.add_argument("size", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--two-connected", action="store_true")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("decompose", help="lattice-component decomposition")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("iso", help="isoperimetric inequality checks")
     p.add_argument("variant", choices=["classic", "hex"])
     p.add_argument("file")
     p.add_argument("--theta0", type=float, default=0.0)
-    p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("trace", help="diagnostic claim trace")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("oracle", help="brute-force oracles")
     osub = p.add_subparsers(dest="mode", required=True)
     q = osub.add_parser("max-edges")
     q.add_argument("n", type=int)
-    q.set_defaults(func=cmd_oracle, mode="max-edges")
     q = osub.add_parser("rearrange")
     q.add_argument("file")
-    q.set_defaults(func=cmd_oracle, mode="rearrange")
 
     p = sub.add_parser("render", help="emit an SVG drawing")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_render)
 
     return ap
 
@@ -205,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except ConsistencyError as exc:
         print(json.dumps({"consistency_error": str(exc)}), file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -264,7 +264,10 @@ class MatchstickGraph:
     @classmethod
     def from_json(cls, text: str) -> "MatchstickGraph":
         """Parse the JSON of :meth:`to_json`.  A document of the wrong shape
-        raises ValueError naming the offending field."""
+        raises ValueError naming the offending field.  Lattice vertices with
+        int fields and free vertices with float coordinates are checked
+        inline; any other vertex goes through the field helpers, which name
+        its fault."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("graph document must be a JSON object")
@@ -288,7 +291,15 @@ class MatchstickGraph:
                         and -top <= m <= top and -top <= n <= top):
                     vertices.append((vid, LatticeCoord(fid, EisensteinPoint(m, n))))
                     continue
-            # a free vertex, or one the checks above reject: the helpers name the fault
+            elif type(v) is dict and "lattice" not in v:
+                vid, xy = v.get("id"), v.get("free")
+                if type(vid) is int and type(xy) is list and len(xy) == 2:
+                    x, y = xy
+                    if (type(x) is float and type(y) is float
+                            and -_MAX_COORD <= x <= _MAX_COORD and -_MAX_COORD <= y <= _MAX_COORD):
+                        vertices.append((vid, FreeCoord(x, y)))
+                        continue
+            # a vertex the checks above reject: the helpers name the fault
             vid = _int(_field(v, "id", "vertex"), "vertex id")
             if "lattice" in v:
                 where = f"vertex {vid} lattice"
@@ -399,6 +410,9 @@ def lattice_graph(points, edges=None, frame: LatticeFrame = LatticeFrame()) -> M
 
 def free_graph(coords, edges) -> MatchstickGraph:
     vertices = [(i, FreeCoord(float(x), float(y))) for i, (x, y) in enumerate(coords)]
+    for i, c in vertices:
+        if not (math.isfinite(c.x) and math.isfinite(c.y)):
+            raise ValueError(f"vertex {i} free coordinates must be finite, not {(c.x, c.y)!r}")
     return MatchstickGraph(vertices, edges)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from matchstick import cli
 from matchstick.builders import build_hexagon_patch
 from matchstick.census import check_harborth, face_census
 from matchstick.cli import main
@@ -347,8 +348,6 @@ class TestStrictJson:
                                               capsys):
         # no known input gives a non-finite result, so fake one at the command
         # layer to pin the contract: exit 2, one JSON error line, no stdout
-        import matchstick.cli as cli
-
         monkeypatch.setattr(cli, "check_classic", lambda p: {"lhs": bad, "rhs": 1.0})
         assert cli.main(["iso", "classic", hexagon_polygon_file]) == 2
         out = capsys.readouterr()
@@ -361,7 +360,6 @@ class TestConsistencyExit:
     def test_theorem_violation_maps_to_exit_three(self, monkeypatch):
         # no real input can trip a theorem invariant, so fake one at the
         # command layer to pin the exit-code contract
-        import matchstick.cli as cli
         from matchstick.graph import ConsistencyError
 
         def boom(n):
@@ -405,3 +403,52 @@ class TestBuildTwoConnectedFlag:
         g = MatchstickGraph.from_json(out.stdout)
         assert g.validate().ok
         assert connectivity(g).two_connected
+
+
+class TestSharedParser:
+    """In-process main() calls share one parser: no option of one call, and no
+    usage error, carries over to the next, and main looks each command up
+    when it is called."""
+
+    def test_penny_does_not_carry_over(self, tmp_path, capsys):
+        f = tmp_path / "close.json"
+        f.write_text('{"frames":[],"vertices":[{"id":0,"free":[0,0]},'
+                     '{"id":1,"free":[0.9,0]}],"edges":[]}')
+        assert main(["validate", str(f), "--penny"]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"][0]["kind"] == "PennyDistance"
+        assert main(["validate", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == []
+
+    def test_tol_does_not_carry_over(self, tmp_path, capsys):
+        f = tmp_path / "triangle.json"
+        f.write_text('{"frames":[],"vertices":[{"id":0,"free":[0,0]},{"id":1,"free":[1.2,0]},'
+                     '{"id":2,"free":[0.6,0.8]}],"edges":[[0,1],[1,2],[0,2]]}')
+        assert main(["stats", str(f), "--tol", "0.3"]) == 0
+        assert json.loads(capsys.readouterr().out)["f3"] == 1
+        assert main(["stats", str(f)]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"][0]["kind"] == "NonUnitEdge"
+
+    def test_usage_error_leaves_the_next_call_as_a_fresh_process(self, tmp_path, capsys):
+        f = tmp_path / "hex.json"
+        f.write_text(build_hexagon_patch(2).to_json())
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"])
+        assert exc.value.code == 2
+        assert "usage: matchstick validate" in capsys.readouterr().err
+        rc = main(["stats", str(f), "--tol", "0.1"])
+        out = capsys.readouterr()
+        fresh = run_cli("stats", str(f), "--tol", "0.1")
+        assert (rc, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_command_patched_after_the_first_call_is_used(self, monkeypatch, capsys):
+        assert main(["bound", "7"]) == 0
+        seen = []
+
+        def spy(args):
+            seen.append(args.file)
+            return 5
+
+        monkeypatch.setattr(cli, "cmd_stats", spy)
+        assert main(["stats", "g.json"]) == 5
+        assert seen == ["g.json"] and capsys.readouterr().out == "12\n"
+        assert cli.build_parser() is cli.build_parser()

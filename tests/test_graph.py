@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from matchstick import geometry as geo
 from matchstick import graph
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
-from matchstick.graph import (DEFAULT_TOL, ConsistencyError, MatchstickGraph, ValidationReport,
-                              Violation, _candidates, boundary, connectivity, faces, free_graph,
-                              lattice_graph, rotation_system)
+from matchstick.graph import (DEFAULT_TOL, ConsistencyError, FreeCoord, MatchstickGraph,
+                              ValidationReport, Violation, _candidates, boundary, connectivity,
+                              faces, free_graph, lattice_graph, rotation_system)
 from matchstick.lattice import EisensteinPoint, eisenstein_norm, harborth_bound
 from test_validation_oracle import rotated_free
 
@@ -621,6 +621,21 @@ class TestJson:
         with pytest.raises(ValueError):
             free_graph([(0.0, 0.0), (bad, 0.0)], [(0, 1)]).to_json()
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_free_coordinate_is_not_written(self, bad):
+        # built directly, so to_json's own guard sees the value
+        g = MatchstickGraph([(0, FreeCoord(0.0, 0.0)), (1, FreeCoord(bad, 0.0))], [(0, 1)])
+        with pytest.raises(ValueError, match="cannot write the non-finite number"):
+            g.to_json()
+
+
+class TestFreeGraph:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinate_names_the_vertex(self, bad):
+        # the candidate grid raised OverflowError, or a ValueError naming no vertex
+        with pytest.raises(ValueError, match="vertex 1 free coordinates must be finite"):
+            free_graph([(0, 0), (0, bad), (0, 1), (1, 1)], [(0, 1), (2, 3)])
+
 
 _FRAME = [{"id": 0, "origin": [0, 0], "angle": 0}]
 _SECOND = {"id": 1, "lattice": {"frame": 0, "m": 1, "n": 0}}
@@ -683,6 +698,84 @@ class TestFromJsonFields:
         g2 = MatchstickGraph.from_json(text)
         assert g2.to_json() == text
         assert all(g2.coord(v) == g.coord(v) for v in g.ids())
+
+
+def _reference_vertices(vertex_docs) -> list:
+    """from_json's vertex loop before free vertices were checked inline: each
+    free vertex goes through the field helpers."""
+    top = graph._MAX_LATTICE_COORD
+    vertices = []
+    for v in vertex_docs:
+        lat = v.get("lattice") if type(v) is dict else None
+        if type(lat) is dict:
+            vid, fid, m, n = v.get("id"), lat.get("frame"), lat.get("m"), lat.get("n")
+            if (type(vid) is int and type(fid) is int and type(m) is int and type(n) is int
+                    and -top <= m <= top and -top <= n <= top):
+                vertices.append((vid, graph.LatticeCoord(fid, E(m, n))))
+                continue
+        vid = graph._int(graph._field(v, "id", "vertex"), "vertex id")
+        if "lattice" in v:
+            where = f"vertex {vid} lattice"
+            for key in ("frame", "m", "n"):
+                graph._int(graph._field(v["lattice"], key, where), f"{where} {key!r}")
+            raise ValueError(f"{where} 'm' and 'n' must be at most 2**53 in magnitude")
+        if "free" not in v:
+            raise ValueError(f"vertex {vid} has neither 'free' nor 'lattice'")
+        vertices.append((vid, FreeCoord(*graph._point(v["free"], f"vertex {vid} free"))))
+    return vertices
+
+
+_ABOVE_1E100 = math.nextafter(1e100, math.inf)
+_LATTICE = {"frame": 0, "m": 0, "n": 0}
+
+
+class TestFromJsonFreeDifferential:
+    """Free vertices with float coordinates are checked inline; every vertex
+    document gives the reference loop's coordinate, bit for bit, or its error."""
+
+    @pytest.mark.parametrize("vertex, accepted", [
+        ({"id": 0, "free": [0.5, -2.25]}, True),
+        ({"id": 0, "free": [3, -4]}, True),
+        ({"id": 0, "free": [1, 0.5]}, True),
+        ({"id": 0, "free": [-0.0, 0.0]}, True),
+        ({"id": 0, "free": [0.0, -0.0]}, True),
+        ({"id": 0, "free": [1e100, -1e100]}, True),
+        ({"id": 0, "free": [-1e100, 1e100]}, True),
+        ({"id": 0, "free": [_ABOVE_1E100, 0.0]}, False),
+        ({"id": 0, "free": [0.0, -_ABOVE_1E100]}, False),
+        ({"id": 0, "free": [True, 0.0]}, False),
+        ({"id": 0, "free": [0.0, "1"]}, False),
+        ({"id": 0, "free": [None, 0.0]}, False),
+        ({"id": 0, "free": [math.nan, 0.0]}, False),
+        ({"id": 0, "free": [0.0, math.inf]}, False),
+        ({"id": 0, "free": [-math.inf, 0.0]}, False),
+        ({"id": 0, "free": [0.0]}, False),
+        ({"id": 0, "free": [0.0, 1.0, 2.0]}, False),
+        ({"id": 0, "free": 0.0}, False),
+        ({"id": 0, "free": [0.5, 0.5], "lattice": _LATTICE}, True),
+        ({"id": 0, "free": [0.5, 0.5], "lattice": None}, False),
+        ({"id": 0.0, "free": [0.5, 0.5]}, False),
+        ({"id": True, "free": [0.5, 0.5]}, False),
+        ({"free": [0.5, 0.5]}, False),
+        ({"id": 0}, False),
+    ], ids=["floats", "ints", "int-and-float", "negative-zero-x", "negative-zero-y",
+            "at-1e100", "at-minus-1e100", "above-1e100", "below-minus-1e100", "true",
+            "string", "null", "nan-token", "infinity-token", "minus-infinity-token",
+            "one-element", "three-elements", "not-a-list", "with-lattice",
+            "with-lattice-null", "float-id", "boolean-id", "missing-id", "no-free"])
+    def test_matches_the_reference_loop(self, vertex, accepted):
+        text = json.dumps({"frames": _FRAME, "vertices": [vertex], "edges": []})
+        docs = json.loads(text)["vertices"]
+        try:
+            expected = repr(_reference_vertices(docs))
+        except ValueError as exc:
+            expected = f"ValueError({str(exc)!r})"
+        try:
+            got = repr(list(MatchstickGraph.from_json(text).vertices))
+        except ValueError as exc:
+            got = f"ValueError({str(exc)!r})"
+        assert got == expected
+        assert got.startswith("ValueError") != accepted
 
 
 class TestFaceCycleShape:
