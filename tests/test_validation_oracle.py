@@ -4,7 +4,8 @@ The validator prunes candidate pairs with a spatial hash; this oracle redoes
 every check with plain double loops over the same primitives and the two
 violation sets must agree exactly, including on invalid inputs.  The exact
 lattice fast path is checked the same way against the generic exact pass it
-shortcuts, and the lift of free graphs onto one lattice against the float pass.
+shortcuts, every lattice report against an all-pairs exact reference, and the
+lift of free graphs onto one lattice against the float pass.
 """
 
 import json
@@ -17,26 +18,28 @@ from matchstick import geometry as geo
 from matchstick import graph
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from matchstick.graph import (DEFAULT_TOL, LatticeCoord, MatchstickGraph, ValidationReport,
-                              free_graph, lattice_graph)
+                              Violation, free_graph, lattice_graph)
 from matchstick.lattice import UNIT_RING, EisensteinPoint, LatticeFrame
 
 
 def brute_force_violations(g: MatchstickGraph, tol: float, penny: bool):
+    """Every violation as (kind, ids, value), by all-pairs float predicates."""
     pos = g.positions()
     found = set()
     ids = g.ids()
     edges = sorted(g.edges)
     for a, b in edges:
-        if abs(math.dist(pos[a], pos[b]) - 1.0) > tol:
-            found.add(("NonUnitEdge", (a, b)))
+        length = math.dist(pos[a], pos[b])
+        if abs(length - 1.0) > tol:
+            found.add(("NonUnitEdge", (a, b), length))
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             lo, hi = min(a, b), max(a, b)
             d = math.dist(pos[a], pos[b])
             if d <= tol:
-                found.add(("DuplicateVertexPosition", (lo, hi)))
+                found.add(("DuplicateVertexPosition", (lo, hi), d))
             if penny and d < 1.0 - tol:
-                found.add(("PennyDistance", (lo, hi)))
+                found.add(("PennyDistance", (lo, hi), d))
     for v in ids:
         for a, b in edges:
             if v in (a, b):
@@ -44,7 +47,7 @@ def brute_force_violations(g: MatchstickGraph, tol: float, penny: bool):
             d = geo.point_segment_distance(pos[v], pos[a], pos[b])
             if d <= tol and math.dist(pos[v], pos[a]) > tol \
                     and math.dist(pos[v], pos[b]) > tol:
-                found.add(("VertexOnEdge", (v, a, b)))
+                found.add(("VertexOnEdge", (v, a, b), d))
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
             a1, b1 = edges[i]
@@ -60,15 +63,20 @@ def brute_force_violations(g: MatchstickGraph, tol: float, penny: bool):
                     d = min(geo.point_segment_distance(pos[p], pos[s], pos[q]),
                             geo.point_segment_distance(pos[q], pos[s], pos[p]))
                     if d <= tol:
-                        found.add(("Crossing", (a1, b1, a2, b2)))
+                        found.add(("Crossing", (a1, b1, a2, b2), d))
             else:
-                if geo.segment_distance(pos[a1], pos[b1], pos[a2], pos[b2]) <= tol:
-                    found.add(("Crossing", (a1, b1, a2, b2)))
+                d = geo.segment_distance(pos[a1], pos[b1], pos[a2], pos[b2])
+                if d <= tol:
+                    found.add(("Crossing", (a1, b1, a2, b2), d))
     return found
 
 
 def as_pairs(report):
     return {(v.kind, v.ids) for v in report.violations}
+
+
+def as_triples(report):
+    return {(v.kind, v.ids, v.value) for v in report.violations}
 
 
 def perturbed_graph(rng, n, noise, extra_edges):
@@ -100,7 +108,7 @@ class TestAgainstBruteForce:
             g = perturbed_graph(rng, n, noise, extra)
             for tol in self.TOLS:
                 for penny in (False, True):
-                    got = as_pairs(g.validate(tol=tol, penny_mode=penny))
+                    got = as_triples(g.validate(tol=tol, penny_mode=penny))
                     want = brute_force_violations(g, tol, penny)
                     assert got == want, (trial, n, noise, extra, tol, penny,
                                          got ^ want)
@@ -126,7 +134,7 @@ class TestAgainstBruteForce:
                 a, b = rng.sample(range(m), 2)
                 edges.add((min(a, b), max(a, b)))
             g = free_graph(coords, edges)
-            got = as_pairs(g.validate())
+            got = as_triples(g.validate())
             want = brute_force_violations(g, 1e-9, False)
             assert got == want
 
@@ -152,7 +160,7 @@ class TestAgainstBruteForce:
                                  ay + t * (by - ay) + off * (bx - ax) / length))
                 g = free_graph(coords + near, edges)
                 for penny in (False, True):
-                    got = as_pairs(g.validate(tol=tol, penny_mode=penny))
+                    got = as_triples(g.validate(tol=tol, penny_mode=penny))
                     want = brute_force_violations(g, tol, penny)
                     assert got == want, (trial, tol, penny, got ^ want)
 
@@ -162,22 +170,22 @@ class TestAgainstBruteForce:
         # widened by tol, so both are candidates
         g = free_graph([(0, 0), (5, 0), (2, -0.005), (1, -0.004), (4, -0.004)],
                        [(0, 1), (3, 4)])
-        got = as_pairs(g.validate(tol=0.01))
-        assert {("VertexOnEdge", (2, 0, 1)), ("Crossing", (0, 1, 3, 4))} <= got
-        assert got == brute_force_violations(g, 0.01, False)
+        report = g.validate(tol=0.01)
+        assert {("VertexOnEdge", (2, 0, 1)), ("Crossing", (0, 1, 3, 4))} <= as_pairs(report)
+        assert as_triples(report) == brute_force_violations(g, 0.01, False)
 
     def test_unit_edges_within_a_large_tol(self):
         # two collinear unit edges 0.15 apart cross at tol 0.2, although their
         # midpoints are 1.15 apart, in grid cells that are not neighbours
         g = free_graph([(0.59, 0), (1.59, 0), (1.74, 0), (2.74, 0)], [(0, 1), (2, 3)])
-        got = as_pairs(g.validate(tol=0.2))
-        assert ("Crossing", (0, 1, 2, 3)) in got
-        assert got == brute_force_violations(g, 0.2, False)
+        report = g.validate(tol=0.2)
+        assert ("Crossing", (0, 1, 2, 3)) in as_pairs(report)
+        assert as_triples(report) == brute_force_violations(g, 0.2, False)
 
     def test_tol_and_coordinates_near_the_float_limit(self):
         # the edge's box widened by tol reaches past the largest float
         g = free_graph([(0, 0), (1e308, 0), (5e307, 1e307)], [(0, 1)])
-        assert as_pairs(g.validate(tol=1e308)) == brute_force_violations(g, 1e308, False)
+        assert as_triples(g.validate(tol=1e308)) == brute_force_violations(g, 1e308, False)
 
     def test_far_collinear_edges_do_not_cross(self):
         # two edges on one line about 0.836 apart, whose float orientations
@@ -186,9 +194,9 @@ class TestAgainstBruteForce:
                         (0.25885091715245045, -0.5810939643381292),
                         (-0.4432577753748589, 2.8395565668583127),
                         (0.09074853142839179, 0.23789534763371245)], [(0, 1), (2, 3)])
-        got = as_pairs(g.validate(tol=0.8))
-        assert got == {("NonUnitEdge", (0, 1)), ("NonUnitEdge", (2, 3))}
-        assert got == brute_force_violations(g, 0.8, False)
+        report = g.validate(tol=0.8)
+        assert as_pairs(report) == {("NonUnitEdge", (0, 1)), ("NonUnitEdge", (2, 3))}
+        assert as_triples(report) == brute_force_violations(g, 0.8, False)
 
 
 def generic_report(g: MatchstickGraph, penny: bool) -> ValidationReport:
@@ -292,6 +300,77 @@ class TestTurnedFrameAtLargeCoordinates:
                 want = turned_lattice_graph(points, edges, 0.0).validate(penny_mode=penny)
                 got = turned_lattice_graph(points, edges, angle).validate(penny_mode=penny)
                 assert got.to_json() == want.to_json(), (trial, angle)
+
+
+def exact_reference_report(g: MatchstickGraph, penny: bool) -> ValidationReport:
+    """The report of a lattice-mode graph from all-pairs exact predicates, one
+    per violation kind, on the doubled integer coordinates ``scaled()``."""
+    sp = {vid: c.point.scaled() for vid, c in g.vertices}
+    ids = sorted(sp)
+    edges = sorted(g.edges)
+    out = []
+    for a, b in edges:
+        du, dv = sp[b][0] - sp[a][0], sp[b][1] - sp[a][1]
+        norm = (du * du + 3 * dv * dv) // 4
+        if norm != 1:
+            out.append(Violation("NonUnitEdge", (a, b), math.sqrt(norm)))
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if sp[a] == sp[b]:
+                out.append(Violation("DuplicateVertexPosition", (a, b), 0.0))
+                if penny:
+                    out.append(Violation("PennyDistance", (a, b), 0.0))
+    for v in ids:
+        for a, b in edges:
+            # strictly inside the segment
+            if v not in (a, b) and geo.on_segment(sp[a], sp[b], sp[v]) \
+                    and sp[v] not in (sp[a], sp[b]):
+                out.append(Violation("VertexOnEdge", (v, a, b), 0.0))
+    for i, (a1, b1) in enumerate(edges):
+        for a2, b2 in edges[i + 1:]:
+            shared = {a1, b1} & {a2, b2}
+            if len(shared) == 1:
+                s = shared.pop()
+                p = b1 if a1 == s else a1
+                q = b2 if a2 == s else a2
+                hit = geo.orient(sp[s], sp[p], sp[q]) == 0 and geo.dot(sp[s], sp[p], sp[q]) > 0
+            else:
+                hit = not shared and geo.segments_intersect(sp[a1], sp[b1], sp[a2], sp[b2])
+            if hit:
+                out.append(Violation("Crossing", (a1, b1, a2, b2), 0.0))
+    out.sort(key=lambda v: (v.kind, v.ids))
+    return ValidationReport(ok=not out, violations=tuple(out), mode="lattice")
+
+
+class TestExactReference:
+    """Every lattice-mode report equals the all-pairs exact reference: an
+    oracle for the generic exact pass that shares none of its code."""
+
+    @pytest.mark.parametrize("faults", ["clean", "extra-edges", "repeated-points", "both"])
+    def test_faulty_lattice_graphs(self, faults):
+        rng = random.Random(f"exact-reference-{faults}")
+        invalid = 0
+        for trial in range(40):
+            extra = rng.randint(1, 4) if faults in ("extra-edges", "both") else 0
+            repeats = rng.randint(1, 3) if faults in ("repeated-points", "both") else 0
+            g = faulty_lattice_graph(rng, rng.randint(2, 30), extra, repeats)
+            for penny in (False, True):
+                got = g.validate(penny_mode=penny)
+                assert got.to_json() == exact_reference_report(g, penny).to_json(), (trial, penny)
+                invalid += not got.ok
+        assert invalid > 0 if faults != "clean" else invalid == 0
+
+    def test_far_collinear_cases_on_turned_frames(self):
+        rng = random.Random(2 ** 53)
+        kinds = set()
+        for trial in range(200):
+            points, edges = far_collinear_case(rng)
+            g = turned_lattice_graph(points, edges, rng.uniform(0.0, 2 * math.pi))
+            for penny in (False, True):
+                got = g.validate(penny_mode=penny)
+                assert got.to_json() == exact_reference_report(g, penny).to_json(), (trial, penny)
+                kinds |= {v.kind for v in got.violations}
+        assert kinds == {"NonUnitEdge", "VertexOnEdge", "Crossing"}
 
 
 def float_report(g: MatchstickGraph, tol: float, penny: bool) -> ValidationReport:
