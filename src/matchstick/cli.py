@@ -16,7 +16,7 @@ import sys
 from .builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from .census import check_harborth, face_census
 from .components import decompose
-from .graph import DEFAULT_TOL, ConsistencyError, MatchstickGraph, _field, _finite, _list
+from .graph import DEFAULT_TOL, ConsistencyError, MatchstickGraph, _field, _finite, _list, _loads
 from .isoperimetry import DirectionSet, check_classic, check_hexagonal, polygon
 from .lattice import BudgetError, harborth_bound
 from .oracle import max_area_rearrangement, max_edges_lattice
@@ -43,7 +43,7 @@ def _load_graph(path: str) -> MatchstickGraph:
 def _load_polygon(path: str):
     """The polygon of a ``{"vertices": [[x, y], ...]}`` document; a document of
     the wrong shape raises ValueError naming the offending field."""
-    return polygon(_list(_field(json.loads(_read(path)), "vertices", "polygon document"),
+    return polygon(_list(_field(_loads(_read(path)), "vertices", "polygon document"),
                          "polygon document field 'vertices'"))
 
 

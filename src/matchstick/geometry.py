@@ -69,11 +69,6 @@ def on_segment(a, b, p) -> bool:
     return _in_box(a, b, p) and orient(a, b, p) == 0
 
 
-def strictly_inside_segment(a, b, p) -> bool:
-    """p lies in the relative interior of segment ab."""
-    return on_segment(a, b, p) and p != a and p != b
-
-
 def segments_intersect(p1, p2, q1, q2) -> bool:
     """Closed segments p1p2 and q1q2 share at least one point."""
     d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)

@@ -19,12 +19,16 @@ within tol/4 of distinct points of one lattice, framed on one of its edges,
 with unit steps on its edges, i.e. such a lattice graph written in floats.
 When one piece holds the whole graph it is found valid in O(n + e) the same
 way; otherwise the float pass checks only the pairs of elements no single
-piece holds, and a graph with no piece takes the full float pass.  The generic
-passes prune candidate pairs with a spatial grid: every edge sits in each cell
-of its bounding box widened by tol, so the cost follows the number of nearby
-pairs at any tolerance.  One generator serves every pass and filters as it
-goes: a vertex-edge or edge-edge pair whose boxes are apart, or that one piece
-holds, is never stored.
+piece holds, and a graph with no piece takes the full float pass; the
+lift's proof is the docstring of ``_validation_report``.  The exact and float
+passes share one violation loop, which compares distances with tol: the exact
+pass runs it at tol 0 on doubled integer coordinates, with the square root of
+the integer norm between points and 0.0 or inf for a point on a segment or
+two segments that meet.  The loop prunes candidate pairs with a spatial grid:
+every edge sits in each cell of its bounding box widened by tol, so the cost
+follows the number of nearby pairs at any tolerance.  One generator serves
+every pass and filters as it goes: a vertex-edge or edge-edge pair whose boxes
+are apart, or that one piece holds, is never stored.
 """
 
 from __future__ import annotations
@@ -85,8 +89,8 @@ class ValidationReport:
     violations: tuple[Violation, ...]
     mode: str  # "lattice" or "free"
     # the check that decided the report: "lattice-fast", "lattice-generic",
-    # "free-lift", "free-pieces" or "float" (see _validate_exact and
-    # _validate_free); not in the JSON
+    # "free-lift", "free-pieces" or "float" (see _validation_report); not in
+    # the JSON
     path: str | None = None
     # free mode only: max |coordinate| * 2**-52 when it exceeds tol, i.e. float
     # spacing there is too coarse for the tolerance tests to mean anything
@@ -268,7 +272,7 @@ class MatchstickGraph:
         int fields and free vertices with float coordinates are checked
         inline; any other vertex goes through the field helpers, which name
         its fault."""
-        data = json.loads(text)
+        data = _loads(text)
         if not isinstance(data, dict):
             raise ValueError("graph document must be a JSON object")
         frame_docs = _list(data.get("frames", []), "graph document field 'frames'")
@@ -317,6 +321,14 @@ class MatchstickGraph:
                 _int(e[0], "edge endpoint")
                 _int(e[1], "edge endpoint")
         return cls(vertices, edges, frames)
+
+
+def _loads(text: str):
+    """``json.loads``, with ValueError for a document nested too deeply to parse."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply to parse") from None
 
 
 def _field(obj, key: str, where: str):
@@ -518,57 +530,26 @@ def _candidates(g: MatchstickGraph, pos: dict, tol: float, pieces=None):
     return vpairs, edges, epairs, vhits
 
 
-def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> ValidationReport:
-    if g.lattice_mode:
-        mode, below = "lattice", None
-        path, violations = _validate_exact(g, penny_mode)
-    else:
-        max_coord = max(abs(c) for xy in g.positions().values() for c in xy)
-        ulp = max_coord * 2.0 ** -52
-        mode, below = "free", (ulp if ulp > tol else None)
-        path, violations = _validate_free(g, tol, penny_mode, max_coord)
-    violations.sort(key=lambda v: (v.kind, v.ids))
-    return ValidationReport(ok=not violations, violations=tuple(violations), mode=mode, path=path,
-                            tol_below_resolution=below)
-
-
-def _unit_edges(edges, points: dict) -> bool:
-    """Every edge joins two of the lattice ``points`` one lattice step apart,
-    i.e. has Eisenstein norm 1."""
-    for a, b in edges:
-        (ma, na), (mb, nb) = points[a], points[b]
-        if (mb - ma, nb - na) not in UNIT_STEP_INDEX:
-            return False
-    return True
-
-
-def _validate_exact(g: MatchstickGraph, penny_mode: bool):
-    """Exact validation of a lattice-mode graph, as (path, violations).  With
-    every edge of Eisenstein norm 1 and every vertex on its own lattice point
-    the graph is valid (the lattice's unit-distance graph is plane), which is
-    checked in O(n + e); otherwise :func:`_validate_exact_generic` lists the
-    violations."""
-    points = g._once(_lattice_points)
-    if len(set(points.values())) == g.n and _unit_edges(g.edges, points):
-        return "lattice-fast", []
-    return "lattice-generic", _validate_exact_generic(g, penny_mode)
-
-
 # the lift runs for (M + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL, M the
-# largest |coordinate|; _validate_free derives both bounds
+# largest |coordinate|; _validation_report derives both bounds
 _LIFT_ROUNDING = 2.0 ** -44
 _LIFT_MAX_TOL = 0.1
 
 
-def _validate_free(g: MatchstickGraph, tol: float, penny_mode: bool, max_coord: float):
-    """Validation of a free-mode graph, as (path, violations).  Within the lift's
-    tol window, (M + 1) * 2**-44 <= tol <= 0.1 (M = ``max_coord``, the largest
-    |coordinate|), :func:`_lift_pieces` lifts pieces of the graph onto lattices.
-    When one piece holds every vertex with a unit step on every edge the graph
-    is valid ("free-lift"); otherwise, when some piece lifts,
-    :func:`_validate_float` checks only the pairs of elements that no single
-    piece holds both of ("free-pieces").  With no piece it checks every pair
-    ("float").
+def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> ValidationReport:
+    """The report of the one check its path names.  A lattice-mode graph with
+    every edge of Eisenstein norm 1 and every vertex on its own lattice point
+    is valid (the lattice's unit-distance graph is plane), which is checked in
+    O(n + e) ("lattice-fast"); otherwise :func:`_validate_exact_generic` lists
+    the violations ("lattice-generic").
+
+    For a free-mode graph within the lift's tol window, (M + 1) * 2**-44 <= tol
+    <= 0.1 (M the largest |coordinate|), :func:`_lift_pieces` lifts pieces of
+    the graph onto lattices.  When one piece holds every vertex with a unit step
+    on every edge the graph is valid ("free-lift"); otherwise, when some piece
+    lifts, :func:`_validate_float` checks only the pairs of elements that no
+    single piece holds both of ("free-pieces").  With no piece it checks every
+    pair ("float").
 
     A piece is framed on an edge (a, b): origin a, angle the direction of
     b - a.  Its vertices are within tol/4 of distinct frame points, and each of
@@ -598,10 +579,34 @@ def _validate_free(g: MatchstickGraph, tol: float, penny_mode: bool, max_coord: 
     them, whatever its point in the others; pairs across pieces go to the
     float predicates.
     """
-    path, pieces = "float", None
-    if g.edges and (max_coord + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL:
-        path, pieces = _lift_pieces(g, tol)
-    return path, ([] if path == "free-lift" else _validate_float(g, tol, penny_mode, pieces))
+    if g.lattice_mode:
+        mode, below = "lattice", None
+        points = g._once(_lattice_points)
+        if len(set(points.values())) == g.n and _unit_edges(g.edges, points):
+            path, violations = "lattice-fast", []
+        else:
+            path, violations = "lattice-generic", _validate_exact_generic(g, penny_mode)
+    else:
+        max_coord = max(abs(c) for xy in g.positions().values() for c in xy)
+        ulp = max_coord * 2.0 ** -52
+        mode, below = "free", (ulp if ulp > tol else None)
+        path, pieces = "float", None
+        if g.edges and (max_coord + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL:
+            path, pieces = _lift_pieces(g, tol)
+        violations = [] if path == "free-lift" else _validate_float(g, tol, penny_mode, pieces)
+    violations.sort(key=lambda v: (v.kind, v.ids))
+    return ValidationReport(ok=not violations, violations=tuple(violations), mode=mode, path=path,
+                            tol_below_resolution=below)
+
+
+def _unit_edges(edges, points: dict) -> bool:
+    """Every edge joins two of the lattice ``points`` one lattice step apart,
+    i.e. has Eisenstein norm 1."""
+    for a, b in edges:
+        (ma, na), (mb, nb) = points[a], points[b]
+        if (mb - ma, nb - na) not in UNIT_STEP_INDEX:
+            return False
+    return True
 
 
 def _lift_pieces(g: MatchstickGraph, tol: float):
@@ -690,86 +695,77 @@ def _grow(pos, adj, frame, seed, slack, held=_NONE):
 
 
 def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
-    """Every violation of a lattice-mode graph, from exact integer predicates
-    on all grid-pruned candidate pairs.  The grid is built on each point's
-    frame-free ``cartesian()``, whose coordinates are monotone in 2m + n and n:
-    a point on a segment stays in its box, and segments that meet keep
-    overlapping boxes (a turned frame's positions round by ~1 near 2**53)."""
-    sp = {vid: c.point.scaled() for vid, c in g.vertices}  # doubled integer coordinates
-    pos = {vid: c.point.cartesian() for vid, c in g.vertices}
-    vpairs, edges, epairs, vhits = _candidates(g, pos, 0.0)
-    out = []
-    for a, b in edges:
-        du = sp[b][0] - sp[a][0]
-        dv = sp[b][1] - sp[a][1]
-        norm = (du * du + 3 * dv * dv) // 4
-        if norm != 1:
-            out.append(Violation("NonUnitEdge", (a, b), math.sqrt(norm)))
-    for a, b in vpairs:
-        if sp[a] == sp[b]:
-            out.append(Violation("DuplicateVertexPosition", (a, b), 0.0))
-            if penny_mode:
-                out.append(Violation("PennyDistance", (a, b), 0.0))
-    for vid, ei in vhits:
-        a, b = edges[ei]
-        if geo.strictly_inside_segment(sp[a], sp[b], sp[vid]):
-            out.append(Violation("VertexOnEdge", (vid, a, b), 0.0))
-    for i, j in epairs:
-        a1, b1 = edges[i]
-        a2, b2 = edges[j]
-        shared = {a1, b1} & {a2, b2}
-        if len(shared) == 1:
-            s = shared.pop()
-            p = b1 if a1 == s else a1
-            q = b2 if a2 == s else a2
-            if geo.orient(sp[s], sp[p], sp[q]) == 0 and geo.dot(sp[s], sp[p], sp[q]) > 0:
-                out.append(Violation("Crossing", (a1, b1, a2, b2), 0.0))
-        elif not shared:
-            if geo.segments_intersect(sp[a1], sp[b1], sp[a2], sp[b2]):
-                out.append(Violation("Crossing", (a1, b1, a2, b2), 0.0))
-    return out
+    """Every violation of a lattice-mode graph, from :func:`_violations` at tol
+    0 on the doubled integer coordinates ``scaled()`` with exact distances.
+    The grid is built on each point's frame-free ``cartesian()``, whose
+    coordinates are monotone in 2m + n and n: a point on a segment stays in its
+    box, and segments that meet keep overlapping boxes (a turned frame's
+    positions round by ~1 near 2**53)."""
+
+    def dist(p, q):  # the square root of the integer norm
+        du, dv = q[0] - p[0], q[1] - p[1]
+        return math.sqrt((du * du + 3 * dv * dv) // 4)
+
+    def point_segment(p, a, b):  # 0 on the segment, inf off it; segment() alike
+        return 0.0 if geo.on_segment(a, b, p) else math.inf
+
+    def segment(p1, p2, q1, q2):
+        return 0.0 if geo.segments_intersect(p1, p2, q1, q2) else math.inf
+
+    grid = {vid: c.point.cartesian() for vid, c in g.vertices}
+    sp = {vid: c.point.scaled() for vid, c in g.vertices}
+    return _violations(g, grid, sp, 0.0, penny_mode, dist, point_segment, segment)
 
 
 def _validate_float(g: MatchstickGraph, tol: float, penny_mode: bool, pieces=None):
-    """Every violation of a free-mode graph, from the float predicates on all
-    grid-pruned candidate pairs; with ``pieces`` (see :func:`_lift_pieces`),
-    on the pairs and unlifted edges no single piece holds."""
+    """Every violation of a free-mode graph, from :func:`_violations` with the
+    float distances; with ``pieces`` (see :func:`_lift_pieces`), on the pairs
+    and unlifted edges no single piece holds."""
     pos = g.positions()
-    vpairs, edges, epairs, vhits = _candidates(g, pos, tol, pieces)
+    return _violations(g, pos, pos, tol, penny_mode, math.dist, geo.point_segment_distance,
+                       geo.segment_distance, pieces)
+
+
+def _violations(g: MatchstickGraph, grid: dict, pos: dict, tol: float, penny_mode: bool,
+                dist, point_segment, segment, pieces=None):
+    """Every violation among the candidates :func:`_candidates` finds on the
+    positions ``grid``, tested with ``tol`` on the coordinates ``pos`` by the
+    distances ``dist(p, q)``, ``point_segment(p, a, b)`` and
+    ``segment(p1, p2, q1, q2)``; with ``pieces``, only unlifted edges are
+    tested for unit length."""
+    vpairs, edges, epairs, vhits = _candidates(g, grid, tol, pieces)
     out = []
     for a, b in edges if pieces is None else (e for e, k in zip(edges, pieces[1]) if k is None):
-        (ax, ay), (bx, by) = pos[a], pos[b]
-        length = math.hypot(bx - ax, by - ay)
+        length = dist(pos[a], pos[b])
         if abs(length - 1.0) > tol:
             out.append(Violation("NonUnitEdge", (a, b), length))
     for a, b in vpairs:
-        d = math.dist(pos[a], pos[b])
+        d = dist(pos[a], pos[b])
         if d <= tol:
             out.append(Violation("DuplicateVertexPosition", (a, b), d))
         if penny_mode and d < 1.0 - tol:
             out.append(Violation("PennyDistance", (a, b), d))
     for vid, ei in vhits:
         a, b = edges[ei]
-        d = geo.point_segment_distance(pos[vid], pos[a], pos[b])
-        if d <= tol and math.dist(pos[vid], pos[a]) > tol and math.dist(pos[vid], pos[b]) > tol:
+        p = pos[vid]
+        d = point_segment(p, pos[a], pos[b])
+        if d <= tol and dist(p, pos[a]) > tol and dist(p, pos[b]) > tol:
             out.append(Violation("VertexOnEdge", (vid, a, b), d))
     for i, j in epairs:
         a1, b1 = edges[i]
         a2, b2 = edges[j]
-        shared = {a1, b1} & {a2, b2}
-        if len(shared) == 1:
+        shared = {a1, b1} & {a2, b2}  # two distinct edges share at most one end
+        if shared:
             s = shared.pop()
             p = b1 if a1 == s else a1
             q = b2 if a2 == s else a2
-            if geo.dot(pos[s], pos[p], pos[q]) > 0:
-                d = min(geo.point_segment_distance(pos[p], pos[s], pos[q]),
-                        geo.point_segment_distance(pos[q], pos[s], pos[p]))
-                if d <= tol:
-                    out.append(Violation("Crossing", (a1, b1, a2, b2), d))
-        elif not shared:
-            d = geo.segment_distance(pos[a1], pos[b1], pos[a2], pos[b2])
-            if d <= tol:
-                out.append(Violation("Crossing", (a1, b1, a2, b2), d))
+            if geo.dot(pos[s], pos[p], pos[q]) <= 0:
+                continue
+            d = min(point_segment(pos[p], pos[s], pos[q]), point_segment(pos[q], pos[s], pos[p]))
+        else:
+            d = segment(pos[a1], pos[b1], pos[a2], pos[b2])
+        if d <= tol:
+            out.append(Violation("Crossing", (a1, b1, a2, b2), d))
     return out
 
 

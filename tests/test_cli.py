@@ -318,6 +318,18 @@ class TestUsageErrors:
         [line] = out.err.splitlines()
         assert field in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("command", [["validate"], ["iso", "classic"]],
+                             ids=["validate", "iso-classic"])
+    def test_deeply_nested_document_is_usage_error(self, command, monkeypatch, capsys):
+        # json.loads raises RecursionError on it, which must not end in a
+        # traceback and exit 1, the code of an invalid graph
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000 + "]" * 100000))
+        assert main(command + ["-"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        [line] = out.err.splitlines()
+        assert json.loads(line)["error"] == "JSON document is nested too deeply to parse"
+
     @pytest.mark.parametrize("theta0", ["nan", "inf", "-inf"])
     def test_non_finite_theta0_is_usage_error(self, theta0, hexagon_polygon_file, capsys):
         assert main(["iso", "hex", hexagon_polygon_file, f"--theta0={theta0}"]) == 2
