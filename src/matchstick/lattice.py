@@ -94,6 +94,12 @@ def unit_neighbors(p: EisensteinPoint) -> list[EisensteinPoint]:
     return [p + d for d in UNIT_RING]
 
 
+# b - a -> the unit steps u with a + u at distance 1 from both a and b; the
+# 18 differences of two distinct unit steps, of norm 1, 3 or 4
+_COMMON_STEPS = {d: tuple(u for u in UNIT_RING if u - d in UNIT_STEP_INDEX)
+                 for d in {u - w for u in UNIT_RING for w in UNIT_RING if u != w}}
+
+
 def complete_unit_pair(a: EisensteinPoint, b: EisensteinPoint) -> set[EisensteinPoint]:
     """All lattice points at distance 1 from both a and b.
 
@@ -101,10 +107,14 @@ def complete_unit_pair(a: EisensteinPoint, b: EisensteinPoint) -> set[Eisenstein
     lattice lies on that lattice, so this set is exhaustive: a caller holding
     a non-lattice candidate at unit distance from both may match it exactly
     against the result.  The set has 0, 1 or 2 elements.
+
+    The answer is a + u over the unit steps u with u - (b - a) a unit step
+    too, so it depends on b - a alone; it is looked up in a table of the 18
+    differences of two distinct unit steps, and is empty for any other b - a.
     """
     if a == b:
         raise ValueError("degenerate pair: a == b")
-    return set(unit_neighbors(a)) & set(unit_neighbors(b))
+    return {a + u for u in _COMMON_STEPS.get(b - a, ())}
 
 
 def ceil_isqrt(x: int) -> int:

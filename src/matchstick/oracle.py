@@ -1,16 +1,21 @@
 """Brute-force ground-truth engines.
 
-``max_edges_lattice`` exhaustively maximizes the unit-edge count over all
-connected n-point subsets of the triangular lattice (n <= 12), enumerating
-translation classes once each with the untranslated-anchor growth technique
-(no set is ever revisited, so no canonical-form deduplication is needed
-during the search); the search reads one flat code-indexed neighbour table and
-keeps animal and `seen` membership in byte arrays.  ``max_area_rearrangement``
-exhausts edge orderings of a small polygon to certify the convex
-rearrangement; it skips every placed segment whose bounding box is farther
-than the 1e-12 threshold plus a rounding allowance that grows with the
-coordinates, which provably leaves every decision, and so the returned float,
-unchanged (see its docstring).
+``max_edges_lattice`` maximizes the unit-edge count over connected n-point
+subsets of the triangular lattice (n <= 12) by an exact branch-and-bound:
+it grows translation classes once each with the untranslated-anchor growth
+technique (no set is ever revisited, so no canonical-form deduplication is
+needed during the search), and cuts a subtree when, since each added point
+gains at most 6 unit edges, none of its animals could strictly beat the best
+count already found at any size (proof in ``_exhaustive_profile``); the
+counts and witnesses are those of the search without the cut.  The search
+reads one flat code-indexed neighbour table and keeps animal and `seen`
+membership in byte arrays.
+
+``max_area_rearrangement`` exhausts edge orderings of a small polygon to
+certify the convex rearrangement; it skips every placed segment whose
+bounding box is farther than the 1e-12 threshold plus a rounding allowance
+that grows with the coordinates, which provably leaves every decision, and
+so the returned float, unchanged (see its docstring).
 ``unit_pair_fuzz`` checks floating circle-circle intersections against the
 exact lattice prediction.
 """
@@ -59,7 +64,7 @@ def canonicalize(points) -> CanonicalPointSet:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive max-edge search
+# max-edge branch-and-bound
 
 
 _STRIDE = 64
@@ -94,11 +99,28 @@ def _allowed_neighbours(n_max: int) -> list:
 
 @lru_cache(maxsize=4)
 def _exhaustive_profile(n_max: int):
-    """(max_e, witness_codes) per size 1..n_max over all connected lattice sets.
+    """(max_e, witness_codes) per size 1..n_max: the most unit edges of a
+    connected lattice set of that size, and the first such set the search meets.
 
     Every animal cell is allowed, so the neighbours that gain an edge and the
     neighbours that join the untried list both come from one neighbour table;
-    membership in the animal and in `seen` is a byte per cell code."""
+    membership in the animal and in `seen` is a byte per cell code.
+
+    The search is a branch-and-bound.  An animal of size s with e edges is
+    extended only when e + 6 (t - s) > best[t] for some t in s + 1 .. n_max,
+    that is when e - 6 s > floor[s] = min(best[t] - 6 t for t > s).  This
+    cut leaves every (max_e, witness) as the search without it finds them.
+
+    Proof.  A lattice point has 6 unit neighbours, so each cell added to an
+    animal gains at most 6 edges, and every animal of size t grown from the
+    cut one has at most e + 6 (t - s) <= best[t] edges.  ``best[t]`` only
+    grows, so no such animal strictly beats it, then or later.  ``best`` and
+    ``witness`` change only on a strict improvement, so the skipped subtree
+    would have changed neither.  It works on its own copy of the untried
+    list and restores ``seen``, so the rest of the search runs in the same
+    order and meets the same first maximal animal at each size.  The
+    cut uses only the degree of the lattice, never the bound the search
+    checks."""
     root = _encode(EisensteinPoint(0, 0))
     neighbours = _allowed_neighbours(n_max)
     best = [-1] * (n_max + 1)
@@ -113,6 +135,17 @@ def _exhaustive_profile(n_max: int):
     for q in initial:
         seen[q] = 1
 
+    # floor[s] as in the docstring, raised whenever best grows
+    floor = [0] * n_max
+
+    def raise_floor():
+        low = math.inf
+        for s in range(n_max - 1, -1, -1):
+            low = min(low, best[s + 1] - 6 * (s + 1))
+            floor[s] = low
+
+    raise_floor()
+
     def extend(untried, ecount, size):
         s2 = size + 1
         while untried:
@@ -126,7 +159,8 @@ def _exhaustive_profile(n_max: int):
             if e2 > best[s2]:
                 best[s2] = e2
                 witness[s2] = tuple(animal)
-            if s2 < n_max:
+                raise_floor()
+            if s2 < n_max and e2 - 6 * s2 > floor[s2]:
                 added = [q for q in nb if not seen[q]]
                 for q in added:
                     seen[q] = 1

@@ -3,7 +3,7 @@ boundary highlighted.  Pure output target, no interactivity."""
 
 from __future__ import annotations
 
-from .graph import MatchstickGraph, _norm_edge, boundary, connectivity
+from .graph import MatchstickGraph, boundary, connectivity
 
 SCALE = 48.0  # SVG units per unit of length
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -25,9 +25,9 @@ def render_svg(g: MatchstickGraph, report=None) -> str:
     width = (maxx - minx) * SCALE
     height = (maxy - miny) * SCALE
 
-    def pt(v):
-        x, y = pos[v]
-        return ((x - minx) * SCALE, (maxy - y) * SCALE)  # flip y for SVG
+    # each vertex's SVG coordinates, formatted once (y flipped for SVG)
+    pt = {v: (f"{(x - minx) * SCALE:.2f}", f"{(maxy - y) * SCALE:.2f}")
+          for v, (x, y) in pos.items()}
 
     edge_color = {}
     if report is not None:
@@ -43,18 +43,18 @@ def render_svg(g: MatchstickGraph, report=None) -> str:
         f'viewBox="0 0 {width:.1f} {height:.1f}">',
     ]
     for a, b in sorted(g.edges):
-        (x1, y1), (x2, y2) = pt(a), pt(b)
-        color = edge_color.get(_norm_edge(a, b), "#888888")
-        lines.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+        (x1, y1), (x2, y2) = pt[a], pt[b]
+        color = edge_color.get((a, b), "#888888")  # g.edges holds (a, b) with a < b
+        lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                      f'stroke="{color}" stroke-width="2"/>')
     if g.validated and connectivity(g).two_connected:
         cycle, _ = boundary(g)
         for i in range(len(cycle)):
-            (x1, y1), (x2, y2) = pt(cycle[i]), pt(cycle[(i + 1) % len(cycle)])
-            lines.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            (x1, y1), (x2, y2) = pt[cycle[i]], pt[cycle[(i + 1) % len(cycle)]]
+            lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                          f'stroke="#000000" stroke-width="3.5" stroke-linecap="round"/>')
     for v in sorted(pos):
-        x, y = pt(v)
-        lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#222222"/>')
+        x, y = pt[v]
+        lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#222222"/>')
     lines.append("</svg>")
     return "\n".join(lines)

@@ -116,6 +116,23 @@ class TestCompleteUnitPair:
             return
         assert complete_unit_pair(a, b) == self.brute(a, b)
 
+    @pytest.mark.parametrize("a", [E(0, 0), E(-3, 2), E(10**6, -7 * 10**5)])
+    def test_difference_table_matches_neighbour_intersection(self, a):
+        # every b - a with |m|, |n| <= 4, around the origin and far from it
+        nonempty = 0
+        for dm in range(-4, 5):
+            for dn in range(-4, 5):
+                b = a + E(dm, dn)
+                if b == a:
+                    with pytest.raises(ValueError):
+                        complete_unit_pair(a, b)
+                    continue
+                got = complete_unit_pair(a, b)
+                assert type(got) is set
+                assert got == set(unit_neighbors(a)) & set(unit_neighbors(b)), (a, b)
+                nonempty += bool(got)
+        assert nonempty == 18
+
 
 class TestPhi:
     def test_at_one(self):

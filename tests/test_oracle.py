@@ -83,11 +83,72 @@ class TestMaxEdges:
         got = [(n, max_e, w.points) for n, max_e, w in max_edges_profile(10)]
         assert got == [(n, e, tuple(E(m, k) for m, k in pts)) for n, e, pts in want]
 
+    def test_profile_witnesses_at_eleven_and_twelve_are_pinned(self):
+        # values of the search without the six-neighbour cut
+        eleven = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
+                  (2, 2), (3, 0)]
+        want = [(11, 21, eleven), (12, 24, eleven + [(3, 1)])]
+        got = [(n, max_e, w.points) for n, max_e, w in max_edges_profile(12)[10:]]
+        assert got == [(n, e, tuple(E(m, k) for m, k in pts)) for n, e, pts in want]
+
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             max_edges_lattice(13)
         with pytest.raises(BudgetError):
             max_edges_lattice(0)
+
+
+def _unpruned_profile(n_max: int):
+    """_exhaustive_profile without the six-neighbour cut: every connected
+    lattice set is visited."""
+    root = oracle._encode(EisensteinPoint(0, 0))
+    neighbours = oracle._allowed_neighbours(n_max)
+    best = [-1] * (n_max + 1)
+    witness = [None] * (n_max + 1)
+    best[1] = 0
+    witness[1] = (root,)
+    animal = [root]
+    in_animal = bytearray(oracle._STRIDE * oracle._STRIDE)
+    in_animal[root] = 1
+    seen = bytearray(in_animal)
+    initial = list(neighbours[root])
+    for q in initial:
+        seen[q] = 1
+
+    def extend(untried, ecount, size):
+        s2 = size + 1
+        while untried:
+            c = untried.pop()
+            nb = neighbours[c]
+            e2 = ecount
+            for q in nb:
+                e2 += in_animal[q]
+            in_animal[c] = 1
+            animal.append(c)
+            if e2 > best[s2]:
+                best[s2] = e2
+                witness[s2] = tuple(animal)
+            if s2 < n_max:
+                added = [q for q in nb if not seen[q]]
+                for q in added:
+                    seen[q] = 1
+                extend(untried + added, e2, s2)
+                for q in added:
+                    seen[q] = 0
+            in_animal[c] = 0
+            animal.pop()
+
+    if n_max >= 2:
+        extend(initial, 0, 1)
+    return tuple((best[s], witness[s]) for s in range(n_max + 1))
+
+
+class TestSixNeighbourCut:
+    """_exhaustive_profile against the unpruned search it shortcuts."""
+
+    @pytest.mark.parametrize("n_max", range(1, 11))
+    def test_same_counts_and_witness_codes(self, n_max):
+        assert oracle._exhaustive_profile(n_max) == _unpruned_profile(n_max)
 
 
 class TestMaxAreaRearrangement:
