@@ -5,45 +5,3 @@ plane graphs, face census and edge-bound checks, extremal constructions,
 lattice-component decomposition, isoperimetric inequality engines, and
 brute-force oracles that certify everything at desk scale.
 """
-
-from .builders import (build_extremal, build_hexagon_patch,
-                       random_lattice_subgraph, spiral_points)
-from .census import FaceCensus, check_harborth, check_penny_harborth, face_census
-from .components import (DecompositionReport, LatticeComponent, b_star,
-                         component_boundary_check, coverage_bounds, decompose,
-                         fill_component)
-from .graph import (ConsistencyError, FreeCoord, LatticeCoord, MatchstickGraph,
-                    ValidationReport, boundary, connectivity, faces, free_graph,
-                    lattice_graph, rotation_system)
-from .isoperimetry import (DirectionSet, Hexagon, Polygon, check_classic,
-                           check_hexagonal, circumscribed_hexagon,
-                           convexify_rearrangement, graph_isoperimetric_audit,
-                           hex_parallel_split, hexagon_isoperimetric_check,
-                           obtuse_chord_bound, polygon, random_simple_polygon)
-from .lattice import (BudgetError, EisensteinPoint, LatticeFrame, ceil_isqrt,
-                      complete_unit_pair, concavity_gap, eisenstein_norm,
-                      harborth_bound, phi, unit_neighbors)
-from .oracle import (CanonicalPointSet, canonicalize, unit_pair_fuzz,
-                     max_area_rearrangement, max_edges_lattice,
-                     max_edges_profile)
-from .trace import TraceReport, claim_trace, isoperimetric_phi_thresholds
-
-__all__ = [
-    "BudgetError", "CanonicalPointSet", "ConsistencyError",
-    "DecompositionReport", "DirectionSet", "EisensteinPoint", "FaceCensus",
-    "FreeCoord", "Hexagon", "LatticeComponent", "LatticeCoord", "LatticeFrame",
-    "MatchstickGraph", "Polygon", "TraceReport", "ValidationReport",
-    "b_star", "boundary", "build_extremal", "build_hexagon_patch",
-    "canonicalize", "ceil_isqrt", "check_classic", "check_harborth",
-    "check_hexagonal", "check_penny_harborth", "circumscribed_hexagon",
-    "claim_trace", "complete_unit_pair", "component_boundary_check",
-    "concavity_gap", "connectivity", "convexify_rearrangement",
-    "coverage_bounds", "decompose", "eisenstein_norm", "face_census", "faces",
-    "fill_component", "free_graph", "graph_isoperimetric_audit",
-    "harborth_bound", "hex_parallel_split", "hexagon_isoperimetric_check",
-    "isoperimetric_phi_thresholds", "lattice_graph", "unit_pair_fuzz",
-    "max_area_rearrangement", "max_edges_lattice", "max_edges_profile",
-    "obtuse_chord_bound", "phi", "polygon", "random_lattice_subgraph",
-    "random_simple_polygon", "rotation_system", "spiral_points",
-    "unit_neighbors",
-]

@@ -8,19 +8,17 @@ rings one step past the corner (k, 0) matters: the corner itself has only
 one earlier neighbor, while (k-1, 1) touches two, which is exactly what the
 edge-count increments (always 2 or 3 per vertex) require.  Correctness is
 not assumed: build_extremal asserts the edge count against the bound for
-every n and falls back to an explicit search should the spiral ever miss.
+every n and raises ConsistencyError should the spiral ever miss it.
 """
 
 from __future__ import annotations
 
-import logging
 import random
 from itertools import count, islice
 
 from .graph import ConsistencyError, MatchstickGraph, connectivity, lattice_graph
 from .lattice import ORIGIN, UNIT_RING, EisensteinPoint, harborth_bound
 
-log = logging.getLogger(__name__)
 _MAX_RETRIES = 200  # random_lattice_subgraph's regrowths for a 2-connected graph
 
 
@@ -70,63 +68,17 @@ def build_hexagon_patch(k: int) -> MatchstickGraph:
 def build_extremal(n: int) -> MatchstickGraph:
     """First n spiral points with all unit edges; meets the edge bound exactly.
 
-    The bound is asserted per n.  If the spiral prefix ever missed it the
-    builder would log loudly and fall back to an exhaustive augmentation
-    search rather than silently return a non-extremal graph.
+    The bound is asserted per n: a spiral prefix that missed it would raise
+    ConsistencyError naming n rather than return a non-extremal graph.
     """
     g = lattice_graph(spiral_points(n))
     bound = harborth_bound(n)
     if g.e != bound:
-        log.error("spiral prefix for n=%d has %d edges, bound is %d; "
-                  "falling back to augmentation search", n, g.e, bound)
-        g = _augmentation_search(n, bound)
+        raise ConsistencyError(f"spiral prefix for n={n} has {g.e} edges, bound is {bound}")
     report = g.validate()
     if not report.ok:
         raise ConsistencyError(f"extremal builder produced invalid graph for n={n}")
     return g
-
-
-def _augmentation_search(n: int, bound: int) -> MatchstickGraph:
-    """Exhaustive fallback: grow point sets depth-first, maximizing unit edges.
-
-    Only reachable if the spiral construction failed, which would falsify the
-    chosen construction (not the bound itself).
-    """
-    best = None
-
-    def grow(points: list, edge_count: int):
-        nonlocal best
-        if best is not None:
-            return
-        if len(points) == n:
-            if edge_count == bound:
-                best = list(points)
-            return
-        seen = set(points)
-        frontier = []
-        fseen = set()
-        for p in points:
-            for d in UNIT_RING:
-                q = p + d
-                if q not in seen and q not in fseen:
-                    fseen.add(q)
-                    frontier.append(q)
-        frontier.sort(key=lambda q: -sum((q + d) in seen for d in UNIT_RING))
-        for q in frontier:
-            gained = sum((q + d) in seen for d in UNIT_RING)
-            # optimistic: every later vertex gains at most 3
-            if edge_count + gained + 3 * (n - len(points) - 1) < bound:
-                continue
-            points.append(q)
-            grow(points, edge_count + gained)
-            points.pop()
-            if best is not None:
-                return
-
-    grow([ORIGIN], 0)
-    if best is None:
-        raise ConsistencyError(f"no lattice point set with {bound} edges found for n={n}")
-    return lattice_graph(best)
 
 
 def random_lattice_subgraph(n: int, seed: int, require_2connected: bool = False) -> MatchstickGraph:

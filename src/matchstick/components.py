@@ -242,24 +242,3 @@ def fill_component(comp: LatticeComponent) -> MatchstickGraph:
                 points.append(p)
     return lattice_graph(points, frame=comp.frame)
 
-
-def b_star(g: MatchstickGraph, report: DecompositionReport) -> int:
-    """Boundary edges of g that are not on the boundary of the largest component."""
-    if not report.components:
-        raise ValueError("b_star undefined: decomposition has no components")
-    if report.b_star is None:
-        raise ValueError("boundary requires a 2-connected graph")
-    return report.b_star
-
-
-def coverage_bounds(g: MatchstickGraph, report: DecompositionReport) -> dict:
-    """Claim-style coverage record n-2F <= sum n_i <= n+4F.
-
-    Diagnostic only: the two-sided bound is proved under the contradiction
-    hypothesis, so `within` may legitimately be False for a real graph.
-    """
-    if report.lower is None:
-        raise ValueError("face_census requires a 2-connected graph")
-    s, lower, upper = report.sum_n_i, report.lower, report.upper
-    return {"sum_n_i": s, "lower": lower, "upper": upper,
-            "within": lower <= s <= upper}

@@ -31,7 +31,7 @@ from .census import face_census
 SQRT3 = math.sqrt(3.0)
 HEX_COEFF = 2.0 / SQRT3 - 1.0
 DEFAULT_ANGLE_TOL = 1e-9
-CHECK_MARGIN = 1e-9
+CHECK_MARGIN = 1e-9  # relative: see _at_most
 
 
 @dataclass(frozen=True)
@@ -194,18 +194,27 @@ def circumscribed_hexagon(p: Polygon, d: DirectionSet) -> Hexagon:
     return hexagon
 
 
+def _at_most(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs within CHECK_MARGIN * max(1, |rhs|): rounding grows with the sides."""
+    return lhs <= rhs + CHECK_MARGIN * max(1.0, abs(rhs))
+
+
+def _hexagonal(area: float, b: float, b_star: float, what: str) -> dict:
+    """8*sqrt(3)*area <= (b + (2/sqrt(3)-1)*b_star)**2 by _at_most, or ConsistencyError."""
+    lhs = 8.0 * SQRT3 * area
+    rhs = (b + HEX_COEFF * b_star) ** 2
+    if not _at_most(lhs, rhs):
+        raise ConsistencyError(f"{what} failed: lhs={lhs} rhs={rhs}")
+    return {"lhs": lhs, "rhs": rhs, "holds": True, "margin": rhs - lhs}
+
+
 def check_hexagonal(p: Polygon, d: DirectionSet) -> dict:
     """8*sqrt(3)*A <= (b + (2/sqrt(3)-1)*b_star)**2 for every simple polygon
-    and every direction set; equality for the aligned regular hexagon."""
+    and every direction set; equality for the aligned regular hexagon.  Holds
+    within CHECK_MARGIN * max(1, rhs)."""
     split = hex_parallel_split(p, d)
-    lhs = 8.0 * SQRT3 * p.area
-    rhs = (p.perimeter + HEX_COEFF * split.b_star) ** 2
-    margin = rhs - lhs
-    holds = margin >= -CHECK_MARGIN
-    if not holds:
-        raise ConsistencyError(
-            f"hexagonal isoperimetric inequality failed: lhs={lhs} rhs={rhs}")
-    return {"lhs": lhs, "rhs": rhs, "holds": holds, "margin": margin,
+    return {**_hexagonal(p.area, p.perimeter, split.b_star,
+                         "hexagonal isoperimetric inequality"),
             "b": p.perimeter, "b_star": split.b_star, "theta0": d.theta0}
 
 
@@ -213,21 +222,22 @@ def obtuse_chord_bound(pq_len: float, pr_len: float, qr_len: float) -> bool:
     """In a triangle pqr with a 120-degree angle at r, |pr| + |qr| <= (2/sqrt(3))|pq|.
 
     The cosine rule gives |pq|^2 = |pr|^2 + |qr|^2 + |pr||qr|, which is checked
-    as a precondition (within 1e-9)."""
+    as a precondition (within 1e-9); the bound holds within CHECK_MARGIN * max(1, rhs)."""
     if pq_len < 0 or pr_len < 0 or qr_len < 0:
         raise ValueError("lengths must be nonnegative")
     cosine = pr_len ** 2 + qr_len ** 2 + pr_len * qr_len
     if abs(cosine - pq_len ** 2) > 1e-9:
         raise ValueError(
             f"not a 120-degree triangle: |pq|^2={pq_len ** 2} vs cosine-rule value {cosine}")
-    return pr_len + qr_len <= (2.0 / SQRT3) * pq_len + CHECK_MARGIN
+    return _at_most(pr_len + qr_len, (2.0 / SQRT3) * pq_len)
 
 
 def hexagon_isoperimetric_check(h: Hexagon) -> bool:
-    """A(H) <= (sqrt(3)/24) * b(H)**2; the regular hexagon is the equality case."""
+    """A(H) <= (sqrt(3)/24) * b(H)**2 within CHECK_MARGIN * max(1, rhs); the
+    regular hexagon is the equality case."""
     lhs = h.area
     rhs = (SQRT3 / 24.0) * h.perimeter ** 2
-    if lhs > rhs + CHECK_MARGIN:
+    if not _at_most(lhs, rhs):
         raise ConsistencyError(f"hexagon isoperimetric inequality failed: {lhs} > {rhs}")
     return True
 
@@ -239,7 +249,8 @@ def graph_isoperimetric_audit(g: MatchstickGraph, report=None) -> dict:
     inner face is a unit equilateral triangle; that bound is asserted.  The
     hexagonal inequality uses the largest lattice component's frame angle as
     the direction base and the count of boundary edges of g off that
-    component's boundary as b_star (all unit edges, so count = length).
+    component's boundary as b_star (all unit edges, so count = length).  Both
+    bounds hold within CHECK_MARGIN * max(1, |larger side|).
     """
     cycle, b = boundary(g)
     pos = g.positions()
@@ -250,7 +261,7 @@ def graph_isoperimetric_audit(g: MatchstickGraph, report=None) -> dict:
     boundary_poly = polygon(pts)
     A = boundary_poly.area
     triangle_area = (SQRT3 / 4.0) * census.f3
-    if A < triangle_area - CHECK_MARGIN:
+    if not _at_most(triangle_area, A):
         raise ConsistencyError(
             f"boundary area {A} below triangle lower bound {triangle_area}")
     classic = check_classic(boundary_poly)
@@ -260,16 +271,11 @@ def graph_isoperimetric_audit(g: MatchstickGraph, report=None) -> dict:
     else:
         theta0 = 0.0
         bstar = float(b)
-    lhs = 8.0 * SQRT3 * A
-    rhs = (b + HEX_COEFF * bstar) ** 2
-    if lhs > rhs + CHECK_MARGIN:
-        raise ConsistencyError(
-            f"hexagonal inequality failed on graph boundary: {lhs} > {rhs}")
+    hexagonal = _hexagonal(A, b, bstar, "hexagonal inequality on graph boundary")
     return {
         "A": A, "b": b, "f3": census.f3, "triangle_lower_bound": triangle_area,
         "classic": classic,
-        "hexagonal": {"lhs": lhs, "rhs": rhs, "holds": True,
-                      "margin": rhs - lhs, "theta0": theta0, "b_star": bstar},
+        "hexagonal": {**hexagonal, "theta0": theta0, "b_star": bstar},
     }
 
 

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchstick import builders
 from matchstick.builders import (build_extremal, build_hexagon_patch,
                                  random_lattice_subgraph, ring_points,
                                  spiral_points)
-from matchstick.graph import connectivity
+from matchstick.graph import ConsistencyError, connectivity
 from matchstick.lattice import EisensteinPoint, eisenstein_norm, harborth_bound
 
 E = EisensteinPoint
@@ -145,10 +146,10 @@ class TestRandomSubgraph:
         assert connectivity(g).connected
 
 
-class TestAugmentationFallback:
-    def test_search_finds_extremal_witness(self):
-        # the spiral never misses, so exercise the fallback directly
-        from matchstick.builders import _augmentation_search
-        g = _augmentation_search(4, harborth_bound(4))
-        assert g.n == 4 and g.e == 5
-        assert g.validate().ok
+class TestSpiralMiss:
+    def test_non_extremal_prefix_raises(self, monkeypatch):
+        # 4 collinear points have 3 unit edges, the bound for n=4 is 5
+        monkeypatch.setattr(builders, "spiral_points",
+                            lambda n: [E(i, 0) for i in range(n)])
+        with pytest.raises(ConsistencyError, match=r"n=4 has 3 edges, bound is 5"):
+            build_extremal(4)

@@ -464,3 +464,17 @@ class TestSharedParser:
         assert main(["stats", "g.json"]) == 5
         assert seen == ["g.json"] and capsys.readouterr().out == "12\n"
         assert cli.build_parser() is cli.build_parser()
+
+
+class TestImportIsolation:
+    @pytest.mark.parametrize("module, loaded", [
+        ("matchstick", ["matchstick"]),
+        ("matchstick.oracle", ["matchstick", "matchstick.geometry", "matchstick.lattice",
+                               "matchstick.oracle"]),
+    ])
+    def test_fresh_interpreter_loads_only_what_the_module_imports(self, module, loaded):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.startswith('matchstick')))")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True)
+        assert r.stdout == f"{loaded}\n"

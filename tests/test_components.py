@@ -5,8 +5,7 @@ import pytest
 
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from matchstick.census import face_census
-from matchstick.components import (b_star, component_boundary_check,
-                                   component_subgraph, coverage_bounds,
+from matchstick.components import (component_boundary_check, component_subgraph,
                                    decompose, fill_component)
 from matchstick.graph import (DEFAULT_TOL, FreeCoord, MatchstickGraph, boundary,
                               connectivity, faces, free_graph, lattice_graph)
@@ -274,14 +273,14 @@ class TestBStar:
     def test_patch_zero(self):
         g = validated(build_hexagon_patch(1))
         rep = decompose(g)
-        assert b_star(g, rep) == 0 == rep.b_star
+        assert rep.b_star == 0
 
     def test_flap_counts_new_boundary_edges(self):
         g = make_flap_graph()
         rep = decompose(g)
         # three flap edges are on the outer boundary of g but not of G_1, and
         # one boundary edge of G_1 is now interior to g
-        assert b_star(g, rep) == 3 == rep.b_star
+        assert rep.b_star == 3
         cycle, b = boundary(g)
         assert b == 8
         g1_edges = rep.components[0].boundary_edges
@@ -294,32 +293,28 @@ class TestBStar:
         g = validated(free_graph([(0, 0), (1, 0), (1, 1), (0, 1)],
                                  [(0, 1), (1, 2), (2, 3), (3, 0)]))
         rep = decompose(g)
-        with pytest.raises(ValueError):
-            b_star(g, rep)
+        # b* is undefined without a largest component: the report holds None
+        assert rep.components == () and rep.b_star is None
 
 
 class TestCoverageBounds:
     def test_patch(self):
         g = validated(build_hexagon_patch(2))
         rep = decompose(g)
-        rec = coverage_bounds(g, rep)
-        assert rec == {"sum_n_i": 19, "lower": 19, "upper": 19, "within": True}
+        assert (rep.sum_n_i, rep.lower, rep.upper) == (19, 19, 19)
 
     def test_flap(self):
         g = make_flap_graph()
         rep = decompose(g)
-        rec = coverage_bounds(g, rep)
-        assert rec["sum_n_i"] == 7
-        assert rec["lower"] == 9 - 2 and rec["upper"] == 9 + 4
-        assert rec["within"]
+        assert rep.sum_n_i == 7
+        assert rep.lower == 9 - 2 and rep.upper == 9 + 4
 
     def test_no_components(self):
         g = validated(free_graph([(0, 0), (1, 0), (1, 1), (0, 1)],
                                  [(0, 1), (1, 2), (2, 3), (3, 0)]))
         rep = decompose(g)
-        rec = coverage_bounds(g, rep)
-        assert rec["sum_n_i"] == 0
-        assert rec["within"] == (0 >= rec["lower"])
+        assert rep.sum_n_i == 0
+        assert (rep.lower, rep.upper) == (4 - 2, 4 + 4)  # one square face
 
 
 class TestReportJson:
@@ -421,11 +416,10 @@ class TestBridgedPatches:
         assert rep.k == 2
         assert [c.n_i for c in rep.components] == [7, 7]
         a1, a2 = (c.frame.angle for c in rep.components)
-        rec = coverage_bounds(g, rep)
-        assert rec["sum_n_i"] == 14
-        assert rec["lower"] == g.n - 2 * census.F
-        assert rec["upper"] == g.n + 4 * census.F
-        assert rec["within"]
+        assert rep.sum_n_i == 14
+        assert rep.lower == g.n - 2 * census.F
+        assert rep.upper == g.n + 4 * census.F
+        assert rep.lower <= rep.sum_n_i <= rep.upper
 
     def test_b_star_and_trace(self):
         from matchstick.trace import claim_trace

@@ -11,7 +11,7 @@ from matchstick.isoperimetry import (SQRT3, DirectionSet, check_classic,
                                      graph_isoperimetric_audit,
                                      hex_parallel_split,
                                      hexagon_isoperimetric_check,
-                                     obtuse_chord_bound, polygon,
+                                     _at_most, obtuse_chord_bound, polygon,
                                      random_simple_polygon)
 from matchstick.oracle import max_area_rearrangement
 
@@ -31,6 +31,12 @@ UNIT_TRIANGLE = [(0, 0), (1, 0), (0.5, SQRT3 / 2)]
 REGULAR_HEXAGON = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
                    for k in range(6)]
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+
+
+def turned_hexagon(radius, theta0):
+    return polygon([(radius * math.cos(theta0 + k * math.pi / 3),
+                     radius * math.sin(theta0 + k * math.pi / 3)) for k in range(6)])
+
 
 D0 = DirectionSet(0.0)
 
@@ -259,6 +265,27 @@ class TestHexagonal:
                 assert rec["lhs"] == pytest.approx(lam ** 2 * base["lhs"], rel=1e-9)
                 assert rec["rhs"] == pytest.approx(lam ** 2 * base["rhs"], rel=1e-9)
 
+    def test_large_turned_hexagon_equality(self):
+        # x86-64 rounding puts lhs 7e-9 above rhs, within the margin scaled by rhs
+        rec = check_hexagonal(turned_hexagon(1000.0, 0.589), DirectionSet(0.589))
+        assert rec["holds"]
+        assert rec["lhs"] == pytest.approx(36e6, rel=1e-12)
+        assert rec["rhs"] == pytest.approx(36e6, rel=1e-12)
+
+    def test_equality_at_every_scale(self):
+        rng = random.Random(5)
+        for radius in (1e3, 1e4, 1e5):
+            for _ in range(50):
+                theta0 = rng.uniform(0, math.pi / 3)
+                p, d = turned_hexagon(radius, theta0), DirectionSet(theta0)
+                assert check_hexagonal(p, d)["holds"]
+                assert hexagon_isoperimetric_check(circumscribed_hexagon(p, d))
+
+    def test_margin_scales_with_rhs(self):
+        assert _at_most(1.0 + 1e-10, 1.0) and not _at_most(1.0 + 1e-8, 1.0)
+        assert _at_most(1e6 * (1 + 1e-10), 1e6) and not _at_most(1e6 * (1 + 1e-8), 1e6)
+        assert _at_most(1e-12, 0.0) and not _at_most(1e-8, 0.0)
+
 
 class TestObtuseChord:
     def test_equilateral_equality(self):
@@ -329,6 +356,13 @@ class TestGraphAudit:
         rec = graph_isoperimetric_audit(g, rep)
         assert rec["A"] > rec["triangle_lower_bound"] + 1e-6
         assert rec["hexagonal"]["holds"] and rec["classic"]["holds"]
+
+    def test_large_patch_equality(self):
+        # b = 600: 8*sqrt(3)*A rounds 1.3e-9 above b**2
+        g = validated(build_hexagon_patch(100))
+        rec = graph_isoperimetric_audit(g, decompose(g))
+        assert rec["b"] == 600 and rec["hexagonal"]["rhs"] == 360000.0
+        assert rec["hexagonal"]["lhs"] == pytest.approx(360000.0, rel=1e-12)
 
 
 class TestRandomPolygonGenerator:
