@@ -222,11 +222,12 @@ def obtuse_chord_bound(pq_len: float, pr_len: float, qr_len: float) -> bool:
     """In a triangle pqr with a 120-degree angle at r, |pr| + |qr| <= (2/sqrt(3))|pq|.
 
     The cosine rule gives |pq|^2 = |pr|^2 + |qr|^2 + |pr||qr|, which is checked
-    as a precondition (within 1e-9); the bound holds within CHECK_MARGIN * max(1, rhs)."""
+    as a precondition within CHECK_MARGIN * max(1, |pq|^2); the bound holds
+    within CHECK_MARGIN * max(1, rhs)."""
     if pq_len < 0 or pr_len < 0 or qr_len < 0:
         raise ValueError("lengths must be nonnegative")
     cosine = pr_len ** 2 + qr_len ** 2 + pr_len * qr_len
-    if abs(cosine - pq_len ** 2) > 1e-9:
+    if abs(cosine - pq_len ** 2) > CHECK_MARGIN * max(1.0, pq_len ** 2):
         raise ValueError(
             f"not a 120-degree triangle: |pq|^2={pq_len ** 2} vs cosine-rule value {cosine}")
     return _at_most(pr_len + qr_len, (2.0 / SQRT3) * pq_len)

@@ -14,8 +14,15 @@ membership in byte arrays.
 ``max_area_rearrangement`` exhausts edge orderings of a small polygon to
 certify the convex rearrangement; it skips every placed segment whose
 bounding box is farther than the 1e-12 threshold plus a rounding allowance
-that grows with the coordinates, which provably leaves every decision, and
-so the returned float, unchanged (see its docstring).
+that grows with the coordinates, which provably leaves every decision
+unchanged.  It also cuts a partial chain when no completion can reach the
+best area scored: by bilinearity of the cross product, twice the area of
+any completion is at most |s + P x sum(R)| + sum(|r_i x r_j|) over pairs
+of the vectors R still to place, where P is the chain's end and s its open
+shoelace sum, and a slack covers the rounding.  The bound never uses the
+angular sort or any isoperimetric fact, so it does not assume what the
+search certifies; the returned float and every chain scored at the maximum
+are those of the search without it (proofs in its docstring).
 ``unit_pair_fuzz`` checks floating circle-circle intersections against the
 exact lattice prediction.
 """
@@ -202,7 +209,8 @@ def max_area_rearrangement(p) -> float:
     """Maximum area over all orderings of the directed edge vectors that close
     into a strictly simple polygon.  Cyclic rotations give the same polygon,
     so the first edge is fixed; the chain is pruned depth-first as soon as a
-    partial self-intersection appears.
+    partial self-intersection appears, or as soon as no completion can reach
+    the best area already scored.
 
     A new segment is clear of a placed one when ``segment_distance(...) >
     1e-12``.  Every placed segment keeps its bounding box.  When the new
@@ -233,17 +241,64 @@ def max_area_rearrangement(p) -> float:
     2**-40 = 2**13 u leaves a factor of about 900 over the 9u the rounding
     needs, and the pad stays near 1e-12 of the polygon's size, so almost
     every far segment is skipped at any scale up to the 1e100 coordinate
-    bound of the CLI."""
+    bound of the CLI.
+
+    The area cut.  Twice the area of a closed walk whose steps w_0 .. w_last
+    start at the origin is sum(w_i x w_j, i < j), by bilinearity of the
+    cross product.  So when the chain has reached point P, with open
+    shoelace sum s = sum(Q_j x Q_j+1) over its placed points, and R holds
+    the vectors still to place, every completion has twice its area equal
+    to s + P x sum(R) + sum(r_i x r_j) over R in placement order, and at
+    most |s + P x sum(R)| + pairs(R), pairs(R) = sum(|r_i x r_j|) over the
+    unordered pairs of R.  A new point is not placed when half that, plus
+    ``slack = 2**-40 M**2 + 2**-1000``, is below the best area scored.  The
+    returned float, every chain scored at the maximum and the ValueError
+    when no chain closes are those of the search without the cut.
+
+    Proof.  Let L = M / 2.  Every point the search computes has
+    |x| + |y| <= (1 + u)**8 L < 1.01 L, and |a x b| <= (|ax| + |ay|)
+    (|bx| + |by|), so every cross product of two points or vectors is below
+    1.03 L**2.  The float points Q of a completion differ from the exact
+    partial sums X = P + r_k + ... by the rounding of at most 7 additions,
+    under 7.1 uL in |x| + |y|; the walk closes at the exact origin, while
+    X ends at P + sum(R), which is the sum of all edge vectors (rounded
+    differences of the vertices around a closed walk, so under 1.01 uL) plus
+    the prefix's rounding: under 8.2 uL.  Replacing X by Q in the at most 8
+    cross products of the completion moves twice the exact area of the
+    float chain by less than 8 * 2 * 8.2 * 1.01 uL**2 < 140 uL**2.  The
+    float shoelace (``shoelace2``, at most 8 terms of two products) is off
+    from the exact one by under 9u * 8 * 1.03 L**2 < 80 uL**2, and so is
+    the incrementally summed s.  The float bound's other roundings (sum(R)
+    off by 7uL, the cross product with P, three additions, 28 pair
+    products and their sum) cost under 50 uL**2.  So a skipped chain's
+    computed area is at most the computed bound plus
+    (140 + 80 + 80 + 50) / 2 uL**2 < 200 uL**2 = 2**-45.4 L**2, and the
+    slack is 2**-38 L**2 = 2**15 uL**2.
+    While M < 2**500 nothing overflows; products that underflow add at
+    most 2**-1075 each, and the bound does about 100, well below the
+    2**-1000 term.  So every skipped chain would score strictly below the
+    best area then, which never exceeds the returned one: the maximum and
+    every chain that attains it are still scored.  The cut never fires
+    before a chain is scored (best is -inf), so the ValueError is
+    unchanged, and a cut subtree restores ``pts`` and ``boxes``, so the
+    rest of the search runs in the same order.  At M >= 2**500 the slack
+    is inf and nothing is cut.  The cut uses only the cross product's
+    bilinearity and rounding bounds, never the angular sort, the convex
+    rearrangement or any isoperimetric inequality, which are what this
+    search certifies."""
     vecs = p.edge_vectors()
     m = len(vecs)
     if m > MAX_ORACLE_EDGES:
         raise BudgetError(f"rearrangement search limited to {MAX_ORACLE_EDGES} edges (got {m})")
-    rest = sorted(vecs[1:])
+    rest = tuple(sorted(vecs[1:]))
     origin = (0.0, 0.0)
     pts = [origin, vecs[0]]
     boxes = [box(origin, vecs[0])]
-    far = _far_gap(2.0 * sum(abs(x) + abs(y) for x, y in vecs))
+    reach = 2.0 * sum(abs(x) + abs(y) for x, y in vecs)
+    far = _far_gap(reach)
+    slack = _area_slack(reach)
     best = [-math.inf]
+    sums = {}  # _sum_and_pairs per tuple of vectors still to place
 
     def turn_ok(shared, a, b):
         # adjacent segments meeting at `shared` must not overlap (anti-parallel)
@@ -259,7 +314,7 @@ def max_area_rearrangement(p) -> float:
                 return False
         return True
 
-    def rec(remaining):
+    def rec(remaining, s):
         k = len(pts) - 1  # segments placed so far: S_0 .. S_{k-1}
         if len(remaining) == 1:
             # closing edge runs from pts[-1] back to the exact origin
@@ -277,19 +332,36 @@ def max_area_rearrangement(p) -> float:
             b = (a[0] + v[0], a[1] + v[1])
             if not turn_ok(a, pts[-2], b):
                 continue
+            left = remaining[:i] + remaining[i + 1:]
+            s2 = s + (a[0] * b[1] - b[0] * a[1])
+            got = sums.get(left)
+            if got is None:
+                got = sums[left] = _sum_and_pairs(left)
+            sx, sy, pairs = got
+            if (abs(s2 + (b[0] * sy - b[1] * sx)) + pairs) / 2.0 + slack < best[0]:
+                continue
             ab_box = box(a, b)
             if not clear_of(a, b, ab_box, range(k - 1)):
                 continue
             pts.append(b)
             boxes.append(ab_box)
-            rec(remaining[:i] + remaining[i + 1:])
+            rec(left, s2)
             pts.pop()
             boxes.pop()
 
-    rec(rest)
+    rec(rest, 0.0)
     if best[0] == -math.inf:
         raise ValueError("no simple rearrangement found (degenerate edge set)")
     return best[0]
+
+
+def _sum_and_pairs(vectors) -> tuple:
+    """(sum of x, sum of y, sum of |v_i x v_j| over unordered pairs)."""
+    pairs = 0.0
+    for i, (x1, y1) in enumerate(vectors):
+        for x2, y2 in vectors[i + 1:]:
+            pairs += abs(x1 * y2 - y1 * x2)
+    return sum(x for x, _ in vectors), sum(y for _, y in vectors), pairs
 
 
 def _far_gap(reach: float) -> float:
@@ -298,6 +370,13 @@ def _far_gap(reach: float) -> float:
     (proof in max_area_rearrangement); inf, so nothing is skipped, when
     products of such coordinates could overflow."""
     return 1e-12 + 2.0 ** -40 * reach if reach < 2.0 ** 500 else math.inf
+
+
+def _area_slack(reach: float) -> float:
+    """Margin past which a float area bound rules out every completion whose
+    coordinates are at most `reach` (proof in max_area_rearrangement); inf,
+    so nothing is cut, when products of such coordinates could overflow."""
+    return 2.0 ** -40 * reach * reach + 2.0 ** -1000 if reach < 2.0 ** 500 else math.inf
 
 
 # ---------------------------------------------------------------------------

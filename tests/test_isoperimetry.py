@@ -302,6 +302,16 @@ class TestObtuseChord:
         with pytest.raises(ValueError):
             obtuse_chord_bound(1.0, 1.0, 1.0)  # that would be 60 degrees
 
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
+    def test_true_120_degree_triangle_at_scale(self, scale):
+        # |pq|^2 rounds a few ulps off the cosine-rule value at these sizes
+        a, b = 0.7 * scale, 1.3 * scale
+        assert obtuse_chord_bound(math.sqrt(a * a + b * b + a * b), a, b)
+
+    def test_wrong_angle_rejected_at_scale(self):
+        with pytest.raises(ValueError, match="not a 120-degree triangle"):
+            obtuse_chord_bound(1e5, 1e5, 1e5)  # 60 degrees at r
+
 
 class TestHexagonIsoperimetric:
     def test_regular_equality(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -150,6 +151,24 @@ class TestSixNeighbourCut:
     def test_same_counts_and_witness_codes(self, n_max):
         assert oracle._exhaustive_profile(n_max) == _unpruned_profile(n_max)
 
+    def test_extend_calls_at_nine_are_pinned(self):
+        # the maxima are met before a slightly too strong cut matters, so the
+        # counts alone cannot see one; the number of subtrees searched can
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "extend":
+                calls[0] += 1
+
+        oracle._exhaustive_profile.cache_clear()
+        outer = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            oracle._exhaustive_profile(9)
+        finally:
+            sys.setprofile(outer)
+        assert calls[0] == 6030
+
 
 class TestMaxAreaRearrangement:
     def test_l_shape(self):
@@ -181,9 +200,10 @@ class TestMaxAreaRearrangement:
 
 
 def _unpruned_rearrangement(p) -> float:
-    """max_area_rearrangement without the box skip: every placed segment goes
-    through ``oracle.segment_distance``.  It and ``oracle.shoelace2`` are
-    looked up at call time, so a spy on either sees these calls too."""
+    """max_area_rearrangement without the box skip or the area cut: every
+    placed segment goes through ``oracle.segment_distance`` and every chain
+    that closes is scored.  Both ``oracle`` functions are looked up at
+    call time, so a spy on either sees these calls too."""
     vecs = p.edge_vectors()
     rest = sorted(vecs[1:])
     origin = (0.0, 0.0)
@@ -240,6 +260,11 @@ def _run(search, p, monkeypatch):
         return ("ValueError", str(exc)), closed
 
 
+def _maximal(chains, area):
+    """The scored chains whose computed area is the returned maximum."""
+    return [c for c in chains if abs(shoelace2(c)) / 2.0 == area]
+
+
 def _random_corpus():
     rng = random.Random(10)
     return [random_simple_polygon(rng, m, m) for m in range(3, 9) for _ in range(3)]
@@ -283,13 +308,19 @@ class TestBoxSkip:
         assert len(out) > 6 * len(base)
         return out
 
-    def test_same_chains_and_float_as_the_unpruned_search(self, monkeypatch):
-        errors = 0
+    def test_same_float_and_maximal_chains_as_the_unpruned_search(self, monkeypatch):
+        errors = cut = 0
         for p in self.corpus():
-            want = _run(_unpruned_rearrangement, p, monkeypatch)
-            assert _run(max_area_rearrangement, p, monkeypatch) == want, p.vertices
-            errors += isinstance(want[0], tuple)
-        assert errors > 0
+            want, want_chains = _run(_unpruned_rearrangement, p, monkeypatch)
+            got, chains = _run(max_area_rearrangement, p, monkeypatch)
+            assert got == want, p.vertices
+            # the scored chains come in the unpruned search's order, some cut out
+            unpruned = iter(want_chains)
+            assert all(c in unpruned for c in chains), p.vertices
+            assert _maximal(chains, got) == _maximal(want_chains, want), p.vertices
+            errors += isinstance(want, tuple)
+            cut += len(chains) < len(want_chains)
+        assert errors > 0 and cut > 100
 
     def test_fewer_distance_calls_on_eight_edges(self, monkeypatch):
         calls = [0]
@@ -351,6 +382,67 @@ class TestBoxSkip:
         assert p2[0] - q2[0] > oracle._far_gap(10.0)
         assert segments_properly_cross(p1, p2, q1, q2) is False
         assert segment_distance(p1, p2, q1, q2) > 0.8
+
+
+class TestAreaCut:
+    """The completion bound behind max_area_rearrangement's area cut."""
+
+    def test_no_completion_beats_the_float_bound(self):
+        # the lemma behind the cut: a closing vector set in any order, cut
+        # after any prefix, computes an area of at most the float bound plus
+        # the slack, at every scale; repeated vectors come from lattice steps
+        rng = random.Random(12)
+        ring = [d.cartesian() for d in UNIT_RING]
+        tight = 0
+        for _ in range(3000):
+            m = rng.randint(3, 8)
+            scale = 10.0 ** rng.uniform(-3, 100)
+            if rng.random() < 0.3:
+                corners, x, y = [], 0.0, 0.0
+                for _ in range(m - 1):
+                    dx, dy = rng.choice(ring)
+                    x, y = x + dx, y + dy
+                    corners.append((x, y))
+                corners.append((0.0, 0.0))
+            else:
+                corners = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(m)]
+            corners = [(x * scale, y * scale) for x, y in corners]
+            vecs = [(corners[i][0] - corners[i - 1][0], corners[i][1] - corners[i - 1][1])
+                    for i in range(m)]
+            rng.shuffle(vecs)
+            slack = oracle._area_slack(2.0 * sum(abs(x) + abs(y) for x, y in vecs))
+            pts = [(0.0, 0.0)]
+            for v in vecs[:-1]:
+                a = pts[-1]
+                pts.append((a[0] + v[0], a[1] + v[1]))
+            area = abs(shoelace2(pts)) / 2.0
+            s = 0.0
+            for k in range(1, m):  # pts[k] placed, vecs[k:] still to place
+                a, b = pts[k - 1], pts[k]
+                s += a[0] * b[1] - b[0] * a[1]
+                sx, sy, pairs = oracle._sum_and_pairs(tuple(vecs[k:]))
+                bound = (abs(s + (b[0] * sy - b[1] * sx)) + pairs) / 2.0
+                assert area <= bound + slack, (vecs, k)
+                tight += area >= bound - slack
+        assert tight > 3000
+
+    def test_slack_scales_with_the_reach_and_stops_before_overflow(self):
+        assert oracle._area_slack(1.0) == 2.0 ** -40 + 2.0 ** -1000
+        assert oracle._area_slack(1e100) == pytest.approx(2.0 ** -40 * 1e200)
+        assert oracle._area_slack(1e-200) == 2.0 ** -1000
+        assert oracle._area_slack(2.0 ** 500) == math.inf
+        assert oracle._area_slack(math.inf) == math.inf
+
+    def test_sum_and_pairs(self):
+        assert oracle._sum_and_pairs(((1.0, 0.0), (0.0, 2.0), (-1.0, -2.0))) == (0.0, 0.0, 6.0)
+        assert oracle._sum_and_pairs(((3.0, 4.0),)) == (3.0, 4.0, 0.0)
+
+    def test_chains_scored_on_the_random_corpus_are_pinned(self, monkeypatch):
+        scored = unpruned = 0
+        for p in _random_corpus():
+            scored += len(_run(max_area_rearrangement, p, monkeypatch)[1])
+            unpruned += len(_run(_unpruned_rearrangement, p, monkeypatch)[1])
+        assert (scored, unpruned) == (94, 3786)
 
 
 class TestUnitPairFuzz:
