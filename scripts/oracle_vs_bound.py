@@ -23,8 +23,10 @@ def main():
     profile = max_edges_profile(n_max)
     dt = time.perf_counter() - t0
     print(f"{'n':>3} {'max_e':>6} {'bound':>6}  witness")
+    mismatches = 0
     for n, max_e, witness in profile:
         bound = harborth_bound(n)
+        mismatches += max_e != bound
         mark = "=" if max_e == bound else "MISMATCH"
         pts = " ".join(f"({p.m},{p.n})" for p in witness.points)
         print(f"{n:>3} {max_e:>6} {bound:>6} {mark} {pts}")
@@ -33,8 +35,9 @@ def main():
             g = lattice_graph(witness.points)
             g.validate()
             (outdir / f"witness_{n:02d}.svg").write_text(render_svg(g))
-    print(f"\nsearch to n={n_max} in {dt:.2f}s")
+    print(f"\nsearch to n={n_max} in {dt:.2f}s; mismatches: {mismatches}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -204,10 +204,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(json.dumps({"consistency_error": str(exc)}), file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (BudgetError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (BudgetError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

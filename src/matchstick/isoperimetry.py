@@ -243,7 +243,7 @@ def hexagon_isoperimetric_check(h: Hexagon) -> bool:
     return True
 
 
-def graph_isoperimetric_audit(g: MatchstickGraph, report=None) -> dict:
+def graph_isoperimetric_audit(g: MatchstickGraph, report) -> dict:
     """Instantiate both inequalities on a graph's boundary polygon.
 
     The area is bounded below by (sqrt(3)/4) * f_3 since every triangular
@@ -266,7 +266,7 @@ def graph_isoperimetric_audit(g: MatchstickGraph, report=None) -> dict:
         raise ConsistencyError(
             f"boundary area {A} below triangle lower bound {triangle_area}")
     classic = check_classic(boundary_poly)
-    if report is not None and report.components:
+    if report.components:
         theta0 = report.components[0].frame.angle
         bstar = float(report.b_star)
     else:

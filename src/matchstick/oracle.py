@@ -12,17 +12,15 @@ reads one flat code-indexed neighbour table and keeps animal and `seen`
 membership in byte arrays.
 
 ``max_area_rearrangement`` exhausts edge orderings of a small polygon to
-certify the convex rearrangement; it skips every placed segment whose
-bounding box is farther than the 1e-12 threshold plus a rounding allowance
-that grows with the coordinates, which provably leaves every decision
-unchanged.  It also cuts a partial chain when no completion can reach the
-best area scored: by bilinearity of the cross product, twice the area of
-any completion is at most |s + P x sum(R)| + sum(|r_i x r_j|) over pairs
-of the vectors R still to place, where P is the chain's end and s its open
-shoelace sum, and a slack covers the rounding.  The bound never uses the
-angular sort or any isoperimetric fact, so it does not assume what the
-search certifies; the returned float and every chain scored at the maximum
-are those of the search without it (proofs in its docstring).
+certify the convex rearrangement.  It cuts a partial chain when no
+completion can reach the best area scored: by bilinearity of the cross
+product, twice the area of any completion is at most
+|s + P x sum(R)| + sum(|r_i x r_j|) over pairs of the vectors R still to
+place, where P is the chain's end and s its open shoelace sum, and a slack
+covers the rounding.  The bound never uses the angular sort or any
+isoperimetric fact, so it does not assume what the search certifies; the
+returned float and every chain scored at the maximum are those of the
+search without it (proof in its docstring).
 ``unit_pair_fuzz`` checks floating circle-circle intersections against the
 exact lattice prediction.
 """
@@ -34,7 +32,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import box, cross, dot, segment_distance, shoelace2
+from .geometry import cross, dot, segment_distance, shoelace2
 from .lattice import (UNIT_RING, BudgetError, EisensteinPoint,
                       complete_unit_pair)
 
@@ -210,38 +208,8 @@ def max_area_rearrangement(p) -> float:
     into a strictly simple polygon.  Cyclic rotations give the same polygon,
     so the first edge is fixed; the chain is pruned depth-first as soon as a
     partial self-intersection appears, or as soon as no completion can reach
-    the best area already scored.
-
-    A new segment is clear of a placed one when ``segment_distance(...) >
-    1e-12``.  Every placed segment keeps its bounding box.  When the new
-    segment's box is more than ``far = 1e-12 + 2**-40 * M`` from it along x
-    or y, that test is skipped.  The outcome is the same, so the search
-    visits the same chains and returns the same float.
-
-    Proof.  Let u = 2**-53.  M = 2 * sum(|x| + |y|) over the edge vectors
-    bounds every coordinate the search computes, since a point is a sum of
-    at most 8 of them, each addition off by a factor of at most 1 + u.  The
-    skip is on only while M < 2**500, so no product below overflows.  Say
-    the boxes of P and Q are apart along x, with computed gap
-    g = fl(Qmin - Pmax) > far, and take an endpoint p of one segment and the
-    other segment ab.  ``point_segment_distance`` clamps t to [0, 1] and
-    computes the foot's x as fl(ax + fl(t * fl(bx - ax))), or ax when
-    the segment is a point.  The exact ax + t (bx - ax) lies in the x range
-    of ab's box, and three roundings of quantities below 3M move it by less
-    than 8uM.  The distance is a faithfully rounded hypot, so it is at least
-    |fl(px - fx)| >= (1 - u)(G - 8uM), where the exact gap
-    G >= g / (1 + u) > far / (1 + u) >= (1e-12 + 2**-40 M)(1 - 2u).  That
-    is more than 1e-12 + M (2**-40 - 9u) - 3u * 1e-12 > 1e-12, because a
-    skip needs 2M >= G > 0.99e-12.  Underflow adds at most 2**-1075 per
-    operation, far below the slack M * 2**-41.  So every skipped distance
-    is above 1e-12.  The exact proper-crossing test of ``segment_distance``
-    finds no crossing either, as the boxes are disjoint, so the skipped test
-    would have found the segments clear.
-
-    2**-40 = 2**13 u leaves a factor of about 900 over the 9u the rounding
-    needs, and the pad stays near 1e-12 of the polygon's size, so almost
-    every far segment is skipped at any scale up to the 1e100 coordinate
-    bound of the CLI.
+    the best area already scored.  A new segment is clear of a placed one
+    when ``segment_distance(...) > 1e-12``.
 
     The area cut.  Twice the area of a closed walk whose steps w_0 .. w_last
     start at the origin is sum(w_i x w_j, i < j), by bilinearity of the
@@ -251,41 +219,42 @@ def max_area_rearrangement(p) -> float:
     to s + P x sum(R) + sum(r_i x r_j) over R in placement order, and at
     most |s + P x sum(R)| + pairs(R), pairs(R) = sum(|r_i x r_j|) over the
     unordered pairs of R.  A new point is not placed when half that, plus
-    ``slack = 2**-40 M**2 + 2**-1000``, is below the best area scored.  The
-    returned float, every chain scored at the maximum and the ValueError
-    when no chain closes are those of the search without the cut.
+    ``slack = 2**-40 M**2 + 2**-1000`` with M = 2 * sum(|x| + |y|) over the
+    edge vectors, is below the best area scored.  The returned float, every
+    chain scored at the maximum and the ValueError when no chain closes are
+    those of the search without the cut.
 
-    Proof.  Let L = M / 2.  Every point the search computes has
-    |x| + |y| <= (1 + u)**8 L < 1.01 L, and |a x b| <= (|ax| + |ay|)
-    (|bx| + |by|), so every cross product of two points or vectors is below
-    1.03 L**2.  The float points Q of a completion differ from the exact
-    partial sums X = P + r_k + ... by the rounding of at most 7 additions,
-    under 7.1 uL in |x| + |y|; the walk closes at the exact origin, while
-    X ends at P + sum(R), which is the sum of all edge vectors (rounded
-    differences of the vertices around a closed walk, so under 1.01 uL) plus
-    the prefix's rounding: under 8.2 uL.  Replacing X by Q in the at most 8
-    cross products of the completion moves twice the exact area of the
-    float chain by less than 8 * 2 * 8.2 * 1.01 uL**2 < 140 uL**2.  The
-    float shoelace (``shoelace2``, at most 8 terms of two products) is off
-    from the exact one by under 9u * 8 * 1.03 L**2 < 80 uL**2, and so is
-    the incrementally summed s.  The float bound's other roundings (sum(R)
-    off by 7uL, the cross product with P, three additions, 28 pair
-    products and their sum) cost under 50 uL**2.  So a skipped chain's
-    computed area is at most the computed bound plus
-    (140 + 80 + 80 + 50) / 2 uL**2 < 200 uL**2 = 2**-45.4 L**2, and the
-    slack is 2**-38 L**2 = 2**15 uL**2.
-    While M < 2**500 nothing overflows; products that underflow add at
-    most 2**-1075 each, and the bound does about 100, well below the
-    2**-1000 term.  So every skipped chain would score strictly below the
-    best area then, which never exceeds the returned one: the maximum and
-    every chain that attains it are still scored.  The cut never fires
-    before a chain is scored (best is -inf), so the ValueError is
-    unchanged, and a cut subtree restores ``pts`` and ``boxes``, so the
-    rest of the search runs in the same order.  At M >= 2**500 the slack
-    is inf and nothing is cut.  The cut uses only the cross product's
-    bilinearity and rounding bounds, never the angular sort, the convex
-    rearrangement or any isoperimetric inequality, which are what this
-    search certifies."""
+    Proof.  Let u = 2**-53 and L = M / 2.  A point is a sum of at most 8
+    edge vectors, each addition off by a factor of at most 1 + u, so every
+    point the search computes has |x| + |y| <= (1 + u)**8 L < 1.01 L, and
+    |a x b| <= (|ax| + |ay|) (|bx| + |by|), so every cross product of two
+    points or vectors is below 1.03 L**2.  The float points Q of a
+    completion differ from the exact partial sums X = P + r_k + ... by the
+    rounding of at most 7 additions, under 7.1 uL in |x| + |y|; the walk
+    closes at the exact origin, while X ends at P + sum(R), which is the
+    sum of all edge vectors (rounded differences of the vertices around a
+    closed walk, so under 1.01 uL) plus the prefix's rounding: under
+    8.2 uL.  Replacing X by Q in the at most 8 cross products of the
+    completion moves twice the exact area of the float chain by less than
+    8 * 2 * 8.2 * 1.01 uL**2 < 140 uL**2.  The float shoelace
+    (``shoelace2``, at most 8 terms of two products) is off from the exact
+    one by under 9u * 8 * 1.03 L**2 < 80 uL**2, and so is the incrementally
+    summed s.  The float bound's other roundings (sum(R) off by 7uL, the
+    cross product with P, three additions, 28 pair products and their sum)
+    cost under 50 uL**2.  So a skipped chain's computed area is at most the
+    computed bound plus (140 + 80 + 80 + 50) / 2 uL**2 < 200 uL**2
+    = 2**-45.4 L**2, and the slack is 2**-38 L**2 = 2**15 uL**2.  The cut
+    is on only while M < 2**500, so no product overflows; products that
+    underflow add at most 2**-1075 each, and the bound does about 100, well
+    below the 2**-1000 term.  So every skipped chain would score strictly
+    below the best area then, which never exceeds the returned one: the
+    maximum and every chain that attains it are still scored.  The cut
+    never fires before a chain is scored (best is -inf), so the ValueError
+    is unchanged, and a cut subtree restores ``pts``, so the rest of the
+    search runs in the same order.  At M >= 2**500 the slack is inf and
+    nothing is cut.  The cut uses only the cross product's bilinearity and
+    rounding bounds, never the angular sort, the convex rearrangement or
+    any isoperimetric inequality, which are what this search certifies."""
     vecs = p.edge_vectors()
     m = len(vecs)
     if m > MAX_ORACLE_EDGES:
@@ -293,9 +262,7 @@ def max_area_rearrangement(p) -> float:
     rest = tuple(sorted(vecs[1:]))
     origin = (0.0, 0.0)
     pts = [origin, vecs[0]]
-    boxes = [box(origin, vecs[0])]
     reach = 2.0 * sum(abs(x) + abs(y) for x, y in vecs)
-    far = _far_gap(reach)
     slack = _area_slack(reach)
     best = [-math.inf]
     sums = {}  # _sum_and_pairs per tuple of vectors still to place
@@ -304,15 +271,8 @@ def max_area_rearrangement(p) -> float:
         # adjacent segments meeting at `shared` must not overlap (anti-parallel)
         return not (abs(cross(shared, a, b)) <= 1e-12 and dot(shared, a, b) > 0)
 
-    def clear_of(a, b, ab_box, indices):
-        x0, x1, y0, y1 = ab_box
-        for i in indices:
-            px0, px1, py0, py1 = boxes[i]
-            if x0 - px1 > far or px0 - x1 > far or y0 - py1 > far or py0 - y1 > far:
-                continue
-            if not segment_distance(pts[i], pts[i + 1], a, b) > 1e-12:
-                return False
-        return True
+    def clear_of(a, b, indices):
+        return all(segment_distance(pts[i], pts[i + 1], a, b) > 1e-12 for i in indices)
 
     def rec(remaining, s):
         k = len(pts) - 1  # segments placed so far: S_0 .. S_{k-1}
@@ -320,7 +280,7 @@ def max_area_rearrangement(p) -> float:
             # closing edge runs from pts[-1] back to the exact origin
             a = pts[-1]
             if (turn_ok(a, pts[-2], origin) and turn_ok(origin, a, pts[1])
-                    and clear_of(a, origin, box(a, origin), range(1, k - 1))):
+                    and clear_of(a, origin, range(1, k - 1))):
                 best[0] = max(best[0], abs(shoelace2(pts)) / 2.0)
             return
         prev = None
@@ -340,14 +300,11 @@ def max_area_rearrangement(p) -> float:
             sx, sy, pairs = got
             if (abs(s2 + (b[0] * sy - b[1] * sx)) + pairs) / 2.0 + slack < best[0]:
                 continue
-            ab_box = box(a, b)
-            if not clear_of(a, b, ab_box, range(k - 1)):
+            if not clear_of(a, b, range(k - 1)):
                 continue
             pts.append(b)
-            boxes.append(ab_box)
             rec(left, s2)
             pts.pop()
-            boxes.pop()
 
     rec(rest, 0.0)
     if best[0] == -math.inf:
@@ -362,14 +319,6 @@ def _sum_and_pairs(vectors) -> tuple:
         for x2, y2 in vectors[i + 1:]:
             pairs += abs(x1 * y2 - y1 * x2)
     return sum(x for x, _ in vectors), sum(y for _, y in vectors), pairs
-
-
-def _far_gap(reach: float) -> float:
-    """Box gap past which two segments with coordinates at most `reach` in
-    magnitude are more than 1e-12 apart by every ``point_segment_distance``
-    (proof in max_area_rearrangement); inf, so nothing is skipped, when
-    products of such coordinates could overflow."""
-    return 1e-12 + 2.0 ** -40 * reach if reach < 2.0 ** 500 else math.inf
 
 
 def _area_slack(reach: float) -> float:

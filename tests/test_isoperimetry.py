@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -373,6 +374,12 @@ class TestGraphAudit:
         rec = graph_isoperimetric_audit(g, decompose(g))
         assert rec["b"] == 600 and rec["hexagonal"]["rhs"] == 360000.0
         assert rec["hexagonal"]["lhs"] == pytest.approx(360000.0, rel=1e-12)
+
+    def test_report_without_components_uses_angle_0_and_all_of_b(self):
+        g = validated(build_hexagon_patch(2))
+        rec = graph_isoperimetric_audit(g, SimpleNamespace(components=[]))
+        assert rec["hexagonal"]["theta0"] == 0.0
+        assert rec["hexagonal"]["b_star"] == float(rec["b"]) == 12.0
 
 
 class TestRandomPolygonGenerator:
