@@ -1,6 +1,8 @@
 """Constructors for lattice graphs: filled hexagon patches, spiral prefixes
 that meet the edge bound floor(3n - sqrt(12n-3)) with equality for every n,
-and seeded random lattice subgraphs for fuzzing.
+and seeded random lattice subgraphs for fuzzing.  These grow on (m, n) pairs; a
+2-connected request rejects a growth with a leaf (a point with < 2 neighbours in
+the set) before building a graph, so each (n, seed, flag) keeps its graph.
 
 The spiral lists the origin, then ring 1 counterclockwise from (1, 0), then
 ring k = 2, 3, ... counterclockwise starting at (k-1, 1).  Starting later
@@ -17,7 +19,7 @@ import random
 from itertools import count, islice
 
 from .graph import ConsistencyError, MatchstickGraph, connectivity, lattice_graph
-from .lattice import ORIGIN, UNIT_RING, EisensteinPoint, harborth_bound
+from .lattice import ORIGIN, UNIT_RING, EisensteinPoint, _new, harborth_bound
 
 _MAX_RETRIES = 200  # random_lattice_subgraph's regrowths for a 2-connected graph
 
@@ -93,7 +95,9 @@ def random_lattice_subgraph(n: int, seed: int, require_2connected: bool = False)
     rng = random.Random(seed)
     for _ in range(_MAX_RETRIES):
         points = _grow_random(rng, n)
-        g = lattice_graph(points)
+        if require_2connected and _has_leaf(points):
+            continue
+        g = lattice_graph([_new(EisensteinPoint, p) for p in points])
         if not require_2connected or connectivity(g).two_connected:
             report = g.validate()
             if not report.ok:
@@ -103,10 +107,10 @@ def random_lattice_subgraph(n: int, seed: int, require_2connected: bool = False)
                      f"in {_MAX_RETRIES} attempts (seed={seed})")
 
 
-def _grow_random(rng: random.Random, n: int) -> list[EisensteinPoint]:
-    points = [ORIGIN]
-    chosen = {ORIGIN}
-    frontier = list(UNIT_RING)
+def _grow_random(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    points = [(0, 0)]
+    chosen = {(0, 0)}
+    frontier = [(dm, dn) for dm, dn in UNIT_RING]
     while len(points) < n:
         i = rng.randrange(len(frontier))
         frontier[i], frontier[-1] = frontier[-1], frontier[i]
@@ -115,8 +119,17 @@ def _grow_random(rng: random.Random, n: int) -> list[EisensteinPoint]:
             continue
         chosen.add(q)
         points.append(q)
-        for d in UNIT_RING:
-            nb = q + d
+        qm, qn = q
+        for dm, dn in UNIT_RING:
+            nb = (qm + dm, qn + dn)
             if nb not in chosen:
                 frontier.append(nb)
     return points
+
+
+def _has_leaf(points: list[tuple[int, int]]) -> bool:
+    """Some point has fewer than 2 of its six UNIT_RING neighbours among ``points``."""
+    chosen = set(points)
+    return any(((m + 1, n) in chosen) + ((m, n + 1) in chosen) + ((m - 1, n + 1) in chosen)
+               + ((m - 1, n) in chosen) + ((m, n - 1) in chosen) + ((m + 1, n - 1) in chosen) < 2
+               for m, n in points)

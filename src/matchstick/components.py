@@ -156,8 +156,8 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                     whole = [(blk, frame, coords) for blk in connectivity(g).blocks]
                     return _maximal(candidates + whole) if candidates else whole
                 region_adj = {v: [u for u in adj[v] if u in coords
-                                  and coords[u] - coords[v] in UNIT_STEP_INDEX]
-                              for v in coords}
+                                  and (coords[u][0] - m, coords[u][1] - n) in UNIT_STEP_INDEX]
+                              for v, (m, n) in coords.items()}
                 for v in coords:
                     regions_of.setdefault(v, set()).add(n_regions)
                 n_regions += 1
@@ -194,24 +194,25 @@ def component_subgraph(comp: LatticeComponent) -> MatchstickGraph:
 
 
 def _make_component(vset, eset, frame, coords) -> LatticeComponent:
-    """The component on ``vset``/``eset``, unit steps between distinct points of
-    ``coords``.  The lowest, then leftmost point s has neighbours only in
-    directions 0, 1, 2; the outer face enters s from the one of least index.
-    The component shares ``coords`` when it holds every vertex of it."""
+    """The component on ``vset``/``eset``, a block of unit steps between distinct
+    points of ``coords``.  Its lowest, then leftmost point s has neighbours only
+    in directions 0, 1, 2, so the outer face walk starts at s as if come from
+    direction 3, and ends when it is back at s: a block's outer face is a cycle.
+    The walk looks neighbours up as (m + dm, n + dn) int pairs.  The component
+    shares ``coords`` when it holds every vertex of it."""
     points = coords if len(vset) == len(coords) else {v: coords[v] for v in vset}
     at = {p: v for v, p in points.items()}
-
-    def neighbour(v, k):  # v's neighbour in direction k (mod 6), or None
-        u = at.get(points[v] + UNIT_RING[k % 6])
-        return u if u is not None and _norm_edge(u, v) in eset else None
-
     s = min(points, key=lambda v: points[v][::-1])
-    k0 = next(k for k in range(6) if neighbour(s, k) is not None)
-    cycle, v, k = [], s, k0  # the walk is at v, come from its neighbour in direction k
-    while not cycle or (v, k) != (s, k0):
+    cycle, v, k = [], s, 3  # the walk is at v, come from its neighbour in direction k
+    while not cycle or v != s:
         cycle.append(v)
-        j = next(j for j in range(k + 5, k - 1, -1) if neighbour(v, j) is not None)
-        v, k = neighbour(v, j), (j + 3) % 6
+        m, n = points[v]
+        for j in range(k + 5, k - 1, -1):
+            dm, dn = UNIT_RING[j % 6]
+            u = at.get((m + dm, n + dn))
+            if u is not None and ((u, v) if u < v else (v, u)) in eset:
+                break
+        v, k = u, (j + 3) % 6
     return LatticeComponent(vertices=frozenset(vset), edges=frozenset(eset), frame=frame,
                             coords=points, boundary_cycle=_canonical_rotation(cycle),
                             n_i=len(vset), e_i=len(eset), b_i=len(cycle))

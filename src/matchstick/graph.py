@@ -406,16 +406,12 @@ def _f(x: float) -> str:
 def lattice_graph(points, edges=None, frame: LatticeFrame = LatticeFrame()) -> MatchstickGraph:
     """Graph on the given EisensteinPoints; edges default to all unit pairs."""
     points = list(points)
-    if len(set(points)) != len(points):
-        raise ValueError("duplicate lattice points")
     index = {p: i for i, p in enumerate(points)}
+    if len(index) != len(points):
+        raise ValueError("duplicate lattice points")
     if edges is None:
-        edges = []
-        for p, i in index.items():
-            for q in (p + d for d in _HALF_RING):
-                j = index.get(q)
-                if j is not None:
-                    edges.append((i, j))
+        edges = [(i, j) for (m, n), i in index.items() for dm, dn in _HALF_RING
+                 if (j := index.get((m + dm, n + dn))) is not None]
     vertices = [(i, LatticeCoord(0, p)) for i, p in enumerate(points)]
     return MatchstickGraph(vertices, edges, frames=(frame,))
 

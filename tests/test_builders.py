@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,10 @@ from matchstick import builders
 from matchstick.builders import (build_extremal, build_hexagon_patch,
                                  random_lattice_subgraph, ring_points,
                                  spiral_points)
-from matchstick.graph import ConsistencyError, connectivity
-from matchstick.lattice import EisensteinPoint, eisenstein_norm, harborth_bound
+from matchstick.graph import (ConsistencyError, LatticeCoord, MatchstickGraph, connectivity,
+                              lattice_graph)
+from matchstick.lattice import (ORIGIN, UNIT_RING, EisensteinPoint, LatticeFrame,
+                                eisenstein_norm, harborth_bound)
 
 E = EisensteinPoint
 
@@ -153,3 +156,106 @@ class TestSpiralMiss:
                             lambda n: [E(i, 0) for i in range(n)])
         with pytest.raises(ConsistencyError, match=r"n=4 has 3 edges, bound is 5"):
             build_extremal(4)
+
+
+# The builder as it was before it grew on (m, n) pairs and rejected leaves:
+# random_lattice_subgraph and _grow_random verbatim, and lattice_graph's
+# unit-pair scan on EisensteinPoint sums.
+_MAX_RETRIES = 200
+
+
+def _reference_lattice_graph(points, frame=LatticeFrame()):
+    points = list(points)
+    index = {p: i for i, p in enumerate(points)}
+    edges = []
+    for p, i in index.items():
+        for q in (p + d for d in UNIT_RING[:3]):
+            j = index.get(q)
+            if j is not None:
+                edges.append((i, j))
+    vertices = [(i, LatticeCoord(0, p)) for i, p in enumerate(points)]
+    return MatchstickGraph(vertices, edges, frames=(frame,))
+
+
+def _reference_random_lattice_subgraph(n, seed, require_2connected=False):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if require_2connected and n < 3:
+        raise ValueError("2-connected graphs need n >= 3")
+    rng = random.Random(seed)
+    for _ in range(_MAX_RETRIES):
+        points = _reference_grow_random(rng, n)
+        g = _reference_lattice_graph(points)
+        if not require_2connected or connectivity(g).two_connected:
+            report = g.validate()
+            if not report.ok:
+                raise ConsistencyError("random lattice subgraph failed validation")
+            return g
+    raise ValueError(f"could not grow a 2-connected subgraph with n={n} "
+                     f"in {_MAX_RETRIES} attempts (seed={seed})")
+
+
+def _reference_grow_random(rng, n):
+    points = [ORIGIN]
+    chosen = {ORIGIN}
+    frontier = list(UNIT_RING)
+    while len(points) < n:
+        i = rng.randrange(len(frontier))
+        frontier[i], frontier[-1] = frontier[-1], frontier[i]
+        q = frontier.pop()
+        if q in chosen:
+            continue
+        chosen.add(q)
+        points.append(q)
+        for d in UNIT_RING:
+            nb = q + d
+            if nb not in chosen:
+                frontier.append(nb)
+    return points
+
+
+class TestSameGraphsAsTheReference:
+    """The int-pair growth and the leaf rejection give every (n, seed, flag)
+    the graph the reference builder gives, byte for byte."""
+
+    def test_any_graph(self):
+        for n in range(1, 61):
+            for seed in range(10):
+                assert random_lattice_subgraph(n, seed).to_json() == \
+                       _reference_random_lattice_subgraph(n, seed).to_json()
+
+    def test_two_connected_graph_and_leaf_rejections(self, monkeypatch):
+        rejected = []
+
+        def recorded(points, has_leaf=builders._has_leaf):
+            if has_leaf(points):
+                rejected.append(points)
+                return True
+            return False
+
+        monkeypatch.setattr(builders, "_has_leaf", recorded)
+        for n in range(3, 31):
+            for seed in range(10):
+                assert random_lattice_subgraph(n, seed, require_2connected=True).to_json() == \
+                       _reference_random_lattice_subgraph(n, seed, True).to_json()
+        assert len(rejected) > 500
+        # the leaf test rejects only growths the 2-connectivity test rejects
+        for points in rejected:
+            assert not connectivity(lattice_graph([E(*p) for p in points])).two_connected
+
+    def test_leaf_growths_keep_the_reference_error(self, monkeypatch):
+        n, seed = 12, next(s for s in range(100)
+                           if builders._has_leaf(builders._grow_random(random.Random(s), 12)))
+        monkeypatch.setattr(builders, "_MAX_RETRIES", 1)
+        monkeypatch.setitem(globals(), "_MAX_RETRIES", 1)
+        with pytest.raises(ValueError) as want:
+            _reference_random_lattice_subgraph(n, seed, True)
+
+        def built(points):
+            raise AssertionError("a growth with a leaf built a graph")
+
+        monkeypatch.setattr(builders, "lattice_graph", built)
+        with pytest.raises(ValueError) as got:
+            random_lattice_subgraph(n, seed, require_2connected=True)
+        assert str(got.value) == str(want.value) == \
+               f"could not grow a 2-connected subgraph with n=12 in 1 attempts (seed={seed})"

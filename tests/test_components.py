@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +8,11 @@ from matchstick.builders import build_extremal, build_hexagon_patch, random_latt
 from matchstick.census import face_census
 from matchstick.components import (component_boundary_check, component_subgraph,
                                    decompose, fill_component)
-from matchstick.graph import (DEFAULT_TOL, FreeCoord, MatchstickGraph, boundary,
+from matchstick.graph import (_NONE, DEFAULT_TOL, FreeCoord, MatchstickGraph, _canonical_rotation,
+                              _grow, _norm_edge, _unit_edges, block_decomposition, boundary,
                               connectivity, faces, free_graph, lattice_graph)
-from matchstick.lattice import EisensteinPoint, LatticeFrame, phi
+from matchstick.lattice import (ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint,
+                                LatticeFrame, phi)
 from matchstick.trace import claim_trace
 from test_validation_oracle import rotated_free
 
@@ -664,3 +667,102 @@ class TestContainmentFilter:
             dropped += contained
         if tol >= 0.2:
             assert dropped > 0  # the corpus has contained blocks to drop there
+
+
+# decompose's boundary walk and region-edge rule as they were before they ran
+# on (m, n) int pairs: _make_component verbatim, and _grow_all_seeds verbatim
+# but for the names of what it calls
+def _reference_make_component(vset, eset, frame, coords):
+    import matchstick.components as components
+    points = coords if len(vset) == len(coords) else {v: coords[v] for v in vset}
+    at = {p: v for v, p in points.items()}
+
+    def neighbour(v, k):  # v's neighbour in direction k (mod 6), or None
+        u = at.get(points[v] + UNIT_RING[k % 6])
+        return u if u is not None and _norm_edge(u, v) in eset else None
+
+    s = min(points, key=lambda v: points[v][::-1])
+    k0 = next(k for k in range(6) if neighbour(s, k) is not None)
+    cycle, v, k = [], s, k0  # the walk is at v, come from its neighbour in direction k
+    while not cycle or (v, k) != (s, k0):
+        cycle.append(v)
+        j = next(j for j in range(k + 5, k - 1, -1) if neighbour(v, j) is not None)
+        v, k = neighbour(v, j), (j + 3) % 6
+    return components.LatticeComponent(
+        vertices=frozenset(vset), edges=frozenset(eset), frame=frame, coords=points,
+        boundary_cycle=_canonical_rotation(cycle), n_i=len(vset), e_i=len(eset), b_i=len(cycle))
+
+
+def _reference_grow_all_seeds(g, tol):
+    from matchstick.components import _maximal
+    pos = g.positions()
+    adj = g.adjacency()
+    candidates = []
+    regions_of = {}  # vertex -> indices of the grown regions holding it
+    n_regions = 0
+    for x in sorted(adj):
+        nbrs = adj[x]
+        for i, y in enumerate(nbrs):
+            frame = y_on = None
+            for w in nbrs[i + 1:]:
+                if regions_of.get(x, _NONE) & regions_of.get(y, _NONE) & regions_of.get(w, _NONE):
+                    continue
+                if frame is None:
+                    (x0, y0), (x1, y1) = pos[x], pos[y]
+                    frame = LatticeFrame(pos[x], math.atan2(y1 - y0, x1 - x0))
+                p = frame.snap(pos[w], tol)
+                if p not in UNIT_RING[1:]:
+                    continue
+                if y_on is None:
+                    y_on = frame.snap(pos[y], tol) == UNIT_RING[0]
+                if not y_on:
+                    break
+                coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
+                if len(coords) == g.n and _unit_edges(g.edges, coords):
+                    whole = [(blk, frame, coords) for blk in connectivity(g).blocks]
+                    return _maximal(candidates + whole) if candidates else whole
+                region_adj = {v: [u for u in adj[v] if u in coords
+                                  and coords[u] - coords[v] in UNIT_STEP_INDEX]
+                              for v in coords}
+                for v in coords:
+                    regions_of.setdefault(v, set()).add(n_regions)
+                n_regions += 1
+                blocks, _ = block_decomposition(sorted(coords), region_adj)
+                candidates.extend((blk, frame, coords) for blk in blocks)
+    return _maximal(candidates)
+
+
+class TestSameDecompositionAsTheReference:
+    """The int-pair boundary walk and region-edge rule give every graph the
+    decompose document, boundary cycles and coordinates of the reference."""
+
+    @staticmethod
+    def corpus(monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import inputs
+        rng = random.Random(43)
+        graphs = [inputs.patch_chain(k, 1, rng)[0] for k in (1, 2, 8, 64)]
+        for n in range(6, 41):
+            g = random_lattice_subgraph(n, seed=n, require_2connected=True)
+            graphs += [g, rotated_free(g, rng.uniform(0.0, 2 * math.pi),
+                                       (rng.uniform(-9, 9), rng.uniform(-9, 9)))]
+        return graphs + [build_extremal(n) for n in (50, 200, 700)]
+
+    def test_same_documents(self, monkeypatch):
+        import matchstick.components as components
+        graphs = self.corpus(monkeypatch)
+        compared = 0
+        for tol in (1e-9, 1e-6, 0.05):
+            for g in graphs:
+                if not g.validate(tol=tol).ok:
+                    continue
+                got = decompose(g, tol)
+                with monkeypatch.context() as m:
+                    m.setattr(components, "_make_component", _reference_make_component)
+                    m.setattr(components, "_grow_all_seeds", _reference_grow_all_seeds)
+                    want = components._decompose(g, tol)
+                assert got.to_json() == want.to_json()
+                assert [(c.boundary_cycle, c.coords) for c in got.components] == \
+                       [(c.boundary_cycle, c.coords) for c in want.components]
+                compared += 1
+        assert compared == 3 * len(graphs)

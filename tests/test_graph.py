@@ -137,6 +137,10 @@ class TestConstruction:
         g = free_graph([(0, 0), (1, 0)], [(0, 1), (1, 0)])
         assert g.e == 1
 
+    def test_lattice_graph_rejects_a_repeated_point(self):
+        with pytest.raises(ValueError, match="^duplicate lattice points$"):
+            lattice_graph([E(0, 0), E(1, 0), E(0, 0)])
+
 
 class TestRotationSystem:
     def test_patch_center(self):
