@@ -18,7 +18,7 @@ from .census import check_harborth, face_census
 from .components import decompose
 from .graph import DEFAULT_TOL, ConsistencyError, MatchstickGraph, _field, _finite, _list, _loads
 from .isoperimetry import DirectionSet, check_classic, check_hexagonal, polygon
-from .lattice import BudgetError, harborth_bound
+from .lattice import harborth_bound
 from .oracle import max_area_rearrangement, max_edges_lattice
 from .render import render_svg
 from .trace import claim_trace
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(json.dumps({"consistency_error": str(exc)}), file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (BudgetError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 from . import geometry as geo
 from .census import face_census
-from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, LatticeCoord, MatchstickGraph,
-                    _canonical_rotation, _grow, _lattice_points, _norm_edge, _unit_edges,
-                    block_decomposition, connectivity, faces, lattice_graph)
+from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, MatchstickGraph, _canonical_rotation,
+                    _grow, _lattice_points, _norm_edge, _unit_edges, block_decomposition,
+                    connectivity, faces, lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
 
@@ -180,17 +180,6 @@ def _maximal(candidates):
         for e in edges:
             holders.setdefault(e, []).append(edges)
     return [c for edges, c in first.items() if not any(edges < d for d in holders[min(edges)])]
-
-
-def component_subgraph(comp: LatticeComponent) -> MatchstickGraph:
-    """The component as a standalone lattice-mode graph (original vertex ids)."""
-    vertices = [(vid, LatticeCoord(0, comp.coords[vid])) for vid in sorted(comp.vertices)]
-    sub = MatchstickGraph(vertices, comp.edges, frames=(comp.frame,))
-    report = sub.validate()
-    if not report.ok:
-        raise ConsistencyError(
-            f"lattice component failed exact validation: {report.violations[0]}")
-    return sub
 
 
 def _make_component(vset, eset, frame, coords) -> LatticeComponent:

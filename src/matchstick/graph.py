@@ -374,6 +374,11 @@ def _lattice_points(g: MatchstickGraph) -> dict:
     return {vid: c.point for vid, c in g.vertices}
 
 
+def _lattice_cartesian(g: MatchstickGraph) -> dict:
+    """Each vertex's frame-free point, for a lattice-mode graph; use through g._once."""
+    return {vid: c.point.cartesian() for vid, c in g.vertices}
+
+
 def _positions(g: MatchstickGraph) -> dict:
     return {vid: (c.x, c.y) if isinstance(c, FreeCoord) else g.frames[c.frame].to_cartesian(c.point)
             for vid, c in g.vertices}
@@ -586,9 +591,8 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
         max_coord = max(abs(c) for xy in g.positions().values() for c in xy)
         ulp = max_coord * 2.0 ** -52
         mode, below = "free", (ulp if ulp > tol else None)
-        path, pieces = "float", None
-        if g.edges and (max_coord + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL:
-            path, pieces = _lift_pieces(g, tol)
+        lift = (max_coord + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL
+        path, pieces = _lift_pieces(g, tol) if lift else ("float", None)
         violations = [] if path == "free-lift" else _validate_float(g, tol, penny_mode, pieces)
     violations.sort(key=lambda v: (v.kind, v.ids))
     return ValidationReport(ok=not violations, violations=tuple(violations), mode=mode, path=path,
@@ -615,18 +619,17 @@ def _lift_pieces(g: MatchstickGraph, tol: float):
 
     Each edge (a, b), in ascending order, whose length is within tol/2 of 1
     and that no piece lifts yet seeds a piece when b snaps to (1, 0) on the
-    frame with origin a and angle a -> b.  An edge off by more counts as
-    unlifted: at most rounding could let a piece lift it, and an unlifted edge
-    only sends more pairs to the float predicates.  The piece grows by
-    :func:`_grow` at slack tol/4 from the vertices no earlier piece holds;
-    those of earlier pieces may join it as leaves (the corner two patches
-    share).  So each vertex is grown from at most once: at most e + 2e snaps.
-    A piece lifting an edge is looked for among the pieces of the end fewer
-    pieces hold, so a star's centre, which hundreds hold, costs no more.
+    frame with origin a and angle a -> b.  An edge off by more is unlifted and
+    builds no frame (so a graph with no edge near unit length takes "float"):
+    at most rounding could let a piece lift it, and an unlifted edge only sends
+    more pairs to the float predicates.  The piece grows by :func:`_grow` at
+    slack tol/4 from the vertices no earlier piece holds; those of earlier
+    pieces may join it as leaves (the corner two patches share).  So each
+    vertex is grown from at most once: at most e + 2e snaps.  A piece lifting
+    an edge is looked for among the pieces of the end fewer pieces hold, so a
+    star's centre, which hundreds hold, costs no more.
     """
     pos = g.positions()
-    if not any(abs(math.dist(pos[a], pos[b]) - 1.0) <= tol / 2 for a, b in g.edges):
-        return "float", None  # no edge can seed a piece
     adj = g.adjacency()
     slack = tol / 4
     points = []  # each piece's vertex -> EisensteinPoint
@@ -708,8 +711,8 @@ def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
     def segment(p1, p2, q1, q2):
         return 0.0 if geo.segments_intersect(p1, p2, q1, q2) else math.inf
 
-    grid = {vid: c.point.cartesian() for vid, c in g.vertices}
     sp = {vid: c.point.scaled() for vid, c in g.vertices}
+    grid = g._once(_lattice_cartesian)
     return _violations(g, grid, sp, 0.0, penny_mode, dist, point_segment, segment)
 
 
@@ -770,11 +773,11 @@ def _violations(g: MatchstickGraph, grid: dict, pos: dict, tol: float, penny_mod
 
 
 def rotation_system(g: MatchstickGraph) -> dict:
-    """Neighbors of each vertex sorted counterclockwise by edge direction,
-    starting from the smallest angle in [0, 2*pi).  Requires a validated graph
-    (equal angles at a vertex would mean overlapping edges)."""
+    """Neighbors of each vertex sorted counterclockwise by edge direction from
+    the least angle in [0, 2*pi), in the lattice's own frame in lattice mode.
+    Requires a validated graph (equal angles would mean overlapping edges)."""
     g.require_validated()
-    pos = g.positions()
+    pos = g._once(_lattice_cartesian) if g.lattice_mode else g.positions()
     rot = {}
     for vid, nbrs in g.adjacency().items():
         x, y = pos[vid]
@@ -796,14 +799,19 @@ def faces(g: MatchstickGraph) -> FaceStructure:
 def _faces(g: MatchstickGraph) -> FaceStructure:
     """Walks start at vertices in ascending order, so a walked cycle starts at
     its smallest vertex and is canonical unless it passes that vertex twice;
-    only then is it rotated, and its shoelace sum taken again in that order."""
+    only then is it rotated, which keeps its shoelace terms.  They are summed on
+    a lattice-mode graph's frame-free points, or a free graph's positions less
+    its first vertex's, so an area does not cancel away far from the origin."""
     g.require_validated()
     if not connectivity(g).connected:
         raise ValueError("faces() requires a connected graph")
     if g.e == 0:
         return FaceStructure(faces=((),), outer_face_index=0)
     rot = rotation_system(g)
-    pos = g.positions()
+    pos = g._once(_lattice_cartesian) if g.lattice_mode else g.positions()
+    if not g.lattice_mode:
+        x0, y0 = pos[g.vertices[0][0]]
+        pos = {v: (x - x0, y - y0) for v, (x, y) in pos.items()}
     nxt = {}  # dart (u, v) -> the neighbour just clockwise of u around v
     for v, nbrs in rot.items():
         prev = nbrs[-1]
@@ -827,7 +835,6 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
                 continue  # the dart is on a face already walked
             if cycle.count(u0) > 1:
                 cycle = _canonical_rotation(cycle)
-                s = geo.shoelace2([pos[v] for v in cycle])
             if s < 0:
                 outer.append(len(cycles))
             cycles.append(tuple(cycle))

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from . import geometry as geo
-from .graph import ConsistencyError, MatchstickGraph, _point, boundary
+from .graph import ConsistencyError, MatchstickGraph, _lattice_cartesian, _point, boundary
 from .census import face_census
 
 SQRT3 = math.sqrt(3.0)
@@ -246,20 +246,18 @@ def hexagon_isoperimetric_check(h: Hexagon) -> bool:
 def graph_isoperimetric_audit(g: MatchstickGraph, report) -> dict:
     """Instantiate both inequalities on a graph's boundary polygon.
 
-    The area is bounded below by (sqrt(3)/4) * f_3 since every triangular
-    inner face is a unit equilateral triangle; that bound is asserted.  The
-    hexagonal inequality uses the largest lattice component's frame angle as
-    the direction base and the count of boundary edges of g off that
-    component's boundary as b_star (all unit edges, so count = length).  Both
-    bounds hold within CHECK_MARGIN * max(1, |larger side|).
+    The area is bounded below by (sqrt(3)/4) * f_3 since every triangular inner
+    face is a unit equilateral triangle; that bound is asserted.  The hexagonal
+    inequality uses the largest lattice component's frame angle as the
+    direction base and the count of boundary edges of g off that component's
+    boundary as b_star (all unit edges, so count = length).  Both bounds hold
+    within CHECK_MARGIN * max(1, |larger side|).  A lattice-mode graph's
+    polygon is on its frame-free points, so a far frame origin costs no area.
     """
     cycle, b = boundary(g)
-    pos = g.positions()
-    pts = [pos[v] for v in cycle]
-    if geo.shoelace2(pts) < 0:
-        pts.reverse()
+    pos = g._once(_lattice_cartesian) if g.lattice_mode else g.positions()
     census = face_census(g)
-    boundary_poly = polygon(pts)
+    boundary_poly = polygon([pos[v] for v in cycle])
     A = boundary_poly.area
     triangle_area = (SQRT3 / 4.0) * census.f3
     if not _at_most(triangle_area, A):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from pathlib import Path
@@ -6,9 +7,9 @@ import pytest
 
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from matchstick.census import face_census
-from matchstick.components import (component_boundary_check, component_subgraph,
-                                   decompose, fill_component)
-from matchstick.graph import (_NONE, DEFAULT_TOL, FreeCoord, MatchstickGraph, _canonical_rotation,
+from matchstick.components import component_boundary_check, decompose, fill_component
+from matchstick.graph import (_NONE, DEFAULT_TOL, FreeCoord, LatticeCoord, MatchstickGraph,
+                              _canonical_rotation,
                               _grow, _norm_edge, _unit_edges, block_decomposition, boundary,
                               connectivity, faces, free_graph, lattice_graph)
 from matchstick.lattice import (ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint,
@@ -22,6 +23,24 @@ E = EisensteinPoint
 def validated(g):
     assert g.validate().ok
     return g
+
+
+def component_graph(comp):
+    """The component as a standalone lattice-mode graph on its own frame (original
+    vertex ids), checked exactly: the reference its boundary walk is compared with."""
+    vertices = [(vid, LatticeCoord(0, comp.coords[vid])) for vid in sorted(comp.vertices)]
+    return validated(MatchstickGraph(vertices, comp.edges, frames=(comp.frame,)))
+
+
+@contextlib.contextmanager
+def building_no_graph(monkeypatch):
+    """Fails the test when the block constructs any MatchstickGraph."""
+    def built(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(MatchstickGraph, "__init__", built)
+        yield m
 
 
 def make_bowtie(angle_deg=17.0):
@@ -76,13 +95,11 @@ class TestDecompose:
     def test_whole_graph_component_reuses_graph_boundary(self, monkeypatch):
         # a 2-connected lattice graph is one block, so its component is the
         # graph itself and decompose takes the graph's own boundary
-        import matchstick.components as components
         g = validated(random_lattice_subgraph(40, seed=3, require_2connected=True))
-        with monkeypatch.context() as m:
-            m.setattr(components, "component_subgraph", None)
+        with building_no_graph(monkeypatch):
             comp = decompose(g).components[0]
         assert comp.vertices == frozenset(g.ids()) and comp.edges == g.edges
-        assert comp.boundary_cycle == tuple(boundary(component_subgraph(comp))[0])
+        assert comp.boundary_cycle == tuple(boundary(component_graph(comp))[0])
 
     def test_free_graph_on_one_lattice_reuses_graph_blocks_and_boundary(self, monkeypatch):
         # the first region grown on a rotated spiral holds all of it, so the
@@ -94,9 +111,8 @@ class TestDecompose:
         def recomputed(*args):
             raise AssertionError("decompose recomputed what g has cached")
 
-        with monkeypatch.context() as m:
+        with building_no_graph(monkeypatch) as m:
             m.setattr(components, "block_decomposition", recomputed)
-            m.setattr(components, "component_subgraph", recomputed)
             [comp] = decompose(g).components
         assert comp.vertices == frozenset(g.ids()) and comp.edges == g.edges
         assert comp.boundary_cycle == tuple(boundary(g)[0])
@@ -106,7 +122,6 @@ class TestDecompose:
         # 0-1 (each moved 0.25 along it) snap to points sqrt(3) apart: 0-1 is no
         # lattice step, so the cycle 0-1-2-3-4 is broken and only the unit
         # triangle 2-3-5 is a component
-        import matchstick.components as components
         s = math.sqrt(3) / 2
         o, a = (0.0, 0.0), (1.5, s)
         u = (0.25 * 1.5 / math.sqrt(3), 0.25 * s / math.sqrt(3))
@@ -114,8 +129,8 @@ class TestDecompose:
                   (2.0, 0.0), (1.5, -s), (0.5, -s), (2.5, -s)]
         g = free_graph(coords, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (3, 5)])
         assert g.validate(tol=0.3).ok
-        monkeypatch.setattr(components, "component_subgraph", None)
-        [comp] = decompose(g, tol=0.3).components
+        with building_no_graph(monkeypatch):
+            [comp] = decompose(g, tol=0.3).components
         assert comp.vertices == {2, 3, 5} and comp.edges == {(2, 3), (2, 5), (3, 5)}
 
     def test_free_graph_a_quarter_off_its_lattice_takes_the_lattice_boundary(self):
@@ -126,7 +141,7 @@ class TestDecompose:
         g = free_graph(coords, sorted(lat.edges))
         assert g.validate(tol=0.3).ok
         [comp] = decompose(g, tol=0.3).components
-        assert comp.boundary_cycle == tuple(boundary(component_subgraph(comp))[0])
+        assert comp.boundary_cycle == tuple(boundary(component_graph(comp))[0])
 
     @pytest.mark.parametrize("tol", [0.05, 0.3])
     def test_noisy_free_spiral_is_one_component(self, tol):
@@ -262,7 +277,7 @@ class TestFillComponent:
             comp = decompose(g).components[0]
             filled = validated(fill_component(comp))
             assert filled.n >= comp.n_i
-            sub = component_subgraph(comp)
+            sub = component_graph(comp)
             cyc_before, b_before = boundary(sub)
             cyc_after, b_after = boundary(filled)
             # identical frame and exact lattice coords: positions match bitwise
@@ -588,36 +603,25 @@ class TestBoundaryWalk:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.05, 0.1, 0.3, 0.45])
     def test_boundary_is_the_rebuilt_components_outer_face(self, tol, monkeypatch):
-        # decompose never rebuilds a component, so the exact check of each
-        # component (component_subgraph raises unless it validates) is made here
-        import matchstick.components as components
-
-        def rebuilt(comp):
-            raise AssertionError("decompose rebuilt a component")
-
+        # decompose builds no graph, so the exact check of each component
+        # (component_graph asserts that it validates) is made here
         checked = 0
         for g in self.corpus():
             if not g.validate(tol=tol).ok:
                 continue
-            with monkeypatch.context() as m:
-                m.setattr(components, "component_subgraph", rebuilt)
+            with building_no_graph(monkeypatch):
                 report = decompose(g, tol)
             claim_trace(g, tol)
             for comp in report.components:
-                cycle, b = boundary(component_subgraph(comp))
+                cycle, b = boundary(component_graph(comp))
                 assert (comp.boundary_cycle, comp.b_i) == (tuple(cycle), b)
                 checked += 1
         assert checked >= 40
 
     def test_chain_decomposes_without_rebuilding_a_component(self, monkeypatch):
-        import matchstick.components as components
         g = validated(patch_chain(8, 1, random.Random(5)))
-
-        def rebuilt(comp):
-            raise AssertionError("decompose rebuilt a component")
-
-        monkeypatch.setattr(components, "component_subgraph", rebuilt)
-        report = decompose(g)
+        with building_no_graph(monkeypatch):
+            report = decompose(g)
         assert [c.n_i for c in report.components] == [7] * 8
 
 
