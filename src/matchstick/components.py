@@ -10,10 +10,13 @@ unit step.  Only a region's unit-step edges count, so no component needs
 validating again.  Growth stops once a region covers g with unit steps only:
 every later seed lies in it, so components are g's blocks on >= 3 vertices.
 
-A component's boundary is walked on its lattice points: unit lattice edges
-point at frame.angle + k * 60 degrees, so the counterclockwise order faces()
-sorts by angle is the order of the direction index k of each (m, n) step, and
-its next-dart rule from the lowest, then leftmost point gives the outer face.
+A component's boundary is walked on its lattice points by the next-direction
+rule of the lattice-mode face walk in faces(): a step arriving along
+direction k goes on in the first direction of k+2, k+1, ..., k-3 (mod 6)
+with an edge, the neighbour just clockwise of the way back.  From the lowest,
+then leftmost point that gives the outer face.  The two walks look their
+neighbours up differently (a component's by point, among its block's edges;
+a graph's in per-vertex direction slots), so they share no code.
 
 No two components share an edge: a shared edge would force a common lattice
 and the union would be a larger 2-connected subgraph on it.

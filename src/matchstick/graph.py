@@ -374,11 +374,6 @@ def _lattice_points(g: MatchstickGraph) -> dict:
     return {vid: c.point for vid, c in g.vertices}
 
 
-def _lattice_cartesian(g: MatchstickGraph) -> dict:
-    """Each vertex's frame-free point, for a lattice-mode graph; use through g._once."""
-    return {vid: c.point.cartesian() for vid, c in g.vertices}
-
-
 def _positions(g: MatchstickGraph) -> dict:
     return {vid: (c.x, c.y) if isinstance(c, FreeCoord) else g.frames[c.frame].to_cartesian(c.point)
             for vid, c in g.vertices}
@@ -712,7 +707,7 @@ def _validate_exact_generic(g: MatchstickGraph, penny_mode: bool):
         return 0.0 if geo.segments_intersect(p1, p2, q1, q2) else math.inf
 
     sp = {vid: c.point.scaled() for vid, c in g.vertices}
-    grid = g._once(_lattice_cartesian)
+    grid = {vid: c.point.cartesian() for vid, c in g.vertices}
     return _violations(g, grid, sp, 0.0, penny_mode, dist, point_segment, segment)
 
 
@@ -774,10 +769,15 @@ def _violations(g: MatchstickGraph, grid: dict, pos: dict, tol: float, penny_mod
 
 def rotation_system(g: MatchstickGraph) -> dict:
     """Neighbors of each vertex sorted counterclockwise by edge direction from
-    the least angle in [0, 2*pi), in the lattice's own frame in lattice mode.
-    Requires a validated graph (equal angles would mean overlapping edges)."""
+    the least angle in [0, 2*pi).  In lattice mode these are the occupied
+    direction slots in index order (direction k lies at k * 60 degrees in the
+    lattice's own frame); in free mode they are sorted by ``atan2``.  Requires
+    a validated graph (equal angles would mean overlapping edges)."""
     g.require_validated()
-    pos = g._once(_lattice_cartesian) if g.lattice_mode else g.positions()
+    if g.lattice_mode:
+        return {vid: tuple(u for u in slots if u is not None)
+                for vid, slots in g._once(_lattice_darts).items()}
+    pos = g.positions()
     rot = {}
     for vid, nbrs in g.adjacency().items():
         x, y = pos[vid]
@@ -786,32 +786,98 @@ def rotation_system(g: MatchstickGraph) -> dict:
     return rot
 
 
+def _lattice_darts(g: MatchstickGraph) -> dict:
+    """Each vertex's six direction slots: slot k holds the neighbour one
+    ``UNIT_RING[k]`` step away, or None.  For a validated lattice-mode graph,
+    whose edges all have Eisenstein norm 1; use through g._once."""
+    points = g._once(_lattice_points)
+    slots = {}
+    for v, nbrs in g.adjacency().items():  # in vertex order, which keeps memory reads local
+        m, n = points[v]
+        row = slots[v] = [None] * 6
+        for u in nbrs:
+            mu, nu = points[u]
+            row[UNIT_STEP_INDEX[(mu - m, nu - n)]] = u
+    return slots
+
+
 def faces(g: MatchstickGraph) -> FaceStructure:
     """Face cycles by the next-dart rule: at the head of dart (u, v) continue to
     the neighbor immediately clockwise of u around v.  Inner faces come out
-    counterclockwise; the outer face is the unique clockwise one (negative
-    shoelace sum over its closed walk), found during the walk.  Each cycle is
-    its lexicographically least rotation, so it starts at its smallest vertex.
+    counterclockwise; the outer face is the unique clockwise one, found during
+    the walk: in lattice mode by an integer turn sum of -6 (an inner face's is
+    +6), in free mode by a negative float shoelace sum.  Each cycle is its
+    lexicographically least rotation, so it starts at its smallest vertex.
     Computed once per graph."""
     return g._once(_faces)
 
 
 def _faces(g: MatchstickGraph) -> FaceStructure:
-    """Walks start at vertices in ascending order, so a walked cycle starts at
-    its smallest vertex and is canonical unless it passes that vertex twice;
-    only then is it rotated, which keeps its shoelace terms.  They are summed on
-    a lattice-mode graph's frame-free points, or a free graph's positions less
-    its first vertex's, so an area does not cancel away far from the origin."""
+    """Walks start at vertices in ascending order, and at each vertex in
+    ascending direction, so a walked cycle starts at its smallest vertex and is
+    canonical unless it passes that vertex twice; only then is it rotated.  A
+    lattice-mode graph is walked on darts (vertex, direction index) with no
+    float; a free graph's shoelace sums run on its positions less its first
+    vertex's, so an area does not cancel away far from the origin."""
     g.require_validated()
     if not connectivity(g).connected:
         raise ValueError("faces() requires a connected graph")
     if g.e == 0:
         return FaceStructure(faces=((),), outer_face_index=0)
+    cycles, outer = _lattice_walk(g) if g.lattice_mode else _free_walk(g)
+    if len(cycles) > 1 and len(outer) != 1:
+        raise ConsistencyError(f"expected exactly one clockwise face, found {len(outer)}")
+    total = sum(len(c) for c in cycles)
+    if total != 2 * g.e:
+        raise ConsistencyError(f"dart count {total} != 2e = {2 * g.e}")
+    return FaceStructure(faces=tuple(cycles), outer_face_index=outer[0] if len(cycles) > 1 else 0)
+
+
+def _lattice_walk(g: MatchstickGraph):
+    """The face cycles of a lattice-mode graph and the indices of those whose
+    turn sum is negative, walked on its direction slots.  A dart arriving
+    along direction k goes on in the first occupied direction k + d for d =
+    2, 1, 0, -1, -2, -3 (immediately clockwise of the way back first), and d
+    is its turn in sixths of a circle: a U-turn at a leaf turns clockwise.
+    An inner face's turns sum to +6, the outer face's to -6."""
+    slots = g._once(_lattice_darts)
+    left = {v: list(s) for v, s in slots.items()}  # the darts not walked yet
+    cycles = []
+    outer = []
+    for u0 in sorted(slots):
+        row0 = left[u0]
+        for k0 in range(6):
+            if row0[k0] is None:
+                continue  # no edge, or the dart is on a face already walked
+            cycle = []
+            turn = 0
+            u, k, row = u0, k0, row0
+            while (v := row[k]) is not None:
+                row[k] = None
+                cycle.append(u)
+                s = slots[v]
+                for d in (2, 1, 0, -1, -2, -3):
+                    j = (k + d) % 6
+                    if s[j] is not None:
+                        break
+                turn += d
+                u, k, row = v, j, left[v]
+            if cycle.count(u0) > 1:
+                cycle = _canonical_rotation(cycle)
+            if turn < 0:
+                outer.append(len(cycles))
+            cycles.append(tuple(cycle))
+    return cycles, outer
+
+
+def _free_walk(g: MatchstickGraph):
+    """The face cycles of a free graph and the indices of those whose
+    shoelace sum is negative, walked on a next-dart map from its rotation
+    system; a rotated cycle keeps its shoelace terms."""
     rot = rotation_system(g)
-    pos = g._once(_lattice_cartesian) if g.lattice_mode else g.positions()
-    if not g.lattice_mode:
-        x0, y0 = pos[g.vertices[0][0]]
-        pos = {v: (x - x0, y - y0) for v, (x, y) in pos.items()}
+    pos = g.positions()
+    x0, y0 = pos[g.vertices[0][0]]
+    pos = {v: (x - x0, y - y0) for v, (x, y) in pos.items()}
     nxt = {}  # dart (u, v) -> the neighbour just clockwise of u around v
     for v, nbrs in rot.items():
         prev = nbrs[-1]
@@ -838,12 +904,7 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
             if s < 0:
                 outer.append(len(cycles))
             cycles.append(tuple(cycle))
-    if len(cycles) > 1 and len(outer) != 1:
-        raise ConsistencyError(f"expected exactly one clockwise face, found {len(outer)}")
-    total = sum(len(c) for c in cycles)
-    if total != 2 * g.e:
-        raise ConsistencyError(f"dart count {total} != 2e = {2 * g.e}")
-    return FaceStructure(faces=tuple(cycles), outer_face_index=outer[0] if len(cycles) > 1 else 0)
+    return cycles, outer
 
 
 def _canonical_rotation(cycle):

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from . import geometry as geo
-from .graph import ConsistencyError, MatchstickGraph, _lattice_cartesian, _point, boundary
+from .graph import ConsistencyError, MatchstickGraph, _lattice_points, _point, boundary
 from .census import face_census
 
 SQRT3 = math.sqrt(3.0)
@@ -252,12 +252,20 @@ def graph_isoperimetric_audit(g: MatchstickGraph, report) -> dict:
     direction base and the count of boundary edges of g off that component's
     boundary as b_star (all unit edges, so count = length).  Both bounds hold
     within CHECK_MARGIN * max(1, |larger side|).  A lattice-mode graph's
-    polygon is on its frame-free points, so a far frame origin costs no area.
+    polygon is on its frame-free points less the first boundary vertex's,
+    taken in integers, so neither a far frame origin nor far lattice
+    coordinates cost any area.
     """
     cycle, b = boundary(g)
-    pos = g._once(_lattice_cartesian) if g.lattice_mode else g.positions()
+    if g.lattice_mode:
+        points = g._once(_lattice_points)
+        p0 = points[cycle[0]]
+        corners = [(points[v] - p0).cartesian() for v in cycle]
+    else:
+        pos = g.positions()
+        corners = [pos[v] for v in cycle]
     census = face_census(g)
-    boundary_poly = polygon([pos[v] for v in cycle])
+    boundary_poly = polygon(corners)
     A = boundary_poly.area
     triangle_area = (SQRT3 / 4.0) * census.f3
     if not _at_most(triangle_area, A):

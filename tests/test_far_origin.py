@@ -1,11 +1,12 @@
 """Valid graphs far from the origin keep their faces.
 
-The face walk sums its areas on the lattice's own points for a lattice-mode
-graph, and on positions relative to one vertex for a free graph, so a unit
-face's area does not cancel away when the coordinates are large.  A lattice
-graph's analysis does not depend on its frame: ``stats``, ``decompose`` and
-``trace`` give the same JSON at any frame origin and angle, but for the
-components' frame.
+The face walk of a lattice-mode graph reads only the direction of each edge's
+(m, n) step and orients its faces by an integer turn sum, and that of a free
+graph sums its areas on positions relative to one vertex, so a unit face's
+area does not cancel away when the coordinates are large.  A lattice graph's
+analysis depends neither on its frame nor on where its points are: ``stats``,
+``decompose`` and ``trace`` give the same JSON at any frame origin and angle,
+but for the components' frame, and at any lattice coordinates.
 """
 
 import json
@@ -16,9 +17,9 @@ import pytest
 from matchstick.builders import build_extremal, random_lattice_subgraph
 from matchstick.cli import main
 from matchstick.components import decompose
-from matchstick.graph import MatchstickGraph
+from matchstick.graph import LatticeCoord, MatchstickGraph
 from matchstick.isoperimetry import graph_isoperimetric_audit
-from matchstick.lattice import LatticeFrame
+from matchstick.lattice import EisensteinPoint, LatticeFrame
 from test_validation_oracle import rotated_free
 
 ORIGINS = [1e8, 1e15, 2.0 ** 60, 1e100]
@@ -28,11 +29,24 @@ LATTICE_GRAPHS = {
     "spiral-1000": lambda: build_extremal(1000),
     "random-40": lambda: random_lattice_subgraph(40, seed=2, require_2connected=True),
 }
+# lattice coordinate shifts up to the largest from_json accepts, less the graphs' extent
+SHIFTS = [2 ** 30, 2 ** 40, 2 ** 52]
+SHIFTED_GRAPHS = {
+    "spiral-200": lambda: build_extremal(200),
+    "random-40": LATTICE_GRAPHS["random-40"],
+}
 
 
 def reframed(g: MatchstickGraph, origin: float, angle: float) -> MatchstickGraph:
     """g's lattice points on the frame with origin (origin, origin) and ``angle``."""
     return MatchstickGraph(g.vertices, g.edges, frames=(LatticeFrame((origin, origin), angle),))
+
+
+def shifted(g: MatchstickGraph, s: int) -> MatchstickGraph:
+    """g with every lattice point moved by (s, -s) in (m, n), on g's frame."""
+    vertices = [(vid, LatticeCoord(c.frame, EisensteinPoint(c.point.m + s, c.point.n - s)))
+                for vid, c in g.vertices]
+    return MatchstickGraph(vertices, g.edges, g.frames)
 
 
 def outputs(g: MatchstickGraph, tmp_path, capsys, tol: float = 1e-9) -> dict:
@@ -58,6 +72,26 @@ def outputs(g: MatchstickGraph, tmp_path, capsys, tol: float = 1e-9) -> dict:
 def test_lattice_graph_has_its_origin_outputs(name, origin, angle, tmp_path, capsys):
     g = LATTICE_GRAPHS[name]()
     assert outputs(reframed(g, origin, angle), tmp_path, capsys) == outputs(g, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("s", SHIFTS)
+@pytest.mark.parametrize("name", SHIFTED_GRAPHS)
+def test_far_lattice_coordinates_keep_their_outputs(name, s, tmp_path, capsys):
+    g = SHIFTED_GRAPHS[name]()
+    far = shifted(g, s)
+    assert outputs(far, tmp_path, capsys) == outputs(g, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("s", SHIFTS)
+@pytest.mark.parametrize("name", SHIFTED_GRAPHS)
+def test_far_lattice_coordinates_keep_their_audit(name, s):
+    # the boundary polygon is taken relative to its first corner's lattice
+    # point, in integers, so the audit is bit-identical at any coordinates
+    g = SHIFTED_GRAPHS[name]()
+    far = shifted(g, s)
+    assert g.validate().ok and far.validate().ok
+    rec, far_rec = (graph_isoperimetric_audit(h, decompose(h)) for h in (g, far))
+    assert far_rec == rec
 
 
 @pytest.mark.parametrize("n", [19, 2000])

@@ -14,7 +14,7 @@ from matchstick.builders import build_extremal, build_hexagon_patch, random_latt
 from matchstick.graph import (DEFAULT_TOL, ConsistencyError, FreeCoord, MatchstickGraph,
                               ValidationReport, Violation, _candidates, boundary, connectivity,
                               faces, free_graph, lattice_graph, rotation_system)
-from matchstick.lattice import EisensteinPoint, eisenstein_norm, harborth_bound
+from matchstick.lattice import UNIT_RING, EisensteinPoint, eisenstein_norm, harborth_bound
 from test_validation_oracle import rotated_free
 
 E = EisensteinPoint
@@ -337,12 +337,80 @@ def _patch_chain(k):
     return inputs.patch_chain(k, 1, random.Random(5))[0]
 
 
+def _free_steps(p, points):
+    """The unit steps from p to lattice points not in ``points``."""
+    return [d for d in UNIT_RING if p + d not in points]
+
+
+def _lattice_path(n, seed):
+    """A self-avoiding lattice walk of up to n vertices, with only its own edges."""
+    rng = random.Random(seed)
+    pts = [E(0, 0)]
+    while len(pts) < n and (steps := _free_steps(pts[-1], set(pts))):
+        pts.append(pts[-1] + rng.choice(steps))
+    return lattice_graph(pts, edges=[(i, i + 1) for i in range(len(pts) - 1)])
+
+
+def _lattice_tree(n, seed):
+    """A random lattice tree: each new vertex hangs on a random earlier one."""
+    rng = random.Random(seed)
+    pts, edges = [E(0, 0)], []
+    while len(pts) < n:
+        i = rng.randrange(len(pts))
+        if steps := _free_steps(pts[i], set(pts)):
+            edges.append((i, len(pts)))
+            pts.append(pts[i] + rng.choice(steps))
+    return lattice_graph(pts, edges=edges)
+
+
+def _cactus(n, seed):
+    """Unit triangles and pendant edges hung on random earlier vertices until
+    there are at least n vertices, so most vertices they hang on are cut vertices."""
+    rng = random.Random(seed)
+    pts, edges = [E(0, 0)], []
+    while len(pts) < n:
+        i = rng.randrange(len(pts))
+        steps = _free_steps(pts[i], set(pts))
+        wedges = [(d, d.rot60()) for d in steps if d.rot60() in steps]
+        a = len(pts)
+        if wedges and rng.random() < 0.6:
+            d, d2 = rng.choice(wedges)
+            pts += [pts[i] + d, pts[i] + d2]
+            edges += [(i, a), (a, a + 1), (a + 1, i)]
+        elif steps:
+            pts.append(pts[i] + rng.choice(steps))
+            edges.append((i, a))
+    return lattice_graph(pts, edges=edges)
+
+
+def _thinned(n, seed):
+    """random_lattice_subgraph(n, seed) less about a third of its edges, drawn
+    at random, each kept when deleting it would disconnect the graph."""
+    rng = random.Random(seed)
+    g = random_lattice_subgraph(n, seed)
+    pts = [g.coord(v).point for v in g.ids()]
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    kept = set(edges)
+    for e in edges[:len(edges) // 3]:
+        kept.discard(e)
+        if not connectivity(lattice_graph(pts, edges=kept)).connected:
+            kept.add(e)
+    return lattice_graph(pts, edges=kept)
+
+
 def _face_graphs():
     out = [(f"spiral-{n}", lambda n=n: build_extremal(n)) for n in (3, 7, 19, 100, 500)]
     out += [(f"random-{n}-{seed}", lambda n=n, seed=seed: random_lattice_subgraph(n, seed))
             for n in (4, 9, 25, 60) for seed in range(6)]
     out += [("star", _star), ("dumbbell", _dumbbell), ("bowtie", _bowtie),
-            ("path", lambda: lattice_graph([E(0, 0), E(1, 0), E(2, 0)], edges=[(0, 1), (1, 2)]))]
+            ("path", lambda: lattice_graph([E(0, 0), E(1, 0), E(2, 0)], edges=[(0, 1), (1, 2)])),
+            ("edge", lambda: lattice_graph([E(0, 0), E(1, 0)]))]
+    for make in (_lattice_path, _lattice_tree, _cactus):
+        out += [(f"{make.__name__[1:]}-{n}-{seed}", lambda make=make, n=n, seed=seed: make(n, seed))
+                for n in (5, 30) for seed in range(4)]
+    out += [(f"thinned-{n}-{seed}", lambda n=n, seed=seed: _thinned(n, seed))
+            for n in (12, 40) for seed in range(4)]
     for k in range(7):  # frame angles on and 1e-12 off the lattice directions k * pi/3
         for off in (0.0, 1e-12, -1e-12, 3e-13):
             out.append((f"rotated-{k}pi/3{off:+g}", lambda a=k * math.pi / 3 + off:
@@ -369,10 +437,12 @@ class TestFaceWalkDifferential:
 
 
 class TestFaceChecks:
-    """The two ConsistencyError checks of the face walk fire on a broken rotation."""
+    """The two ConsistencyError checks of the face walk fire on broken
+    direction data: a broken rotation system on free copies, whose walk reads
+    it, and broken direction slots on the lattice-mode graphs themselves."""
 
     def test_reversed_rotation_at_one_vertex_gives_two_clockwise_faces(self, monkeypatch):
-        g = _bowtie()
+        g = rotated_free(_bowtie(), 0.3, (0.0, 0.0))
         assert g.validate().ok
         rot = rotation_system(g)
         assert len(rot[0]) == 4
@@ -383,11 +453,31 @@ class TestFaceChecks:
     def test_walk_that_misses_darts_fails_the_dart_count(self, monkeypatch):
         # the star's centre loses leaf 3 from its rotation, so no walk uses the
         # darts between them: one face of 4 darts, not 6
-        g = _star()
+        g = rotated_free(_star(), 0.3, (0.0, 0.0))
         assert g.validate().ok
         rot = rotation_system(g)
         monkeypatch.setattr(graph, "rotation_system",
                             lambda h: {**rot, 0: tuple(u for u in rot[0] if u != 3)})
+        with pytest.raises(ConsistencyError, match=r"dart count 4 != 2e = 6"):
+            faces(g)
+
+    def test_reversed_slots_at_one_vertex_give_two_clockwise_faces(self, monkeypatch):
+        g = _bowtie()
+        assert g.validate().ok
+        slots = graph._lattice_darts(g)
+        assert sum(u is not None for u in slots[0]) == 4
+        monkeypatch.setattr(graph, "_lattice_darts", lambda h: {**slots, 0: slots[0][::-1]})
+        with pytest.raises(ConsistencyError, match="exactly one clockwise face, found 2"):
+            faces(g)
+
+    def test_lattice_walk_that_misses_darts_fails_the_dart_count(self, monkeypatch):
+        # the star's centre and leaf 3 lose their slots to each other, so no
+        # walk uses the darts between them: one face of 4 darts, not 6
+        g = _star()
+        assert g.validate().ok
+        slots = graph._lattice_darts(g)
+        cut = {0: [None if u == 3 else u for u in slots[0]], 3: [None] * 6}
+        monkeypatch.setattr(graph, "_lattice_darts", lambda h: {**slots, **cut})
         with pytest.raises(ConsistencyError, match=r"dart count 4 != 2e = 6"):
             faces(g)
 
