@@ -131,13 +131,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_render(args) -> int:
     g = _load_graph(args.file)
-    dec = None
-    if g.validate().ok:
-        try:
-            dec = decompose(g)
-        except ValueError:
-            pass
-    svg = render_svg(g, dec)
+    svg = render_svg(g, decompose(g) if g.validate().ok else None)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return EXIT_OK
@@ -151,15 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="matchstick",
                                  description="Matchstick-graph toolbox")
     sub = ap.add_subparsers(dest="command", required=True)
+    graph = argparse.ArgumentParser(add_help=False)  # the options of a graph-reading command
+    graph.add_argument("file")
+    graph.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = sub.add_parser("validate", help="geometric validation report")
-    p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p = sub.add_parser("validate", parents=[graph], help="geometric validation report")
     p.add_argument("--penny", action="store_true")
 
-    p = sub.add_parser("stats", help="face census and edge-bound check")
-    p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_parser("stats", parents=[graph], help="face census and edge-bound check")
 
     p = sub.add_parser("bound", help="max edges of an n-vertex matchstick graph")
     p.add_argument("n", type=int)
@@ -170,18 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--two-connected", action="store_true")
 
-    p = sub.add_parser("decompose", help="lattice-component decomposition")
-    p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_parser("decompose", parents=[graph], help="lattice-component decomposition")
 
     p = sub.add_parser("iso", help="isoperimetric inequality checks")
     p.add_argument("variant", choices=["classic", "hex"])
     p.add_argument("file")
     p.add_argument("--theta0", type=float, default=0.0)
 
-    p = sub.add_parser("trace", help="diagnostic claim trace")
-    p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_parser("trace", parents=[graph], help="diagnostic claim trace")
 
     p = sub.add_parser("oracle", help="brute-force oracles")
     osub = p.add_subparsers(dest="mode", required=True)

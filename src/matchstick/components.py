@@ -212,9 +212,10 @@ def _make_component(vset, eset, frame, coords) -> LatticeComponent:
 
 def component_boundary_check(comp: LatticeComponent):
     """b_i >= phi(n_i) holds unconditionally for 2-connected lattice subgraphs
-    (fill the boundary polygon with lattice points and apply the edge bound)."""
+    (fill the boundary polygon with lattice points and apply the edge bound).
+    Decided on integers, as (b_i + 3)**2 >= 12 n_i - 3, since b_i + 3 > 0."""
     target = phi(comp.n_i)
-    holds = comp.b_i >= target - 1e-9
+    holds = (comp.b_i + 3) ** 2 >= 12 * comp.n_i - 3
     if not holds:
         raise ConsistencyError(
             f"component boundary bound failed: b_i={comp.b_i} < phi({comp.n_i})={target}")

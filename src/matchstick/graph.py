@@ -804,27 +804,36 @@ def _lattice_darts(g: MatchstickGraph) -> dict:
 def faces(g: MatchstickGraph) -> FaceStructure:
     """Face cycles by the next-dart rule: at the head of dart (u, v) continue to
     the neighbor immediately clockwise of u around v.  Inner faces come out
-    counterclockwise; the outer face is the unique clockwise one, found during
-    the walk: in lattice mode by an integer turn sum of -6 (an inner face's is
-    +6), in free mode by a negative float shoelace sum.  Each cycle is its
-    lexicographically least rotation, so it starts at its smallest vertex.
-    Computed once per graph."""
+    counterclockwise; the outer face is the unique clockwise one, the face
+    whose orientation sum is negative: in lattice mode an integer turn sum of
+    -6 (an inner face's is +6), in free mode a float shoelace sum.  Each cycle
+    is its lexicographically least rotation, so it starts at its smallest
+    vertex.  Computed once per graph."""
     return g._once(_faces)
 
 
 def _faces(g: MatchstickGraph) -> FaceStructure:
-    """Walks start at vertices in ascending order, and at each vertex in
-    ascending direction, so a walked cycle starts at its smallest vertex and is
-    canonical unless it passes that vertex twice; only then is it rotated.  A
-    lattice-mode graph is walked on darts (vertex, direction index) with no
-    float; a free graph's shoelace sums run on its positions less its first
-    vertex's, so an area does not cancel away far from the origin."""
+    """The per-face rules of both walks, which only walk and pass each face
+    to ``add`` as (cycle, orientation sum): the outer face is the one whose
+    sum is negative.  Walks start at vertices in ascending order, and at each
+    vertex in ascending direction, so a cycle starts at its smallest vertex
+    and is canonical unless it passes that vertex twice, when it is rotated."""
     g.require_validated()
     if not connectivity(g).connected:
         raise ValueError("faces() requires a connected graph")
     if g.e == 0:
         return FaceStructure(faces=((),), outer_face_index=0)
-    cycles, outer = _lattice_walk(g) if g.lattice_mode else _free_walk(g)
+    cycles = []
+    outer = []
+
+    def add(cycle, s):
+        if cycle.count(cycle[0]) > 1:
+            cycle = _canonical_rotation(cycle)
+        if s < 0:
+            outer.append(len(cycles))
+        cycles.append(tuple(cycle))
+
+    (_lattice_walk if g.lattice_mode else _free_walk)(g, add)
     if len(cycles) > 1 and len(outer) != 1:
         raise ConsistencyError(f"expected exactly one clockwise face, found {len(outer)}")
     total = sum(len(c) for c in cycles)
@@ -833,17 +842,15 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
     return FaceStructure(faces=tuple(cycles), outer_face_index=outer[0] if len(cycles) > 1 else 0)
 
 
-def _lattice_walk(g: MatchstickGraph):
-    """The face cycles of a lattice-mode graph and the indices of those whose
-    turn sum is negative, walked on its direction slots.  A dart arriving
-    along direction k goes on in the first occupied direction k + d for d =
-    2, 1, 0, -1, -2, -3 (immediately clockwise of the way back first), and d
-    is its turn in sixths of a circle: a U-turn at a leaf turns clockwise.
-    An inner face's turns sum to +6, the outer face's to -6."""
+def _lattice_walk(g: MatchstickGraph, add):
+    """Passes each face of a lattice-mode graph to ``add`` as (cycle, turn
+    sum), walked on its direction slots with no float.  A dart arriving along
+    direction k goes on in the first occupied direction k + d for d = 2, 1,
+    0, -1, -2, -3 (immediately clockwise of the way back first), and d is
+    its turn in sixths of a circle: a U-turn at a leaf turns clockwise.  An
+    inner face's turns sum to +6, the outer face's to -6."""
     slots = g._once(_lattice_darts)
     left = {v: list(s) for v, s in slots.items()}  # the darts not walked yet
-    cycles = []
-    outer = []
     for u0 in sorted(slots):
         row0 = left[u0]
         for k0 in range(6):
@@ -862,18 +869,14 @@ def _lattice_walk(g: MatchstickGraph):
                         break
                 turn += d
                 u, k, row = v, j, left[v]
-            if cycle.count(u0) > 1:
-                cycle = _canonical_rotation(cycle)
-            if turn < 0:
-                outer.append(len(cycles))
-            cycles.append(tuple(cycle))
-    return cycles, outer
+            add(cycle, turn)
 
 
-def _free_walk(g: MatchstickGraph):
-    """The face cycles of a free graph and the indices of those whose
-    shoelace sum is negative, walked on a next-dart map from its rotation
-    system; a rotated cycle keeps its shoelace terms."""
+def _free_walk(g: MatchstickGraph, add):
+    """Passes each face of a free graph to ``add`` as (cycle, shoelace sum),
+    walked on a next-dart map from its rotation system.  The sums run on its
+    positions less its first vertex's, so an area does not cancel away far
+    from the origin."""
     rot = rotation_system(g)
     pos = g.positions()
     x0, y0 = pos[g.vertices[0][0]]
@@ -884,8 +887,6 @@ def _free_walk(g: MatchstickGraph):
         for u in nbrs:
             nxt[(u, v)] = prev
             prev = u
-    cycles = []
-    outer = []
     for u0 in sorted(rot):
         for v0 in rot[u0]:
             cycle = []
@@ -897,14 +898,8 @@ def _free_walk(g: MatchstickGraph):
                 xv, yv = pos[v]
                 s += xu * yv - xv * yu
                 u, v, xu, yu = v, w, xv, yv
-            if not cycle:
-                continue  # the dart is on a face already walked
-            if cycle.count(u0) > 1:
-                cycle = _canonical_rotation(cycle)
-            if s < 0:
-                outer.append(len(cycles))
-            cycles.append(tuple(cycle))
-    return cycles, outer
+            if cycle:  # else the dart is on a face already walked
+                add(cycle, s)
 
 
 def _canonical_rotation(cycle):

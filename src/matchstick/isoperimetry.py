@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from . import geometry as geo
 from .graph import ConsistencyError, MatchstickGraph, _lattice_points, _point, boundary
 from .census import face_census
+from .lattice import SQRT3
 
-SQRT3 = math.sqrt(3.0)
 HEX_COEFF = 2.0 / SQRT3 - 1.0
 DEFAULT_ANGLE_TOL = 1e-9
 CHECK_MARGIN = 1e-9  # relative: see _at_most
@@ -251,10 +251,10 @@ def graph_isoperimetric_audit(g: MatchstickGraph, report) -> dict:
     inequality uses the largest lattice component's frame angle as the
     direction base and the count of boundary edges of g off that component's
     boundary as b_star (all unit edges, so count = length).  Both bounds hold
-    within CHECK_MARGIN * max(1, |larger side|).  A lattice-mode graph's
-    polygon is on its frame-free points less the first boundary vertex's,
-    taken in integers, so neither a far frame origin nor far lattice
-    coordinates cost any area.
+    within CHECK_MARGIN * max(1, |larger side|).  The polygon's corners are
+    positions less the first boundary vertex's, as in the free face walk; a
+    lattice-mode graph's are its frame-free points, taken in integers, so
+    neither a far frame origin nor far lattice coordinates cost any area.
     """
     cycle, b = boundary(g)
     if g.lattice_mode:
@@ -263,7 +263,8 @@ def graph_isoperimetric_audit(g: MatchstickGraph, report) -> dict:
         corners = [(points[v] - p0).cartesian() for v in cycle]
     else:
         pos = g.positions()
-        corners = [pos[v] for v in cycle]
+        x0, y0 = pos[cycle[0]]
+        corners = [(pos[v][0] - x0, pos[v][1] - y0) for v in cycle]
     census = face_census(g)
     boundary_poly = polygon(corners)
     A = boundary_poly.area

@@ -182,12 +182,9 @@ def _exhaustive_profile(n_max: int):
 
 def max_edges_lattice(n: int):
     """Exact maximum unit-edge count over connected n-point lattice subsets,
-    with a witness set in canonical form."""
-    if not 1 <= n <= MAX_ORACLE_N:
-        raise BudgetError(f"exhaustive search limited to 1 <= n <= {MAX_ORACLE_N} (got {n})")
-    profile = _exhaustive_profile(n)
-    max_e, codes = profile[n]
-    return max_e, canonicalize(_decode(c) for c in codes)
+    with a witness set in canonical form: the last entry of the profile."""
+    _, max_e, witness = max_edges_profile(n)[-1]
+    return max_e, witness
 
 
 def max_edges_profile(n_max: int):

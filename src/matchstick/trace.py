@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from .census import face_census
 from .components import decompose
 from .graph import DEFAULT_TOL, MatchstickGraph, connectivity
+from .isoperimetry import HEX_COEFF
 from .lattice import phi
 
 BORDER = 1e-9
-C_HEX = 2.0 / math.sqrt(3.0) - 1.0
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -94,7 +94,7 @@ def claim_trace(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> TraceReport:
         ClaimRecord("two_connected", float(info.two_connected), 1.0,
                     HOLDS if info.two_connected else FAILS),
     ]
-    derived = {"n": n, "e": e, "c": C_HEX,
+    derived = {"n": n, "e": e, "c": HEX_COEFF,
                "n_1": None, "D": None, "K_size": None, "b_star": None}
 
     if not info.two_connected:

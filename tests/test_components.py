@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from matchstick.census import face_census
 from matchstick.components import component_boundary_check, decompose, fill_component
-from matchstick.graph import (_NONE, DEFAULT_TOL, FreeCoord, LatticeCoord, MatchstickGraph,
-                              _canonical_rotation,
+from matchstick.graph import (_NONE, DEFAULT_TOL, ConsistencyError, FreeCoord, LatticeCoord,
+                              MatchstickGraph, _canonical_rotation,
                               _grow, _norm_edge, _unit_edges, block_decomposition, boundary,
                               connectivity, faces, free_graph, lattice_graph)
 from matchstick.lattice import (ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint,
@@ -249,6 +250,31 @@ class TestComponentBoundaryCheck:
         b_i, target, holds = component_boundary_check(comp)
         assert target == pytest.approx(math.sqrt(117) - 3)
         assert b_i >= 8 and holds
+
+    def test_hexagon_patches_are_exact_equalities(self):
+        # b = 6k and n = 3k^2 + 3k + 1, so (b + 3)^2 == 12n - 3: decided on
+        # integers, with no margin, and phi(n) rounds to b
+        for k in range(1, 31):
+            comp = decompose(validated(build_hexagon_patch(k))).components[0]
+            assert (comp.b_i, comp.n_i) == (6 * k, 3 * k * k + 3 * k + 1)
+            b_i, target, holds = component_boundary_check(comp)
+            assert holds and (b_i + 3) ** 2 == 12 * comp.n_i - 3
+            assert target == pytest.approx(b_i)
+
+    def test_random_two_connected_components(self):
+        for n in (12, 30, 60):
+            for seed in range(6):
+                g = random_lattice_subgraph(n, seed=seed, require_2connected=True)
+                for comp in decompose(validated(g)).components:
+                    b_i, target, holds = component_boundary_check(comp)
+                    assert holds and b_i == comp.b_i and target == phi(comp.n_i)
+
+    def test_one_edge_short_raises(self):
+        # the 7-point patch has b = 6 = phi(7); a forged boundary of 5 is one short
+        comp = decompose(validated(build_hexagon_patch(1))).components[0]
+        forged = dataclasses.replace(comp, b_i=comp.b_i - 1)
+        with pytest.raises(ConsistencyError, match=r"b_i=5 < phi\(7\)"):
+            component_boundary_check(forged)
 
 
 class TestFillComponent:

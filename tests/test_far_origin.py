@@ -115,3 +115,18 @@ def test_lattice_audit_reads_the_lattice_points(origin):
     assert rec["hexagonal"].pop("theta0") == 0.0
     assert far_rec == rec
     assert rec["classic"]["holds"] and rec["hexagonal"]["holds"]
+
+
+@pytest.mark.parametrize("n", [19, 200])
+@pytest.mark.parametrize("shift", [1e5, 1e6])
+def test_shifted_free_spiral_passes_the_audit(n, shift):
+    # the free boundary polygon is summed on positions less its first corner's,
+    # so its area keeps the spiral's and no bound fails at tol 1e-6
+    g = build_extremal(n)
+    far = rotated_free(g, 0.7, (shift, shift))
+    assert g.validate().ok and far.validate(tol=1e-6).ok
+    rec = graph_isoperimetric_audit(g, decompose(g))
+    far_rec = graph_isoperimetric_audit(far, decompose(far, tol=1e-6))
+    assert (far_rec["b"], far_rec["f3"]) == (rec["b"], rec["f3"])
+    assert far_rec["A"] == pytest.approx(rec["A"], rel=1e-9)
+    assert far_rec["classic"]["holds"] and far_rec["hexagonal"]["holds"]
