@@ -15,19 +15,14 @@ a ConsistencyError on failure (which would indicate a face-traversal bug).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph import DEFAULT_TOL, ConsistencyError, MatchstickGraph, connectivity, faces
 from .lattice import harborth_bound
 
 
-@dataclass(frozen=True)
-class FaceCensus:
-    n: int
-    e: int
-    b: int
-    f: dict  # inner-face length -> count
-    F: int
+class FaceCensus(namedtuple("FaceCensus", "n e b f F")):  # f: inner-face length -> count
+    __slots__ = ()
 
     @property
     def f3(self) -> int:
@@ -75,11 +70,8 @@ def _check_identities(c: FaceCensus):
             f"basic identity failed: e={c.e} != 3n-3-b-F={3 * c.n - 3 - c.b - c.F}")
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    bound: int
-    e: int
-    tight: bool
+class BoundCheck(namedtuple("BoundCheck", "bound e tight")):
+    __slots__ = ()
 
     def to_json(self) -> str:
         return json.dumps({"bound": self.bound, "e": self.e, "tight": self.tight},

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import geometry as geo
 from .census import face_census
@@ -36,16 +36,11 @@ from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, MatchstickGraph, _cano
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
 
-@dataclass(frozen=True)
-class LatticeComponent:
-    vertices: frozenset
-    edges: frozenset
-    frame: LatticeFrame
-    coords: dict  # vertex id -> EisensteinPoint
-    boundary_cycle: tuple
-    n_i: int
-    e_i: int
-    b_i: int
+class LatticeComponent(namedtuple("LatticeComponent",
+                                   "vertices edges frame coords boundary_cycle n_i e_i b_i")):
+    """``coords`` maps vertex id -> EisensteinPoint in ``frame``."""
+
+    __slots__ = ()
 
     @property
     def boundary_edges(self) -> frozenset:
@@ -56,14 +51,14 @@ def _cycle_edges(c) -> frozenset:
     return frozenset(_norm_edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c)))
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    components: tuple  # sorted so n_1 >= n_2 >= ...
-    sum_n_i: int
-    # census-dependent fields are None when the input is not 2-connected
-    lower: int | None  # n - 2F
-    upper: int | None  # n + 4F
-    b_star: int | None  # boundary edges of g not on the boundary of G_1; None when k = 0
+class DecompositionReport(namedtuple("DecompositionReport",
+                                      "components sum_n_i lower upper b_star")):
+    """``components`` is sorted so n_1 >= n_2 >= ...  The census-dependent fields
+    are None when the input is not 2-connected: ``lower`` = n - 2F, ``upper`` =
+    n + 4F, and ``b_star``, the boundary edges of g not on the boundary of G_1
+    (also None when k = 0)."""
+
+    __slots__ = ()
 
     @property
     def k(self) -> int:

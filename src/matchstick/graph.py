@@ -36,8 +36,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from . import geometry as geo
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame
@@ -64,37 +63,22 @@ class ConsistencyError(Exception):
     """A theorem-level invariant failed; indicates a bug or corrupted input."""
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeCoord:
-    frame: int
-    point: EisensteinPoint
+LatticeCoord = namedtuple("LatticeCoord", "frame point")  # frame index, EisensteinPoint
+FreeCoord = namedtuple("FreeCoord", "x y")
+# kind: NonUnitEdge | Crossing | VertexOnEdge | DuplicateVertexPosition | PennyDistance
+Violation = namedtuple("Violation", "kind ids value", defaults=(None,))
 
 
-@dataclass(frozen=True, slots=True)
-class FreeCoord:
-    x: float
-    y: float
+class ValidationReport(namedtuple("ValidationReport",
+                                  "ok violations mode path tol_below_resolution",
+                                  defaults=(None, None))):
+    """``mode`` is "lattice" or "free".  ``path`` is the check that decided the
+    report: "lattice-fast", "lattice-generic", "free-lift", "free-pieces" or
+    "float" (see _validation_report); not in the JSON.  ``tol_below_resolution``,
+    free mode only, is max |coordinate| * 2**-52 when it exceeds tol, i.e. float
+    spacing there is too coarse for the tolerance tests to mean anything."""
 
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # NonUnitEdge | Crossing | VertexOnEdge | DuplicateVertexPosition | PennyDistance
-    ids: tuple
-    value: float | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
-    mode: str  # "lattice" or "free"
-    # the check that decided the report: "lattice-fast", "lattice-generic",
-    # "free-lift", "free-pieces" or "float" (see _validation_report); not in
-    # the JSON
-    path: str | None = None
-    # free mode only: max |coordinate| * 2**-52 when it exceeds tol, i.e. float
-    # spacing there is too coarse for the tolerance tests to mean anything
-    tol_below_resolution: float | None = None
+    __slots__ = ()
 
     def to_json(self) -> str:
         doc = {
@@ -110,10 +94,10 @@ class ValidationReport:
         return json.dumps(doc, allow_nan=False)
 
 
-@dataclass(frozen=True)
-class FaceStructure:
-    faces: tuple[tuple[int, ...], ...]  # directed vertex cycles, inner ones counterclockwise
-    outer_face_index: int
+class FaceStructure(namedtuple("FaceStructure", "faces outer_face_index")):
+    """``faces``: directed vertex cycles, inner ones counterclockwise."""
+
+    __slots__ = ()
 
     @property
     def inner_faces(self):
@@ -124,19 +108,9 @@ class FaceStructure:
         return self.faces[self.outer_face_index]
 
 
-@dataclass(frozen=True)
-class Block:
-    vertices: frozenset
-    edges: frozenset
-
-
-@dataclass(frozen=True)
-class ConnectivityInfo:
-    connected: bool
-    two_connected: bool
-    min_degree: int
-    blocks: tuple[Block, ...]
-    cut_vertices: frozenset
+Block = namedtuple("Block", "vertices edges")  # two frozensets
+ConnectivityInfo = namedtuple("ConnectivityInfo",
+                              "connected two_connected min_degree blocks cut_vertices")
 
 
 def _norm_edge(a: int, b: int) -> tuple[int, int]:

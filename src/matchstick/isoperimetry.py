@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import geometry as geo
 from .graph import ConsistencyError, MatchstickGraph, _lattice_points, _point, boundary
@@ -34,11 +34,10 @@ DEFAULT_ANGLE_TOL = 1e-9
 CHECK_MARGIN = 1e-9  # relative: see _at_most
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(namedtuple("Polygon", "vertices")):
     """Simple polygon, counterclockwise, positive area.  Build via polygon()."""
 
-    vertices: tuple
+    __slots__ = ()
 
     @property
     def area(self) -> float:
@@ -75,12 +74,11 @@ def polygon(points) -> Polygon:
     return Polygon(vertices=tuple(pts))
 
 
-@dataclass(frozen=True)
-class DirectionSet:
+class DirectionSet(namedtuple("DirectionSet", "theta0", defaults=(0.0,))):
     """The six directions of a regular hexagon with base angle theta0:
     three undirected slope classes theta0 + k*pi/3 (mod pi)."""
 
-    theta0: float = 0.0
+    __slots__ = ()
 
     def is_parallel(self, angle: float) -> bool:
         rem = (angle - self.theta0) % (math.pi / 3)
@@ -91,10 +89,8 @@ class DirectionSet:
         return [self.theta0 + math.pi / 6 + k * math.pi / 3 for k in range(6)]
 
 
-@dataclass(frozen=True)
-class SplitLengths:
-    b_parallel: float
-    b_star: float
+class SplitLengths(namedtuple("SplitLengths", "b_parallel b_star")):
+    __slots__ = ()
 
     @property
     def total(self) -> float:
@@ -147,14 +143,12 @@ def convexify_rearrangement(p: Polygon) -> Polygon:
     return Polygon(vertices=tuple(pts))
 
 
-@dataclass(frozen=True)
-class Hexagon:
+class Hexagon(namedtuple("Hexagon", "directions offsets vertices")):
     """Intersection of six supporting half-planes with outward normals 60
-    degrees apart; sides may be degenerate (length 0)."""
+    degrees apart; sides may be degenerate (length 0).  ``offsets`` is the
+    support value per normal, ``vertices`` the 6 corners, counterclockwise."""
 
-    directions: DirectionSet
-    offsets: tuple  # support value per normal
-    vertices: tuple  # 6 corner points, counterclockwise
+    __slots__ = ()
 
     @property
     def side_lengths(self):

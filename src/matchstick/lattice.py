@@ -20,25 +20,22 @@ sign of any orientation test is the sign of an exact integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
-_new = tuple.__new__  # _new(EisensteinPoint, (m, n)) skips the NamedTuple's Python __new__
+_new = tuple.__new__  # _new(EisensteinPoint, (m, n)) skips the namedtuple's Python __new__
 
 
 class BudgetError(ValueError):
     """Raised when a brute-force operation exceeds its stated size budget."""
 
 
-class EisensteinPoint(NamedTuple):
+class EisensteinPoint(namedtuple("EisensteinPoint", "m n")):
     """Triangular-lattice point m*(1,0) + n*(1/2, sqrt(3)/2), m and n integers;
     a tuple (m, n), so it hashes, compares and orders as that pair."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
     def __add__(self, other: "EisensteinPoint") -> "EisensteinPoint":
         return _new(EisensteinPoint, (self.m + other.m, self.n + other.n))
@@ -130,7 +127,7 @@ def phi(x) -> float:
 
     Accepts ints, floats and Fractions.
     """
-    if x < Fraction(1, 4):
+    if x < 0.25:  # exact for ints, floats and Fractions
         raise ValueError(f"phi undefined for x < 1/4 (got {x})")
     return math.sqrt(float(12 * x - 3)) - 3.0
 
@@ -163,16 +160,33 @@ def concavity_gap(a, b, c) -> float:
     return (phi(a - c) + phi(b + c)) - (phi(a) + phi(b))
 
 
-@dataclass(frozen=True)
 class LatticeFrame:
-    """Isometry placing the abstract lattice in the plane: rotate by angle, then translate."""
+    """Isometry placing the abstract lattice in the plane: rotate by angle, then translate.
 
-    origin: tuple[float, float] = (0.0, 0.0)
-    angle: float = 0.0
-    _rotation: tuple[float, float] = field(init=False, repr=False, compare=False)  # cos, sin
+    Immutable; equal and hashed on (origin, angle)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_rotation", (math.cos(self.angle), math.sin(self.angle)))
+    __slots__ = ("origin", "angle", "_rotation")  # _rotation: cos, sin
+
+    def __init__(self, origin: tuple[float, float] = (0.0, 0.0), angle: float = 0.0):
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "_rotation", (math.cos(angle), math.sin(angle)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"LatticeFrame(origin={self.origin!r}, angle={self.angle!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.origin, self.angle) == (other.origin, other.angle)
+
+    def __hash__(self):
+        return hash((self.origin, self.angle))
 
     def to_cartesian(self, p: EisensteinPoint) -> tuple[float, float]:
         x, y = p.cartesian()

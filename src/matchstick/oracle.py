@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .geometry import cross, dot, segment_distance, shoelace2
@@ -40,13 +40,12 @@ MAX_ORACLE_N = 12
 MAX_ORACLE_EDGES = 8
 
 
-@dataclass(frozen=True)
-class CanonicalPointSet:
+class CanonicalPointSet(namedtuple("CanonicalPointSet", "points")):
     """Lattice point set normalized under translation and the 12-element
     lattice symmetry group (6 rotations x reflection): the lexicographically
     smallest translated image over all 12 transforms."""
 
-    points: tuple
+    __slots__ = ()
 
     def __len__(self):
         return len(self.points)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .census import face_census
 from .components import decompose
@@ -31,19 +31,13 @@ _COMPONENT_CLAIMS = ("largest_component_share", "remainder_growth", "off_compone
                      "face_weight_refined", "gap_exceeds_nine")
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
-    claim: str
-    lhs: float | None
-    rhs: float | None
-    status: str
+ClaimRecord = namedtuple("ClaimRecord", "claim lhs rhs status")  # lhs, rhs: float or None
 
 
-@dataclass(frozen=True)
-class TraceReport:
-    records: tuple
-    derived: dict
-    assumption_holds: bool  # e > 3n - sqrt(12n-3); False for every real graph
+class TraceReport(namedtuple("TraceReport", "records derived assumption_holds")):
+    """``assumption_holds``: e > 3n - sqrt(12n-3); False for every real graph."""
+
+    __slots__ = ()
 
     def record(self, claim: str) -> ClaimRecord:
         for r in self.records:

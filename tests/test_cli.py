@@ -478,3 +478,17 @@ class TestImportIsolation:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            check=True)
         assert r.stdout == f"{loaded}\n"
+
+    def test_no_module_loads_dataclasses_fractions_or_typing(self):
+        # -S: no site hooks, so the set is what the package itself imports
+        package = Path(cli.__file__).resolve().parent
+        modules = [f"matchstick.{p.stem}" for p in sorted(package.glob("*.py"))
+                   if p.stem != "__init__"]
+        assert "matchstick.cli" in modules
+        code = (f"import sys; sys.path.insert(0, {str(package.parent)!r}); "
+                f"import {', '.join(modules)}; "
+                "print(sorted({'dataclasses', 'fractions', 'inspect', 'typing'}"
+                " & set(sys.modules)))")
+        r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                           check=True)
+        assert r.stdout == "[]\n"

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -272,7 +271,7 @@ class TestComponentBoundaryCheck:
     def test_one_edge_short_raises(self):
         # the 7-point patch has b = 6 = phi(7); a forged boundary of 5 is one short
         comp = decompose(validated(build_hexagon_patch(1))).components[0]
-        forged = dataclasses.replace(comp, b_i=comp.b_i - 1)
+        forged = comp._replace(b_i=comp.b_i - 1)
         with pytest.raises(ConsistencyError, match=r"b_i=5 < phi\(7\)"):
             component_boundary_check(forged)
 

@@ -153,6 +153,13 @@ class TestPhi:
         assert phi(Fraction(1, 4)) == pytest.approx(0.0 - 3.0 + 0.0)  # sqrt(0) - 3
         assert phi(Fraction(7, 1)) == pytest.approx(6.0)
 
+    def test_domain_edge_is_exact(self):
+        # just below 1/4, though its float is 0.25
+        x = Fraction(1, 4) - Fraction(1, 10 ** 30)
+        assert float(x) == 0.25
+        with pytest.raises(ValueError):
+            phi(x)
+
     @given(st.floats(min_value=1.0, max_value=1e6))
     def test_square_identity(self, x):
         # expanding the square: phi(x)^2 / 6 == 2x + 1 - sqrt(12x - 3)
@@ -269,6 +276,32 @@ class TestLatticeFrame:
         assert frame.snap((2.25, 0.0), math.nextafter(0.25, 0.0)) is None
         assert frame.snap((math.nextafter(2.25, 3.0), 0.0), 0.25) is None
         assert frame.snap((1.0, 0.25), 0.25) == E(0, 0)
+
+    def test_equal_and_hashed_on_origin_and_angle(self):
+        frame = LatticeFrame(origin=(1.0, -2.0), angle=0.3)
+        same = LatticeFrame((1.0, -2.0), 0.3)
+        assert frame == same and hash(frame) == hash(same) and frame is not same
+        assert frame != LatticeFrame(origin=(1.0, -2.5), angle=0.3)
+        assert frame != LatticeFrame(origin=(1.0, -2.0), angle=0.31)
+        assert frame != ((1.0, -2.0), 0.3)
+
+    def test_default_is_the_identity(self):
+        frame = LatticeFrame()
+        assert frame.origin == (0.0, 0.0) and frame.angle == 0.0
+        assert frame.to_cartesian(E(2, 1)) == E(2, 1).cartesian()
+
+    def test_attributes_cannot_be_assigned(self):
+        frame = LatticeFrame()
+        for name in ("origin", "angle", "_rotation", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(frame, name, 1.0)
+        with pytest.raises(AttributeError):
+            del frame.angle
+        assert frame == LatticeFrame() and frame._rotation == (1.0, 0.0)
+
+    def test_repr(self):
+        assert repr(LatticeFrame()) == "LatticeFrame(origin=(0.0, 0.0), angle=0.0)"
+        assert repr(LatticeFrame([1, -2.5], 0.25)) == "LatticeFrame(origin=[1, -2.5], angle=0.25)"
 
 
 class TestScaledCoordinates:

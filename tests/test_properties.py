@@ -95,3 +95,109 @@ def test_accepted_graphs_run_clean(tmp_path_factory, case):
     svg = tmp / "g.svg"
     assert _run(["render", path, "-o", str(svg)]) == 0
     assert svg.read_text(encoding="utf-8").rstrip().endswith("</svg>")
+
+
+# -- documents ------------------------------------------------------------------
+#
+# Any document sent to any file-reading command ends in one of the documented
+# exit codes, 0 ok, 1 invalid, 2 usage or 3 inconsistency, with strict JSON on
+# every output line and no raised exception.  A document is a graph or polygon
+# document, valid or not, with up to three parts replaced, dropped or added:
+# malformed shapes, and numbers among +-1e100 and the next float past it, -0.0,
+# ints past 2**53, and the NaN and Infinity tokens, which ``json.dumps`` writes
+# for nan and +-inf.  A graph may also sit on a frame at origin +-1e100 or just
+# past it, or gain a vertex there; a polygon may be scaled up to coordinates of
+# 1e100, and its zeros written as -0.0.
+
+_PAST_1E100 = math.nextafter(1e100, math.inf)
+_EDGE_NUMBERS = [math.nan, math.inf, -math.inf, 1e100, -1e100, _PAST_1E100, -_PAST_1E100, -0.0,
+                 2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1, 2 ** 64, 10 ** 30]
+_numbers = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.integers(-2, 2),
+                     st.sampled_from([0.5, 1.0, math.sqrt(3) / 2]))
+_junk = st.recursive(st.none() | st.booleans() | _numbers | st.text(max_size=2),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.sampled_from(["id", "free", "lattice", "m"]), inner,
+                                       max_size=2),
+                     max_leaves=4)
+_POLYGONS = [[[0, 0], [1, 0], [0, 1]], [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]],
+             [[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2]],
+             [[-1, -1], [1, -1], [0, 1]]]
+
+
+def _parts(node, path=()):
+    """The path of every part of a JSON value, the value itself first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _parts(child, (*path, key))
+
+
+def _mutate(draw, doc: dict) -> None:
+    """Put a number in place of a number in ``doc``, or replace, drop or add a
+    part of it, at a drawn path."""
+    action = draw(st.sampled_from(["number", "junk", "drop", "add"]))
+    paths = [p for p in list(_parts(doc))[1:]
+             if action != "number" or not isinstance(_at(doc, p), (dict, list))]
+    if not paths:
+        return
+    *path, key = draw(st.sampled_from(paths))
+    node = _at(doc, path)
+    if action == "drop":
+        del node[key]
+    elif action == "add" and isinstance(node, list):
+        node.insert(key, draw(_junk))
+    else:
+        node[key] = draw(_junk if action == "junk" else _numbers)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def documents(draw) -> str:
+    kind = draw(st.sampled_from(["graph", "polygon", "junk"]))
+    if kind == "junk":
+        return json.dumps(draw(_junk))
+    if kind == "graph":
+        g = random_lattice_subgraph(draw(st.integers(3, 8)), seed=draw(st.integers(0, 99)),
+                                    require_2connected=draw(st.booleans()))
+        free = draw(st.booleans())
+        if free:
+            g = rotated_free(g, draw(st.floats(0.0, 2 * math.pi)), (0.0, 0.0))
+        doc = json.loads(g.to_json())
+        far = draw(st.sampled_from([None, 1e100, -1e100, _PAST_1E100]))
+        if far and free:
+            doc["vertices"].append({"id": g.n, "free": [far, -far]})
+        elif far:
+            doc["frames"][0]["origin"] = [far, -far]
+    else:
+        scale = draw(st.sampled_from([1.0, 1e99, 1e100 / 3]))
+        zero = draw(st.sampled_from([0, -0.0]))
+        doc = {"vertices": [[scale * x if x else zero, scale * y if y else zero]
+                            for x, y in draw(st.sampled_from(_POLYGONS))]}
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate(draw, doc)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 1:  # one in ten is cut short: not JSON at all
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _file_commands(path: str, svg: str) -> list:
+    """Every command that reads a file, on ``path``."""
+    return [["validate", path], ["stats", path], ["decompose", path], ["trace", path],
+            ["render", path, "-o", svg], ["iso", "classic", path], ["iso", "hex", path],
+            ["oracle", "rearrange", path]]
+
+
+@PROFILE
+@given(documents())
+def test_every_document_ends_in_a_documented_exit_code(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("doc")
+    path = tmp / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in _file_commands(str(path), str(tmp / "g.svg")):
+        assert _run(argv) in (0, 1, 2, 3), argv

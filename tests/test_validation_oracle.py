@@ -590,7 +590,13 @@ class TestLiftPieces:
 
     def test_no_unit_edge_takes_float_pass_without_a_frame(self, monkeypatch):
         frames = []
-        monkeypatch.setattr(LatticeFrame, "__post_init__", lambda frame: frames.append(frame))
+        init = LatticeFrame.__init__
+
+        def counting_init(frame, *args, **kwargs):
+            frames.append(frame)
+            init(frame, *args, **kwargs)
+
+        monkeypatch.setattr(LatticeFrame, "__init__", counting_init)
         coords = []
         for i in range(300):
             x, y = 3.0 * (i % 17) + (i % 8) / 16, 1.5 * (i // 17) + (i % 4) / 16
@@ -598,6 +604,8 @@ class TestLiftPieces:
         g = free_graph(coords, [(2 * i, 2 * i + 1) for i in range(300)])
         report = g.validate()
         assert report.path == "float" and len(report.violations) == 300 and not frames
+        LatticeFrame()  # the counter sees a frame that is built
+        assert len(frames) == 1
 
     @pytest.mark.parametrize("shape", ["chain", "noisy-spiral", "long-star", "unit-star"])
     def test_snaps_linear_in_graph_size(self, shape, monkeypatch):
