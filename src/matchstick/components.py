@@ -31,7 +31,7 @@ from collections import namedtuple
 from . import geometry as geo
 from .census import face_census
 from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, MatchstickGraph, _canonical_rotation,
-                    _grow, _lattice_points, _norm_edge, _unit_edges, block_decomposition,
+                    _check_tol, _grow, _lattice, _norm_edge, _unit_edges, block_decomposition,
                     connectivity, faces, lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
@@ -82,8 +82,9 @@ def decompose(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> DecompositionRepo
     Output order is deterministic: decreasing n_i, ties by smallest vertex id.
     The coverage bounds and b_star require the face census and outer boundary,
     so they are None for graphs that are not 2-connected.  Computed once per
-    graph and tol.
+    graph and tol.  ``tol`` must be a finite number >= 0 (ValueError otherwise).
     """
+    _check_tol(tol)
     return g._once(_decompose, tol)
 
 
@@ -92,11 +93,11 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
     info = connectivity(g)
     census = face_census(g) if info.two_connected else None
 
-    if g.lattice_mode:
+    lattice = g._once(_lattice)
+    if lattice:
         # every vertex is on the one input lattice, so the components are just
         # the 2-connected blocks on >= 3 vertices, with the input coordinates
-        frame = g.frames[g.vertices[0][1].frame]
-        candidates = [(blk, frame, g._once(_lattice_points)) for blk in info.blocks]
+        candidates = [(blk, *lattice) for blk in info.blocks]
     else:
         candidates = _grow_all_seeds(g, tol)
 
@@ -131,8 +132,7 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
     candidates = []
     regions_of = {}  # vertex -> indices of the grown regions holding it
     n_regions = 0
-    for x in sorted(adj):
-        nbrs = adj[x]
+    for x, nbrs in adj.items():  # in vertex order
         for i, y in enumerate(nbrs):
             # the frame (origin x, angle x -> y) and y's snap are made once, when first needed
             frame = y_on = None
@@ -159,7 +159,7 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                 for v in coords:
                     regions_of.setdefault(v, set()).add(n_regions)
                 n_regions += 1
-                blocks, _ = block_decomposition(sorted(coords), region_adj)
+                blocks, _ = block_decomposition(coords, region_adj)
                 candidates.extend((blk, frame, coords) for blk in blocks)
     return _maximal(candidates)
 

@@ -120,10 +120,11 @@ def _norm_edge(a: int, b: int) -> tuple[int, int]:
 class MatchstickGraph:
     """Immutable plane graph with unit-segment edges.
 
-    ``vertices`` is an ordered list of (id, coord) with coord either a
-    LatticeCoord or a FreeCoord; ``edges`` is a set of unordered id pairs.
-    Construction checks structural sanity only; call :meth:`validate` for
-    the geometric checks.
+    ``vertices`` is a tuple of (id, coord), sorted by id, with coord either a
+    LatticeCoord or a FreeCoord; ``edges`` is a sorted tuple of id pairs (a, b)
+    with a < b, without duplicates.  ``__init__`` alone decides this order, and
+    everything else reads it as stored.  Construction checks structural sanity
+    only; call :meth:`validate` for the geometric checks.
     """
 
     def __init__(self, vertices, edges, frames=()):
@@ -133,15 +134,16 @@ class MatchstickGraph:
         coord_of = dict(vertices)
         if len(coord_of) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        norm_edges = set()
+        norm_edges = []
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if a not in coord_of or b not in coord_of:
                 raise ValueError(f"edge ({a},{b}) references unknown vertex")
-            norm_edges.add((a, b) if a < b else (b, a))
-        self.vertices = vertices
-        self.edges = frozenset(norm_edges)
+            norm_edges.append((a, b) if a < b else (b, a))
+        norm_edges.sort()  # one linear run for the already sorted edges of to_json
+        self.vertices = tuple(sorted(vertices))  # the ids are distinct, so no coord is compared
+        self.edges = tuple(dict.fromkeys(norm_edges))  # drops repeats, keeps the order
         self.frames = tuple(frames)
         for vid, coord in vertices:
             if isinstance(coord, LatticeCoord) and not (0 <= coord.frame < len(self.frames)):
@@ -178,7 +180,7 @@ class MatchstickGraph:
     @property
     def lattice_mode(self) -> bool:
         """True when every vertex is a lattice coordinate on a single frame."""
-        return self._once(_lattice_mode)
+        return self._once(_lattice) is not None
 
     def position(self, vid: int) -> tuple[float, float]:
         return self.positions()[vid]
@@ -203,8 +205,7 @@ class MatchstickGraph:
         One report is computed per (tol, penny_mode).  ``tol`` must be a finite
         number >= 0 (ValueError otherwise).
         """
-        if not 0 <= tol <= sys.float_info.max:
-            raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
+        _check_tol(tol)
         report = self._once(_validation_report, tol, penny_mode)
         if report.ok:
             self._validated_ok = True
@@ -218,7 +219,7 @@ class MatchstickGraph:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:
-        """Canonical JSON: frames by id, vertices sorted by id, edges sorted;
+        """Canonical JSON: frames by id, vertices and edges in stored order;
         floats with 17 significant digits (bit-exact round-trip)."""
         parts = ['{"frames":[']
         parts.append(",".join(
@@ -227,7 +228,7 @@ class MatchstickGraph:
             for i, fr in enumerate(self.frames)))
         parts.append('],"vertices":[')
         vparts = []
-        for vid, c in sorted(self.vertices):
+        for vid, c in self.vertices:
             if isinstance(c, LatticeCoord):
                 vparts.append('{"id":%d,"lattice":{"frame":%d,"m":%d,"n":%d}}'
                               % (vid, c.frame, c.point.m, c.point.n))
@@ -235,7 +236,7 @@ class MatchstickGraph:
                 vparts.append('{"id":%d,"free":[%s,%s]}' % (vid, _f(c.x), _f(c.y)))
         parts.append(",".join(vparts))
         parts.append('],"edges":[')
-        parts.append(",".join("[%d,%d]" % ab for ab in sorted(self.edges)))
+        parts.append(",".join("[%d,%d]" % ab for ab in self.edges))
         parts.append("]}")
         return "".join(parts)
 
@@ -338,14 +339,18 @@ def _point(xy, where: str) -> tuple[float, float]:
     return x, y
 
 
-def _lattice_mode(g: MatchstickGraph) -> bool:
+def _check_tol(tol: float):
+    if not 0 <= tol <= sys.float_info.max:
+        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
+
+
+def _lattice(g: MatchstickGraph):
+    """(frame, each vertex's EisensteinPoint) when every vertex is a lattice
+    coordinate on one frame, else None; use through g._once."""
     frames_used = {c.frame if isinstance(c, LatticeCoord) else None for _, c in g.vertices}
-    return len(frames_used) == 1 and None not in frames_used
-
-
-def _lattice_points(g: MatchstickGraph) -> dict:
-    """Each vertex's EisensteinPoint, for a lattice-mode graph; use through g._once."""
-    return {vid: c.point for vid, c in g.vertices}
+    if len(frames_used) != 1 or None in frames_used:
+        return None
+    return g.frames[frames_used.pop()], {vid: c.point for vid, c in g.vertices}
 
 
 def _positions(g: MatchstickGraph) -> dict:
@@ -354,13 +359,12 @@ def _positions(g: MatchstickGraph) -> dict:
 
 
 def _adjacency(g: MatchstickGraph) -> dict:
-    """Each vertex's neighbours, in ascending order."""
+    """Each vertex's neighbours, in ascending order: from the sorted edges, the
+    edges (u, v) with u < v all come before the edges (v, w)."""
     adj = {vid: [] for vid, _ in g.vertices}
     for a, b in g.edges:
         adj[a].append(b)
         adj[b].append(a)
-    for nbrs in adj.values():
-        nbrs.sort()
     return adj
 
 
@@ -407,8 +411,8 @@ _HALF_RING = UNIT_RING[:3]  # one per unordered direction pair
 
 def _candidates(g: MatchstickGraph, pos: dict, tol: float, pieces=None):
     """Grid-pruned candidates of a validation pass on the vertex positions
-    ``pos``, as (vertex pairs, sorted edges, edge index pairs, (vertex, edge
-    index) hits).  Every pair of the graph's elements within ``tol`` of each
+    ``pos``, as (vertex pairs, the graph's edges, edge index pairs, (vertex,
+    edge index) hits).  Every pair of the graph's elements within ``tol`` of each
     other is one, and so is every vertex pair closer than 1.1.  Pairs are
     filtered as they are found, so none is stored only to be dropped.
 
@@ -430,7 +434,7 @@ def _candidates(g: MatchstickGraph, pos: dict, tol: float, pieces=None):
     edges lifted by the same piece, and a vertex and an edge whose lifting
     piece holds it.
     """
-    edges = sorted(g.edges)
+    edges = g.edges
     held, edge_piece = pieces if pieces is not None else ({}, [None] * len(edges))
     w = tol + _BOX_PAD
     cell = max(_CELL, w)
@@ -551,7 +555,7 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
     """
     if g.lattice_mode:
         mode, below = "lattice", None
-        points = g._once(_lattice_points)
+        points = g._once(_lattice)[1]
         if len(set(points.values())) == g.n and _unit_edges(g.edges, points):
             path, violations = "lattice-fast", []
         else:
@@ -583,10 +587,10 @@ def _lift_pieces(g: MatchstickGraph, tol: float):
     None) when the first piece holds every vertex with a unit step on every
     edge, ("free-pieces", (held, edge_piece)) when some piece exists, else
     ("float", None).  ``held`` maps a vertex to the indices of the pieces
-    holding it; ``edge_piece`` gives, for each edge in ascending order, a piece
+    holding it; ``edge_piece`` gives, for each edge of ``g.edges``, a piece
     holding its ends a unit step apart (the edge is lifted), or None.
 
-    Each edge (a, b), in ascending order, whose length is within tol/2 of 1
+    Each edge (a, b), in ``g.edges`` order, whose length is within tol/2 of 1
     and that no piece lifts yet seeds a piece when b snaps to (1, 0) on the
     frame with origin a and angle a -> b.  An edge off by more is unlifted and
     builds no frame (so a graph with no edge near unit length takes "float"):
@@ -604,37 +608,34 @@ def _lift_pieces(g: MatchstickGraph, tol: float):
     points = []  # each piece's vertex -> EisensteinPoint
     held = {}
     edge_piece = []
-    for a in sorted(adj):  # the edges (a, b) in ascending order
-        pa = pos[a]
-        for b in adj[a]:
-            if b < a:
-                continue
-            if abs(math.dist(pa, pos[b]) - 1.0) > tol / 2:
-                edge_piece.append(None)
-                continue
-            k = None
-            ha, hb = held.get(a), held.get(b)
-            if ha and hb:
-                if len(hb) < len(ha):
-                    ha, hb = hb, ha
-                for j in ha:  # a piece holding both ends a unit step apart
-                    if j in hb:
-                        (ma, na), (mb, nb) = points[j][a], points[j][b]
-                        if (mb - ma, nb - na) in UNIT_STEP_INDEX:
-                            k = j
-                            break
-            if k is None:
-                (ax, ay), (bx, by) = pa, pos[b]
-                frame = LatticeFrame(origin=pa, angle=math.atan2(by - ay, bx - ax))
-                if frame.snap(pos[b], slack) == UNIT_RING[0]:
-                    piece = _grow(pos, adj, frame, {a: ORIGIN, b: UNIT_RING[0]}, slack, held)
-                    if not points and len(piece) == g.n and _unit_edges(g.edges, piece):
-                        return "free-lift", None
-                    k = len(points)
-                    points.append(piece)
-                    for v in piece:
-                        held.setdefault(v, set()).add(k)
-            edge_piece.append(k)
+    for a, b in g.edges:
+        pa, pb = pos[a], pos[b]
+        if abs(math.dist(pa, pb) - 1.0) > tol / 2:
+            edge_piece.append(None)
+            continue
+        k = None
+        ha, hb = held.get(a), held.get(b)
+        if ha and hb:
+            if len(hb) < len(ha):
+                ha, hb = hb, ha
+            for j in ha:  # a piece holding both ends a unit step apart
+                if j in hb:
+                    (ma, na), (mb, nb) = points[j][a], points[j][b]
+                    if (mb - ma, nb - na) in UNIT_STEP_INDEX:
+                        k = j
+                        break
+        if k is None:
+            (ax, ay), (bx, by) = pa, pb
+            frame = LatticeFrame(origin=pa, angle=math.atan2(by - ay, bx - ax))
+            if frame.snap(pb, slack) == UNIT_RING[0]:
+                piece = _grow(pos, adj, frame, {a: ORIGIN, b: UNIT_RING[0]}, slack, held)
+                if not points and len(piece) == g.n and _unit_edges(g.edges, piece):
+                    return "free-lift", None
+                k = len(points)
+                points.append(piece)
+                for v in piece:
+                    held.setdefault(v, set()).add(k)
+        edge_piece.append(k)
     return ("free-pieces", (held, edge_piece)) if points else ("float", None)
 
 
@@ -764,7 +765,7 @@ def _lattice_darts(g: MatchstickGraph) -> dict:
     """Each vertex's six direction slots: slot k holds the neighbour one
     ``UNIT_RING[k]`` step away, or None.  For a validated lattice-mode graph,
     whose edges all have Eisenstein norm 1; use through g._once."""
-    points = g._once(_lattice_points)
+    points = g._once(_lattice)[1]
     slots = {}
     for v, nbrs in g.adjacency().items():  # in vertex order, which keeps memory reads local
         m, n = points[v]
@@ -825,8 +826,7 @@ def _lattice_walk(g: MatchstickGraph, add):
     inner face's turns sum to +6, the outer face's to -6."""
     slots = g._once(_lattice_darts)
     left = {v: list(s) for v, s in slots.items()}  # the darts not walked yet
-    for u0 in sorted(slots):
-        row0 = left[u0]
+    for u0, row0 in left.items():  # in vertex order
         for k0 in range(6):
             if row0[k0] is None:
                 continue  # no edge, or the dart is on a face already walked
@@ -849,8 +849,8 @@ def _lattice_walk(g: MatchstickGraph, add):
 def _free_walk(g: MatchstickGraph, add):
     """Passes each face of a free graph to ``add`` as (cycle, shoelace sum),
     walked on a next-dart map from its rotation system.  The sums run on its
-    positions less its first vertex's, so an area does not cancel away far
-    from the origin."""
+    positions less its first (smallest) vertex's, so an area does not cancel
+    away far from the origin."""
     rot = rotation_system(g)
     pos = g.positions()
     x0, y0 = pos[g.vertices[0][0]]
@@ -861,8 +861,8 @@ def _free_walk(g: MatchstickGraph, add):
         for u in nbrs:
             nxt[(u, v)] = prev
             prev = u
-    for u0 in sorted(rot):
-        for v0 in rot[u0]:
+    for u0, nbrs in rot.items():  # in vertex order
+        for v0 in nbrs:
             cycle = []
             s = 0
             u, v = u0, v0

@@ -25,7 +25,7 @@ import random
 from collections import namedtuple
 
 from . import geometry as geo
-from .graph import ConsistencyError, MatchstickGraph, _lattice_points, _point, boundary
+from .graph import ConsistencyError, MatchstickGraph, _lattice, _point, boundary
 from .census import face_census
 from .lattice import SQRT3
 
@@ -252,7 +252,7 @@ def graph_isoperimetric_audit(g: MatchstickGraph, report) -> dict:
     """
     cycle, b = boundary(g)
     if g.lattice_mode:
-        points = g._once(_lattice_points)
+        points = g._once(_lattice)[1]
         p0 = points[cycle[0]]
         corners = [(points[v] - p0).cartesian() for v in cycle]
     else:

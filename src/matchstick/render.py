@@ -42,7 +42,7 @@ def render_svg(g: MatchstickGraph, report=None) -> str:
         f'width="{width:.1f}" height="{height:.1f}" '
         f'viewBox="0 0 {width:.1f} {height:.1f}">',
     ]
-    for a, b in sorted(g.edges):
+    for a, b in g.edges:
         (x1, y1), (x2, y2) = pt[a], pt[b]
         color = edge_color.get((a, b), "#888888")  # g.edges holds (a, b) with a < b
         lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
@@ -53,8 +53,7 @@ def render_svg(g: MatchstickGraph, report=None) -> str:
             (x1, y1), (x2, y2) = pt[cycle[i]], pt[cycle[(i + 1) % len(cycle)]]
             lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                          f'stroke="#000000" stroke-width="3.5" stroke-linecap="round"/>')
-    for v in sorted(pos):
-        x, y = pt[v]
+    for x, y in pt.values():  # in vertex order
         lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#222222"/>')
     lines.append("</svg>")
     return "\n".join(lines)

@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .census import face_census
 from .components import decompose
-from .graph import DEFAULT_TOL, MatchstickGraph, connectivity
+from .graph import DEFAULT_TOL, MatchstickGraph, _check_tol, connectivity
 from .isoperimetry import HEX_COEFF
 from .lattice import phi
 
@@ -77,7 +77,8 @@ def claim_trace(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> TraceReport:
 
     Census- and component-dependent records degrade to NotApplicable when the
     graph is not 2-connected (single vertices and paths are legitimate inputs).
-    """
+    ``tol`` must be a finite number >= 0 (ValueError otherwise)."""
+    _check_tol(tol)
     g.require_validated()
     n, e = g.n, g.e
     sq = math.sqrt(12 * n - 3)

@@ -345,7 +345,7 @@ class TestSameCandidatesWithPieces:
                 vpairs, edges, epairs, vhits = graph._candidates(g, pos, tol, pieces)
                 want = _candidates(g, pos, tol, pieces)
                 assert len(set(vpairs)) == len(vpairs) and len(set(vhits)) == len(vhits)
-                assert (set(vpairs), edges, epairs, set(vhits)) == want, (kind, i, tol)
+                assert (set(vpairs), list(edges), epairs, set(vhits)) == want, (kind, i, tol)
         assert lifted > 0 or kind == "segments"
 
 

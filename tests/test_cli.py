@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from matchstick import cli
-from matchstick.builders import build_hexagon_patch
+from matchstick.builders import build_extremal, build_hexagon_patch
 from matchstick.census import check_harborth, face_census
 from matchstick.cli import main
 from matchstick.graph import free_graph
@@ -160,6 +160,51 @@ class TestDecomposeTrace:
     def test_large_tol_on_a_stretched_k4(self, monkeypatch, capsys):
         from test_components import stretched_k4
         self._decompose_and_trace(stretched_k4().to_json(), "0.3", monkeypatch, capsys)
+
+
+class TestShuffledDocuments:
+    """A document whose vertices and edges are shuffled, some edges written
+    (b, a) and one edge repeated, gives the canonical document's outputs."""
+
+    @staticmethod
+    def _graphs():
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import inputs
+        rng = random.Random(4)
+        return [(build_extremal(60), "lattice-fast"),
+                (inputs.rotated(build_extremal(60), 0.5, (1.0, 2.0)), "free-lift"),
+                (inputs.patch_chain(8, 1, rng)[0], "free-pieces"),
+                (inputs.segments(50, rng), "float")]
+
+    @staticmethod
+    def _shuffled(doc: str, rng) -> str:
+        data = json.loads(doc)
+        rng.shuffle(data["vertices"])
+        edges = data["edges"]
+        rng.shuffle(edges)
+        for e in edges[::3]:
+            e.reverse()
+        edges.append(edges[0][::-1])
+        return json.dumps(data)
+
+    def test_same_outputs_as_the_canonical_document(self, tmp_path, monkeypatch, capsys):
+        rng = random.Random(9)
+        for g, path in self._graphs():
+            assert g.validate().path == path
+            canonical = g.to_json()
+            shuffled = self._shuffled(canonical, rng)
+            outs = []
+            for doc in (canonical, shuffled):
+                out = []
+                for command in ("validate", "stats", "decompose", "trace"):
+                    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+                    rc = main([command, "-"])
+                    out.append((rc, capsys.readouterr().out))
+                monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+                assert main(["render", "-", "-o", str(tmp_path / "g.svg")]) == 0
+                out.append((tmp_path / "g.svg").read_text())
+                outs.append(out)
+            assert outs[0] == outs[1], path
 
 
 class TestIso:

@@ -98,7 +98,7 @@ class TestDecompose:
         g = validated(random_lattice_subgraph(40, seed=3, require_2connected=True))
         with building_no_graph(monkeypatch):
             comp = decompose(g).components[0]
-        assert comp.vertices == frozenset(g.ids()) and comp.edges == g.edges
+        assert comp.vertices == frozenset(g.ids()) and comp.edges == frozenset(g.edges)
         assert comp.boundary_cycle == tuple(boundary(component_graph(comp))[0])
 
     def test_free_graph_on_one_lattice_reuses_graph_blocks_and_boundary(self, monkeypatch):
@@ -114,7 +114,7 @@ class TestDecompose:
         with building_no_graph(monkeypatch) as m:
             m.setattr(components, "block_decomposition", recomputed)
             [comp] = decompose(g).components
-        assert comp.vertices == frozenset(g.ids()) and comp.edges == g.edges
+        assert comp.vertices == frozenset(g.ids()) and comp.edges == frozenset(g.edges)
         assert comp.boundary_cycle == tuple(boundary(g)[0])
 
     def test_free_graph_edge_snapped_off_a_lattice_step_is_in_no_component(self, monkeypatch):
@@ -158,6 +158,11 @@ class TestDecompose:
         other = decompose(g, tol=1e-6)
         assert other is not report and decompose(g, 1e-6) is other
         assert other.to_json() == report.to_json()
+        # a tol validate() rejects is rejected alike, not decomposed to k = 0
+        for bad in (math.nan, -1.0, math.inf):
+            for analysis in (decompose, claim_trace):
+                with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+                    analysis(g, bad)
 
     def test_bowtie_two_components_two_frames(self):
         rep = decompose(make_bowtie())

@@ -693,8 +693,16 @@ class TestJson:
             assert (g.coord(vid).x, g.coord(vid).y) == (g2.coord(vid).x, g2.coord(vid).y)
 
     def test_canonical_ordering(self):
-        g = lattice_graph([E(0, 0), E(1, 0), E(0, 1)])
-        shuffled = MatchstickGraph(list(g.vertices)[::-1], sorted(g.edges)[::-1], g.frames)
+        # vertices and edges reversed, every third edge written (b, a), one edge twice:
+        # the graph stores vertices by id and edges as one sorted tuple, once
+        g = build_hexagon_patch(2)
+        edges = [(b, a) if i % 3 == 0 else (a, b) for i, (a, b) in enumerate(g.edges[::-1])]
+        shuffled = MatchstickGraph(list(g.vertices)[::-1], edges + edges[5:6], g.frames)
+        ids = [vid for vid, _ in shuffled.vertices]
+        assert ids == sorted(ids)
+        assert type(shuffled.edges) is tuple and all(a < b for a, b in shuffled.edges)
+        assert all(e < f for e, f in zip(shuffled.edges, shuffled.edges[1:]))
+        assert all(nbrs == sorted(nbrs) for nbrs in shuffled.adjacency().values())
         assert g.to_json() == shuffled.to_json()
 
     def test_format_shape(self):
@@ -781,7 +789,7 @@ class TestFromJsonFields:
     def test_accepted_lattice_vertex_round_trips(self, vertex):
         g = MatchstickGraph.from_json(_lattice_doc(vertex, [[1, 0]]))
         m, n = vertex["lattice"]["m"], vertex["lattice"]["n"]
-        assert g.coord(0).point == E(m, n) and g.edges == frozenset({(0, 1)})
+        assert g.coord(0).point == E(m, n) and frozenset(g.edges) == frozenset({(0, 1)})
         text = g.to_json()
         assert json.loads(text)["vertices"][0] == _at(m, n)
         assert MatchstickGraph.from_json(text).to_json() == text

@@ -45,6 +45,9 @@ class TestClaimTrace:
         assert t.record("two_connected").status == "Fails"
         assert t.record("boundary_upper").status == "NotApplicable"
         assert t.record("gap_exceeds_nine").status == "NotApplicable"
+        for bad in (math.nan, -1.0, math.inf):  # checked before the early return
+            with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+                claim_trace(g, bad)
 
     def test_derived_quantities_on_patch(self):
         g = validated(build_hexagon_patch(2))

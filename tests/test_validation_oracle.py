@@ -409,13 +409,13 @@ def moved(rng, g: MatchstickGraph, noise: float) -> MatchstickGraph:
 def squeezed(rng, g: MatchstickGraph, gap: float) -> MatchstickGraph:
     """g without one edge (u, w) other than its smallest, u and w each moved
     ``gap / 2`` towards the other: a unit pair that is no edge, ``gap`` short."""
-    u, w = rng.choice(sorted(g.edges - {min(g.edges)}))
+    u, w = rng.choice(sorted(set(g.edges) - {min(g.edges)}))
     coords = [g.position(vid) for vid in g.ids()]
     (ux, uy), (wx, wy) = coords[u], coords[w]
     h = gap / 2 / math.dist(coords[u], coords[w])
     coords[u] = (ux + h * (wx - ux), uy + h * (wy - uy))
     coords[w] = (wx - h * (wx - ux), wy - h * (wy - uy))
-    return free_graph(coords, g.edges - {(u, w)})
+    return free_graph(coords, set(g.edges) - {(u, w)})
 
 
 def two_patch_chain() -> MatchstickGraph:
