@@ -8,14 +8,19 @@ from v's.  A wedge seed is a vertex x with neighbours y, w that join x by it
 on the frame with origin x and angle x -> y: y snaps to (1, 0), w to another
 unit step.  Only a region's unit-step edges count, so no component needs
 validating again.  Growth stops once a region covers g with unit steps only:
-every later seed lies in it, so components are g's blocks on >= 3 vertices.
+every later seed lies in it, so its blocks are g's.
+
+A candidate is a block (its vertex set), the adjacency it was found in (g's,
+or a region's unit-step edges), a frame and coordinates.  A block holds every
+edge of its adjacency between two of its vertices: _make_component derives a
+component's edges by that rule, and _maximal filters the built components.
 
 A component's boundary is walked on its lattice points by the next-direction
 rule of the lattice-mode face walk in faces(): a step arriving along
 direction k goes on in the first direction of k+2, k+1, ..., k-3 (mod 6)
 with an edge, the neighbour just clockwise of the way back.  From the lowest,
 then leftmost point that gives the outer face.  The two walks look their
-neighbours up differently (a component's by point, among its block's edges;
+neighbours up differently (a component's by point, among its edges;
 a graph's in per-vertex direction slots), so they share no code.
 
 No two components share an edge: a shared edge would force a common lattice
@@ -95,14 +100,14 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
 
     lattice = g._once(_lattice)
     if lattice:
-        # every vertex is on the one input lattice, so the components are just
-        # the 2-connected blocks on >= 3 vertices, with the input coordinates
-        candidates = [(blk, *lattice) for blk in info.blocks]
+        # every vertex is on the one input lattice, so the candidates are g's
+        # blocks, with the input coordinates
+        adj = g.adjacency()
+        candidates = [(blk, adj, *lattice) for blk in info.blocks]
     else:
         candidates = _grow_all_seeds(g, tol)
 
-    comps = [_make_component(blk.vertices, blk.edges, frame, coords)
-             for blk, frame, coords in candidates if len(blk.vertices) >= 3]
+    comps = _maximal([_make_component(*c) for c in candidates if len(c[0]) >= 3])
     comps.sort(key=lambda c: (-c.n_i, min(c.vertices)))
 
     b_star_val = (len(_cycle_edges(faces(g).outer_face) - comps[0].boundary_edges)
@@ -117,15 +122,14 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
 
 
 def _grow_all_seeds(g: MatchstickGraph, tol: float):
-    """Grow the region of every wedge seed, and return the maximal blocks of
-    the regions' unit-step edges (see :func:`_maximal`), each with its
-    region's frame and coordinates.
+    """Grow the region of every wedge seed, and return the blocks of the
+    regions' unit-step edges as candidates (block, region adjacency, frame,
+    coordinates), in the order found.
 
     Seeds whose three vertices already lie in one grown region would
     reproduce it and are skipped.  A region holding every vertex of g with a
-    unit step on every edge holds every seed: the scan stops there and the
-    region's blocks are g's, which are edge-disjoint, so when that region is
-    the first they are returned as they are.
+    unit step on every edge holds every seed: the scan stops there, and the
+    region's blocks are g's, found in g's adjacency.
     """
     pos = g.positions()
     adj = g.adjacency()
@@ -151,8 +155,8 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                     break
                 coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
                 if len(coords) == g.n and _unit_edges(g.edges, coords):
-                    whole = [(blk, frame, coords) for blk in connectivity(g).blocks]
-                    return _maximal(candidates + whole) if candidates else whole
+                    return candidates + [(blk, adj, frame, coords)
+                                         for blk in connectivity(g).blocks]
                 region_adj = {v: [u for u in adj[v] if u in coords
                                   and (coords[u][0] - m, coords[u][1] - n) in UNIT_STEP_INDEX]
                               for v, (m, n) in coords.items()}
@@ -160,33 +164,35 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                     regions_of.setdefault(v, set()).add(n_regions)
                 n_regions += 1
                 blocks, _ = block_decomposition(coords, region_adj)
-                candidates.extend((blk, frame, coords) for blk in blocks)
-    return _maximal(candidates)
+                candidates.extend((blk, region_adj, frame, coords) for blk in blocks)
+    return candidates
 
 
-def _maximal(candidates):
-    """The first of ``candidates`` (block, frame, coords) for each edge set on
-    at least 3 vertices, less those whose edges lie strictly inside another's.
-    A block can only lie inside a block holding its smallest edge, so only
-    those are compared."""
-    first = {}  # edge set -> its first candidate
-    for c in candidates:
-        if len(c[0].vertices) >= 3:
-            first.setdefault(c[0].edges, c)
-    holders = {}  # edge -> the edge sets holding it
+def _maximal(comps):
+    """The first of ``comps`` for each edge set, less those whose edges lie
+    strictly inside another's.  A component can only lie inside one holding
+    its first edge (in its set's iteration order), so only those are compared."""
+    first = {}  # edge set -> its first component
+    for c in comps:
+        first.setdefault(c.edges, c)
+    holders = {next(iter(edges)): [] for edges in first}  # first edge -> the sets holding it
+    firsts = set(holders)
     for edges in first:
-        for e in edges:
-            holders.setdefault(e, []).append(edges)
-    return [c for edges, c in first.items() if not any(edges < d for d in holders[min(edges)])]
+        for e in edges & firsts:
+            holders[e].append(edges)
+    return [c for edges, c in first.items()
+            if not any(edges < d for d in holders[next(iter(edges))])]
 
 
-def _make_component(vset, eset, frame, coords) -> LatticeComponent:
-    """The component on ``vset``/``eset``, a block of unit steps between distinct
-    points of ``coords``.  Its lowest, then leftmost point s has neighbours only
-    in directions 0, 1, 2, so the outer face walk starts at s as if come from
-    direction 3, and ends when it is back at s: a block's outer face is a cycle.
-    The walk looks neighbours up as (m + dm, n + dn) int pairs.  The component
-    shares ``coords`` when it holds every vertex of it."""
+def _make_component(vset, adj, frame, coords) -> LatticeComponent:
+    """The component on the block ``vset`` of ``adj``, whose edges are unit
+    steps between distinct points of ``coords``; its edges are those of ``adj``
+    between two of its vertices.  Its lowest, then leftmost point s has
+    neighbours only in directions 0, 1, 2, so the outer face walk starts at s
+    as if come from direction 3, and ends when it is back at s: a block's outer
+    face is a cycle.  The walk looks neighbours up as (m + dm, n + dn) int
+    pairs.  The component shares ``coords`` when it holds every vertex of it."""
+    eset = frozenset([(u, w) for u in vset for w in adj[u] if u < w and w in vset])
     points = coords if len(vset) == len(coords) else {v: coords[v] for v in vset}
     at = {p: v for v, p in points.items()}
     s = min(points, key=lambda v: points[v][::-1])

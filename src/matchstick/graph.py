@@ -45,9 +45,9 @@ DEFAULT_TOL = 1e-9
 # from_json bound on lattice m and n: past 2**53 floats no longer hold every
 # integer, so the vertex positions lose their meaning
 _MAX_LATTICE_COORD = 2 ** 53
-# from_json and polygon bound on free coordinates (and frame origins): their
-# differences, products of two differences and sums of up to 1e100 such
-# products (squared distances, hypot, shoelace sums, the SVG size) stay finite
+# _point's bound on free coordinates and frame origins: their differences,
+# products of two differences and sums of up to 1e100 such products (squared
+# distances, hypot, shoelace sums, the SVG size) stay finite
 _MAX_COORD = 1e100
 
 # grid pruning: cells are max(_CELL, tol + _BOX_PAD) wide, and every edge goes
@@ -108,7 +108,6 @@ class FaceStructure(namedtuple("FaceStructure", "faces outer_face_index")):
         return self.faces[self.outer_face_index]
 
 
-Block = namedtuple("Block", "vertices edges")  # two frozensets
 ConnectivityInfo = namedtuple("ConnectivityInfo",
                               "connected two_connected min_degree blocks cut_vertices")
 
@@ -395,11 +394,9 @@ def lattice_graph(points, edges=None, frame: LatticeFrame = LatticeFrame()) -> M
 
 
 def free_graph(coords, edges) -> MatchstickGraph:
-    vertices = [(i, FreeCoord(float(x), float(y))) for i, (x, y) in enumerate(coords)]
-    for i, c in vertices:
-        if not (math.isfinite(c.x) and math.isfinite(c.y)):
-            raise ValueError(f"vertex {i} free coordinates must be finite, not {(c.x, c.y)!r}")
-    return MatchstickGraph(vertices, edges)
+    """Free-mode graph on ``coords``, each checked as ``from_json`` checks one."""
+    return MatchstickGraph([(i, FreeCoord(*_point(xy, f"vertex {i} free")))
+                            for i, xy in enumerate(coords)], edges)
 
 
 _HALF_RING = UNIT_RING[:3]  # one per unordered direction pair
@@ -898,13 +895,12 @@ def block_decomposition(ids, adj):
     """Blocks and cut vertices of the graph given as an adjacency dict, which
     lists each vertex's neighbours in ascending order, by the vertex-stack form
     of Hopcroft and Tarjan's iterative DFS.  Blocks are sorted by smallest
-    vertex, ties in discovery order; an isolated vertex is a vertex-only block.
+    vertex, ties in discovery order; an isolated vertex is a block of its own.
 
-    When the DFS returns from v to p with ``low[v] >= disc[p]``, p and the
-    vertices found since v form a block; the parent edge only lowers ``low[v]``
-    to ``disc[p]``, so it is not skipped.  Blocks share at most one vertex, so
-    the block's edges are those of its popped vertices with both ends in it,
-    each read once, from its smaller end or from its end other than p."""
+    A block is the frozenset of its vertices, and holds every edge of ``adj``
+    between two of them.  When the DFS returns from v to p with
+    ``low[v] >= disc[p]``, p and the vertices found since v form a block; the
+    parent edge only lowers ``low[v]`` to ``disc[p]``, so it is not skipped."""
     disc = {}
     low = {}
     blocks = []
@@ -937,10 +933,7 @@ def block_decomposition(ids, adj):
                     comp = [p]
                     while comp[-1] != v:
                         comp.append(found.pop())
-                    vs = frozenset(comp)
-                    blocks.append(Block(vertices=vs, edges=frozenset(
-                        (u, w) if u < w else (w, u)
-                        for u in comp[1:] for w in adj[u] if w == p or (u < w and w in vs))))
+                    blocks.append(frozenset(comp))
                     if p == root:
                         root_children += 1
                     else:
@@ -948,14 +941,14 @@ def block_decomposition(ids, adj):
         if root_children > 1:
             cut.add(root)
         if not adj[root]:
-            blocks.append(Block(vertices=frozenset((root,)), edges=_NONE))
-    blocks.sort(key=lambda b: min(b.vertices))
+            blocks.append(frozenset((root,)))
+    blocks.sort(key=min)
     return tuple(blocks), frozenset(cut)
 
 
 def connectivity(g: MatchstickGraph) -> ConnectivityInfo:
-    """Standard block-cut decomposition; blocks ordered by smallest contained id.
-    Computed once per graph."""
+    """Block-cut decomposition, blocks as vertex frozensets ordered by smallest
+    contained id.  Computed once per graph."""
     return g._once(_connectivity)
 
 
@@ -966,7 +959,7 @@ def _connectivity(g: MatchstickGraph) -> ConnectivityInfo:
     # the blocks of a connected component on k vertices form a tree through its
     # cut vertices, so their sizes less one sum to k - 1; an isolated vertex is
     # a one-vertex block, so n less that sum over all blocks counts the components
-    connected = g.n - sum(len(b.vertices) - 1 for b in blocks) == 1
+    connected = g.n - sum(len(b) - 1 for b in blocks) == 1
     two_connected = connected and g.n >= 3 and not cut
     return ConnectivityInfo(connected=connected,
                             two_connected=two_connected,

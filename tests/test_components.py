@@ -655,21 +655,21 @@ class TestBoundaryWalk:
         assert [c.n_i for c in report.components] == [7] * 8
 
 
-def _reference_components(g, tol, monkeypatch):
+def _reference_components(g, tol):
     """decompose's components with the filter it had before :func:`_maximal`:
-    every region block deduplicated and built, then each compared with every
-    other for strict containment."""
+    every region block on at least 3 vertices built, deduplicated by edge set,
+    then each compared with every other for strict containment."""
     import matchstick.components as components
-    with monkeypatch.context() as m:
-        m.setattr(components, "_maximal", lambda candidates: candidates)
-        candidates = components._grow_all_seeds(g, tol)
     comps = []
     seen_edge_sets = set()
-    for blk, frame, coords in candidates:
-        if len(blk.vertices) < 3 or blk.edges in seen_edge_sets:
+    for blk, adj, frame, coords in components._grow_all_seeds(g, tol):
+        if len(blk) < 3:
             continue
-        seen_edge_sets.add(blk.edges)
-        comps.append(components._make_component(blk.vertices, blk.edges, frame, coords))
+        comp = components._make_component(blk, adj, frame, coords)
+        if comp.edges in seen_edge_sets:
+            continue
+        seen_edge_sets.add(comp.edges)
+        comps.append(comp)
     kept = [c for c in comps if not any(c is not d and c.edges < d.edges for d in comps)]
     kept.sort(key=lambda c: (-c.n_i, min(c.vertices)))
     return kept, len(comps) - len(kept)
@@ -691,12 +691,12 @@ class TestContainmentFilter:
         return graphs
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.2, 0.3, 0.45])
-    def test_same_components_as_the_all_pairs_filter(self, tol, monkeypatch):
+    def test_same_components_as_the_all_pairs_filter(self, tol):
         dropped = 0
         for g in self.corpus():
             if not g.validate(tol=tol).ok:
                 continue
-            want, contained = _reference_components(g, tol, monkeypatch)
+            want, contained = _reference_components(g, tol)
             assert list(decompose(g, tol).components) == want
             dropped += contained
         if tol >= 0.2:
@@ -704,10 +704,12 @@ class TestContainmentFilter:
 
 
 # decompose's boundary walk and region-edge rule as they were before they ran
-# on (m, n) int pairs: _make_component verbatim, and _grow_all_seeds verbatim
-# but for the names of what it calls
-def _reference_make_component(vset, eset, frame, coords):
+# on (m, n) int pairs: _make_component verbatim but for its edge set, taken as
+# the block's edges in ``adj``, and _grow_all_seeds verbatim but for the names of
+# what it calls and the candidates' shape
+def _reference_make_component(vset, adj, frame, coords):
     import matchstick.components as components
+    eset = {_norm_edge(u, w) for u in vset for w in adj[u] if w in vset}
     points = coords if len(vset) == len(coords) else {v: coords[v] for v in vset}
     at = {p: v for v, p in points.items()}
 
@@ -728,7 +730,6 @@ def _reference_make_component(vset, eset, frame, coords):
 
 
 def _reference_grow_all_seeds(g, tol):
-    from matchstick.components import _maximal
     pos = g.positions()
     adj = g.adjacency()
     candidates = []
@@ -753,8 +754,8 @@ def _reference_grow_all_seeds(g, tol):
                     break
                 coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
                 if len(coords) == g.n and _unit_edges(g.edges, coords):
-                    whole = [(blk, frame, coords) for blk in connectivity(g).blocks]
-                    return _maximal(candidates + whole) if candidates else whole
+                    return candidates + [(blk, adj, frame, coords)
+                                         for blk in connectivity(g).blocks]
                 region_adj = {v: [u for u in adj[v] if u in coords
                                   and coords[u] - coords[v] in UNIT_STEP_INDEX]
                               for v in coords}
@@ -762,8 +763,8 @@ def _reference_grow_all_seeds(g, tol):
                     regions_of.setdefault(v, set()).add(n_regions)
                 n_regions += 1
                 blocks, _ = block_decomposition(sorted(coords), region_adj)
-                candidates.extend((blk, frame, coords) for blk in blocks)
-    return _maximal(candidates)
+                candidates.extend((blk, region_adj, frame, coords) for blk in blocks)
+    return candidates
 
 
 class TestSameDecompositionAsTheReference:

@@ -509,7 +509,7 @@ class TestConnectivity:
         info = connectivity(g)
         assert (info.connected, info.two_connected, info.min_degree) == (True, True, 2)
         assert len(info.blocks) == 1
-        assert info.blocks[0].vertices == frozenset({0, 1, 2})
+        assert info.blocks[0] == frozenset({0, 1, 2})
 
     def test_two_triangles_sharing_vertex(self):
         pts = [E(0, 0), E(1, 0), E(0, 1), E(2, 0), E(1, 1)]
@@ -538,12 +538,13 @@ class TestConnectivity:
         pts = [E(0, 0), E(1, 0), E(0, 1), E(2, 0), E(1, 1)]
         g = lattice_graph(pts, edges=[(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)])
         blocks = connectivity(g).blocks
-        assert min(blocks[0].vertices) <= min(blocks[1].vertices)
+        assert min(blocks[0]) <= min(blocks[1])
 
 
 def _reference_block_decomposition(ids, adj):
     """The edge-stack form of Hopcroft and Tarjan's DFS, as graph.block_decomposition
-    had it before the vertex-stack form: the reference the latter is checked against."""
+    had it before the vertex-stack form: the reference the latter is checked against.
+    Returns each block as (vertices, edges), two frozensets, with the cut vertices."""
     disc = {}
     low = {}
     edge_stack = []
@@ -597,12 +598,12 @@ def _reference_block_decomposition(ids, adj):
     blocks = []
     for comp in raw_blocks:
         if len(comp) == 1 and comp[0][0] == comp[0][1]:
-            blocks.append(graph.Block(vertices=frozenset({comp[0][0]}), edges=frozenset()))
+            blocks.append((frozenset({comp[0][0]}), frozenset()))
         else:
             vs = frozenset(v for e in comp for v in e)
             es = frozenset(graph._norm_edge(*e) for e in comp)
-            blocks.append(graph.Block(vertices=vs, edges=es))
-    blocks.sort(key=lambda b: min(b.vertices))
+            blocks.append((vs, es))
+    blocks.sort(key=lambda b: min(b[0]))
     return tuple(blocks), frozenset(cut)
 
 
@@ -644,14 +645,27 @@ def _random_graphs(rng):
             yield ids, adj
 
 
+def _assert_same_as_reference(ids, adj):
+    """The same block vertex sets in the same order and the same cut vertices
+    as the reference, and each reference block's edges are those of ``adj``
+    between two of its vertices."""
+    blocks, cut = graph.block_decomposition(ids, adj)
+    ref_blocks, ref_cut = _reference_block_decomposition(ids, adj)
+    assert blocks == tuple(vs for vs, _ in ref_blocks)
+    assert cut == ref_cut
+    for vs, es in ref_blocks:
+        assert es == frozenset((a, b) for a in vs for b in adj[a] if a < b and b in vs)
+
+
 class TestBlockDecompositionDifferential:
     """graph.block_decomposition against the edge-stack reference kept above:
-    the same blocks in the same order, and the same cut vertices."""
+    the same blocks in the same order, and the same cut vertices; each block
+    holds every edge between two of its vertices."""
 
     def test_random_graphs(self):
         count = 0
         for ids, adj in _random_graphs(random.Random(447)):
-            assert graph.block_decomposition(ids, adj) == _reference_block_decomposition(ids, adj)
+            _assert_same_as_reference(ids, adj)
             count += 1
         assert count == 4000
 
@@ -659,8 +673,7 @@ class TestBlockDecompositionDifferential:
                              ids=[name for name, _ in _face_graphs()])
     def test_lattice_and_chain_graphs(self, make):
         g = make()
-        ids, adj = g.ids(), g.adjacency()
-        assert graph.block_decomposition(ids, adj) == _reference_block_decomposition(ids, adj)
+        _assert_same_as_reference(g.ids(), g.adjacency())
 
     def test_regions_grown_on_the_64_patch_chain(self, monkeypatch):
         from matchstick import components
@@ -674,7 +687,7 @@ class TestBlockDecompositionDifferential:
         components._grow_all_seeds(_patch_chain(64), DEFAULT_TOL)
         assert len(calls) >= 64  # one region per patch at least
         for ids, adj in calls:
-            assert graph.block_decomposition(ids, adj) == _reference_block_decomposition(ids, adj)
+            _assert_same_as_reference(ids, adj)
 
 
 class TestJson:
@@ -735,8 +748,19 @@ class TestFreeGraph:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_coordinate_names_the_vertex(self, bad):
         # the candidate grid raised OverflowError, or a ValueError naming no vertex
-        with pytest.raises(ValueError, match="vertex 1 free coordinates must be finite"):
+        with pytest.raises(ValueError, match="vertex 1 free must be a finite number"):
             free_graph([(0, 0), (0, bad), (0, 1), (1, 1)], [(0, 1), (2, 3)])
+
+    def test_coordinate_past_1e100_is_rejected(self):
+        # validating it at tol 1e190 overflowed the vertex-to-edge distance and
+        # missed vertex 2 on edge 0-1; from_json rejects the same document
+        with pytest.raises(ValueError, match=r"vertex 1 free must be at most 1e100 in magnitude"):
+            free_graph([(0, 0), (4e200, 0), (2e200, 0)], [(0, 1)])
+
+    @pytest.mark.parametrize("bad", [(0, "1"), (0, True), (0, 1, 2), 5])
+    def test_non_number_coordinate_names_the_vertex(self, bad):
+        with pytest.raises(ValueError, match="vertex 1 free must be"):
+            free_graph([(0, 0), bad], [(0, 1)])
 
 
 _FRAME = [{"id": 0, "origin": [0, 0], "angle": 0}]

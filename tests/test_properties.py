@@ -4,7 +4,9 @@ Whenever ``validate --tol T`` exits 0, ``stats``, ``decompose`` and ``trace``
 at T, and ``render``, exit 0 or 1: never 3 (a theorem failed, and the
 theorems hold for every valid graph), and never with a raised exception.
 Every line each command writes to stdout or stderr is strict JSON, with no
-``NaN`` or ``Infinity`` token.
+``NaN`` or ``Infinity`` token.  On the same cases, with and without penny mode,
+``validate`` reports what the plain pass its fast path shortcuts reports, and
+the blocks and components hold the edges they should.
 
 The graphs are random lattice subgraphs on frames at origins up to 1e100 and
 at any angle, free copies of them rotated and shifted, free copies with every
@@ -24,11 +26,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from matchstick import graph
 from matchstick.builders import random_lattice_subgraph
 from matchstick.cli import main
-from matchstick.graph import MatchstickGraph
-from matchstick.lattice import LatticeFrame
-from test_validation_oracle import moved, rotated_free
+from matchstick.components import decompose
+from matchstick.graph import MatchstickGraph, connectivity
+from matchstick.lattice import UNIT_STEP_INDEX, LatticeFrame
+from test_validation_oracle import generic_report, moved, rotated_free
 
 TOLS = [1e-9, 1e-6, 1e-3, 0.05, 0.1]
 PROFILE = settings(max_examples=200, derandomize=True, database=None, deadline=None,
@@ -95,6 +99,32 @@ def test_accepted_graphs_run_clean(tmp_path_factory, case):
     svg = tmp / "g.svg"
     assert _run(["render", path, "-o", str(svg)]) == 0
     assert svg.read_text(encoding="utf-8").rstrip().endswith("</svg>")
+
+
+@PROFILE
+@given(cases(), st.booleans())
+def test_fast_paths_give_the_plain_answers(case, penny):
+    """``validate`` reports what the pass its path shortcuts reports: the
+    generic exact pass in lattice mode, the plain float pass in free mode.  When
+    the graph is valid, every edge lies in exactly one block, and each
+    component's edges are the graph's edges between its vertices that are unit
+    steps of its coordinates."""
+    g, tol = case
+    report = g.validate(tol=tol, penny_mode=penny)
+    if g.lattice_mode:
+        assert report.to_json() == generic_report(g, penny).to_json()
+    else:
+        plain = sorted(graph._validate_float(g, tol, penny, None), key=lambda v: (v.kind, v.ids))
+        assert report.violations == tuple(plain)
+    if not report.ok:
+        return
+    blocks = connectivity(g).blocks
+    for a, b in g.edges:
+        assert sum(a in blk and b in blk for blk in blocks) == 1, (a, b)
+    for comp in decompose(g, tol).components:
+        vs, points = comp.vertices, comp.coords
+        assert comp.edges == {(a, b) for a, b in g.edges if a in vs and b in vs
+                              and points[b] - points[a] in UNIT_STEP_INDEX}
 
 
 # -- documents ------------------------------------------------------------------

@@ -17,8 +17,8 @@ import pytest
 from matchstick import geometry as geo
 from matchstick import graph
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
-from matchstick.graph import (DEFAULT_TOL, LatticeCoord, MatchstickGraph, ValidationReport,
-                              Violation, free_graph, lattice_graph)
+from matchstick.graph import (DEFAULT_TOL, FreeCoord, LatticeCoord, MatchstickGraph,
+                              ValidationReport, Violation, free_graph, lattice_graph)
 from matchstick.lattice import UNIT_RING, EisensteinPoint, LatticeFrame
 
 
@@ -183,8 +183,10 @@ class TestAgainstBruteForce:
         assert as_triples(report) == brute_force_violations(g, 0.2, False)
 
     def test_tol_and_coordinates_near_the_float_limit(self):
-        # the edge's box widened by tol reaches past the largest float
-        g = free_graph([(0, 0), (1e308, 0), (5e307, 1e307)], [(0, 1)])
+        # the edge's box widened by tol reaches past the largest float; free_graph
+        # and from_json bound coordinates at 1e100, so the graph is built directly
+        g = MatchstickGraph([(0, FreeCoord(0.0, 0.0)), (1, FreeCoord(1e308, 0.0)),
+                             (2, FreeCoord(5e307, 1e307))], [(0, 1)])
         assert as_triples(g.validate(tol=1e308)) == brute_force_violations(g, 1e308, False)
 
     def test_far_collinear_edges_do_not_cross(self):
