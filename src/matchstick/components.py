@@ -36,8 +36,8 @@ from collections import namedtuple
 from . import geometry as geo
 from .census import face_census
 from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, MatchstickGraph, _canonical_rotation,
-                    _check_tol, _grow, _lattice, _norm_edge, _unit_edges, block_decomposition,
-                    connectivity, faces, lattice_graph)
+                    _check_tol, _grow, _lattice, _lifted, _norm_edge, _unit_edges,
+                    block_decomposition, connectivity, faces, lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
 
@@ -98,16 +98,27 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
     info = connectivity(g)
     census = face_census(g) if info.two_connected else None
 
+    adj = g.adjacency()
     lattice = g._once(_lattice)
+    if lattice is None and g._lift:
+        # a whole lift seeded on g's first edge, from a vertex with a second
+        # neighbour, is what the wedge scan's first seed grows: the scan would
+        # return g's blocks on it (the proof is in graph._validation_report);
+        # only a graph some validate call lifted whole looks for one
+        path, lift = _lifted(g, tol)
+        x = g.vertices[0][0]
+        if (path == "free-lift" and len(adj[x]) >= 2 and lift[1][x] == ORIGIN
+                and lift[1][adj[x][0]] == UNIT_RING[0]):
+            lattice = lift
     if lattice:
-        # every vertex is on the one input lattice, so the candidates are g's
-        # blocks, with the input coordinates
-        adj = g.adjacency()
+        # every vertex is on one lattice, so the candidates are g's blocks,
+        # with its coordinates
         candidates = [(blk, adj, *lattice) for blk in info.blocks]
     else:
         candidates = _grow_all_seeds(g, tol)
 
-    comps = _maximal([_make_component(*c) for c in candidates if len(c[0]) >= 3])
+    comps = _maximal([_make_component(*c, g.edges if c[1] is adj else None)
+                      for c in candidates if len(c[0]) >= 3])
     comps.sort(key=lambda c: (-c.n_i, min(c.vertices)))
 
     b_star_val = (len(_cycle_edges(faces(g).outer_face) - comps[0].boundary_edges)
@@ -184,15 +195,19 @@ def _maximal(comps):
             if not any(edges < d for d in holders[next(iter(edges))])]
 
 
-def _make_component(vset, adj, frame, coords) -> LatticeComponent:
+def _make_component(vset, adj, frame, coords, edges=None) -> LatticeComponent:
     """The component on the block ``vset`` of ``adj``, whose edges are unit
     steps between distinct points of ``coords``; its edges are those of ``adj``
-    between two of its vertices.  Its lowest, then leftmost point s has
+    between two of its vertices: ``edges``, when given as all of adj's, if it
+    holds every vertex of adj.  Its lowest, then leftmost point s has
     neighbours only in directions 0, 1, 2, so the outer face walk starts at s
     as if come from direction 3, and ends when it is back at s: a block's outer
     face is a cycle.  The walk looks neighbours up as (m + dm, n + dn) int
     pairs.  The component shares ``coords`` when it holds every vertex of it."""
-    eset = frozenset([(u, w) for u in vset for w in adj[u] if u < w and w in vset])
+    if edges is not None and len(vset) == len(adj):
+        eset = frozenset(edges)
+    else:
+        eset = frozenset([(u, w) for u in vset for w in adj[u] if u < w and w in vset])
     points = coords if len(vset) == len(coords) else {v: coords[v] for v in vset}
     at = {p: v for v, p in points.items()}
     s = min(points, key=lambda v: points[v][::-1])

@@ -150,6 +150,7 @@ class MatchstickGraph:
         self._coord = coord_of
         self._validated_ok = False
         self._validated_tol = None  # the largest tol a validate() call passed at
+        self._lift = None  # (frame, points) of the first validate() call that took "free-lift"
         self._derived = {}
 
     def _once(self, compute, *args):
@@ -209,6 +210,8 @@ class MatchstickGraph:
         if report.ok:
             self._validated_ok = True
             self._validated_tol = max(tol, self._validated_tol or 0.0)
+            if report.path == "free-lift" and self._lift is None:
+                self._lift = _lifted(self, tol)[1]
         return report
 
     def require_validated(self):
@@ -549,6 +552,28 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
     vertex that several pieces hold (a corner two patches share) in each of
     them, whatever its point in the others; pairs across pieces go to the
     float predicates.
+
+    A whole lift, found at any tol in the window, also fixes the faces and
+    ``decompose``'s first wedge, so both are read off it:
+
+    - Faces: an edge from v to u is its slot's unit vector, at frame.angle +
+      k * 60 degrees, moved by at most 2d < 0.075: its direction is within
+      asin(2d) < 0.0751 rad of the slot's, and the float differences and
+      ``atan2`` add at most M * 2**-52 <= tol/256.  That is far below the 30
+      degrees to the midpoint of the next slot, so sorting v's neighbours by
+      direction gives its occupied slots in cyclic order, the next-dart rule
+      walks the lattice's faces, and the turn sums (+6 inner, -6 outer) find
+      the outer face.  From the start :func:`_first_slots` gives each vertex,
+      the lattice walk gives :func:`_free_walk`'s FaceStructure.
+    - decompose: let the lift be seeded on g's first edge (x, y), and let x
+      have a next neighbour w.  The wedge scan's first seed (x, y, w) builds
+      the same frame from the same floats, and ``snap`` rounds a position to
+      the same point, with the same distance, at any slack.  The lift put
+      every vertex within tol/4 of its point, so at slack tol y snaps to
+      (1, 0), w to its lift point, and the growth gives each vertex it reaches
+      its lift point, held by no other vertex and a unit step from each
+      neighbour's.  It reaches all of connected g: the scan returns at once
+      g's blocks on the lift's frame and points.
     """
     if g.lattice_mode:
         mode, below = "lattice", None
@@ -558,11 +583,9 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
         else:
             path, violations = "lattice-generic", _validate_exact_generic(g, penny_mode)
     else:
-        max_coord = max(abs(c) for xy in g.positions().values() for c in xy)
-        ulp = max_coord * 2.0 ** -52
+        ulp = g._once(_max_coord) * 2.0 ** -52
         mode, below = "free", (ulp if ulp > tol else None)
-        lift = (max_coord + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL
-        path, pieces = _lift_pieces(g, tol) if lift else ("float", None)
+        path, pieces = _lifted(g, tol)
         violations = [] if path == "free-lift" else _validate_float(g, tol, penny_mode, pieces)
     violations.sort(key=lambda v: (v.kind, v.ids))
     return ValidationReport(ok=not violations, violations=tuple(violations), mode=mode, path=path,
@@ -579,11 +602,24 @@ def _unit_edges(edges, points: dict) -> bool:
     return True
 
 
+def _max_coord(g: MatchstickGraph) -> float:
+    """The largest |coordinate| of a free graph; use through g._once."""
+    return max(abs(c) for xy in g.positions().values() for c in xy)
+
+
+def _lifted(g: MatchstickGraph, tol: float):
+    """``_lift_pieces(g, tol)`` inside the lift's tol window, once per graph
+    and tol; ("float", None) outside it."""
+    if (g._once(_max_coord) + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL:
+        return g._once(_lift_pieces, tol)
+    return "float", None
+
+
 def _lift_pieces(g: MatchstickGraph, tol: float):
     """The lattice pieces of a free graph, as (path, pieces): ("free-lift",
-    None) when the first piece holds every vertex with a unit step on every
-    edge, ("free-pieces", (held, edge_piece)) when some piece exists, else
-    ("float", None).  ``held`` maps a vertex to the indices of the pieces
+    (frame, points)) when the first piece holds every vertex with a unit step
+    on every edge, ("free-pieces", (held, edge_piece)) when some piece exists,
+    else ("float", None).  ``held`` maps a vertex to the indices of the pieces
     holding it; ``edge_piece`` gives, for each edge of ``g.edges``, a piece
     holding its ends a unit step apart (the edge is lifted), or None.
 
@@ -627,7 +663,7 @@ def _lift_pieces(g: MatchstickGraph, tol: float):
             if frame.snap(pb, slack) == UNIT_RING[0]:
                 piece = _grow(pos, adj, frame, {a: ORIGIN, b: UNIT_RING[0]}, slack, held)
                 if not points and len(piece) == g.n and _unit_edges(g.edges, piece):
-                    return "free-lift", None
+                    return "free-lift", (frame, piece)
                 k = len(points)
                 points.append(piece)
                 for v in piece:
@@ -743,12 +779,14 @@ def rotation_system(g: MatchstickGraph) -> dict:
     """Neighbors of each vertex sorted counterclockwise by edge direction from
     the least angle in [0, 2*pi).  In lattice mode these are the occupied
     direction slots in index order (direction k lies at k * 60 degrees in the
-    lattice's own frame); in free mode they are sorted by ``atan2``.  Requires
+    lattice's own frame), and on a whole lift its slots from
+    :func:`_first_slots`; other free graphs sort them by ``atan2``.  Requires
     a validated graph (equal angles would mean overlapping edges)."""
     g.require_validated()
-    if g.lattice_mode:
-        return {vid: tuple(u for u in slots if u is not None)
-                for vid, slots in g._once(_lattice_darts).items()}
+    if g.lattice_mode or g._lift:
+        base, first = g._once(_first_slots)
+        return {v: tuple(row[k] for k in _SLOTS_FROM[first.get(v, base)] if row[k] is not None)
+                for v, row in g._once(_lattice_darts).items()}
     pos = g.positions()
     rot = {}
     for vid, nbrs in g.adjacency().items():
@@ -761,8 +799,8 @@ def rotation_system(g: MatchstickGraph) -> dict:
 def _lattice_darts(g: MatchstickGraph) -> dict:
     """Each vertex's six direction slots: slot k holds the neighbour one
     ``UNIT_RING[k]`` step away, or None.  For a validated lattice-mode graph,
-    whose edges all have Eisenstein norm 1; use through g._once."""
-    points = g._once(_lattice)[1]
+    whose edges all have Eisenstein norm 1, or a whole lift; use through g._once."""
+    points = (g._once(_lattice) or g._lift)[1]
     slots = {}
     for v, nbrs in g.adjacency().items():  # in vertex order, which keeps memory reads local
         m, n = points[v]
@@ -773,14 +811,41 @@ def _lattice_darts(g: MatchstickGraph) -> dict:
     return slots
 
 
+# the slots in counterclockwise order from each slot
+_SLOTS_FROM = tuple(tuple((s + k) % 6 for k in range(6)) for s in range(6))
+# a lifted dart's direction is within 0.0755 rad of its slot's (see _validation_report)
+_SLOT_SLACK = 0.08
+
+
+def _first_slots(g: MatchstickGraph):
+    """(base, first): vertex v's slots, counterclockwise, start at
+    ``first.get(v, base)``: slot 0 in lattice mode; on a lift, the slot of v's
+    neighbour of least ``atan2(dy, dx) % tau``, as ``_free_walk`` orders them.
+    Slot k lies at frame.angle + k * 60 degrees; base is the slot of least such
+    angle mod tau, or c + 1 when a slot c lies within _SLOT_SLACK of the cut at
+    0 = tau.  A dart in c has dx > 0, so it comes first exactly when dy >= 0,
+    which the rounded difference of the two y coordinates keeps.  Use through
+    g._once."""
+    if g.lattice_mode:
+        return 0, {}
+    angle = g._lift[0].angle
+    turns = [(angle + k * math.pi / 3) % math.tau for k in range(6)]
+    cut = next((k for k, t in enumerate(turns) if min(t, math.tau - t) < _SLOT_SLACK), None)
+    if cut is None:
+        return turns.index(min(turns)), {}
+    pos = g.positions()
+    return (cut + 1) % 6, {v: cut for v, row in g._once(_lattice_darts).items()
+                           if row[cut] is not None and pos[row[cut]][1] >= pos[v][1]}
+
+
 def faces(g: MatchstickGraph) -> FaceStructure:
     """Face cycles by the next-dart rule: at the head of dart (u, v) continue to
     the neighbor immediately clockwise of u around v.  Inner faces come out
     counterclockwise; the outer face is the unique clockwise one, the face
-    whose orientation sum is negative: in lattice mode an integer turn sum of
-    -6 (an inner face's is +6), in free mode a float shoelace sum.  Each cycle
-    is its lexicographically least rotation, so it starts at its smallest
-    vertex.  Computed once per graph."""
+    whose orientation sum is negative: an integer turn sum of -6 (an inner
+    face's is +6) in lattice mode and on a free graph's whole lift, else a
+    float shoelace sum.  Each cycle is its lexicographically least rotation,
+    so it starts at its smallest vertex.  Computed once per graph."""
     return g._once(_faces)
 
 
@@ -805,7 +870,7 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
             outer.append(len(cycles))
         cycles.append(tuple(cycle))
 
-    (_lattice_walk if g.lattice_mode else _free_walk)(g, add)
+    (_lattice_walk if g.lattice_mode or g._lift else _free_walk)(g, add)
     if len(cycles) > 1 and len(outer) != 1:
         raise ConsistencyError(f"expected exactly one clockwise face, found {len(outer)}")
     total = sum(len(c) for c in cycles)
@@ -815,16 +880,17 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
 
 
 def _lattice_walk(g: MatchstickGraph, add):
-    """Passes each face of a lattice-mode graph to ``add`` as (cycle, turn
-    sum), walked on its direction slots with no float.  A dart arriving along
-    direction k goes on in the first occupied direction k + d for d = 2, 1,
-    0, -1, -2, -3 (immediately clockwise of the way back first), and d is
-    its turn in sixths of a circle: a U-turn at a leaf turns clockwise.  An
-    inner face's turns sum to +6, the outer face's to -6."""
+    """Passes each face of a lattice-mode or lifted graph to ``add`` as (cycle,
+    turn sum), walked on its direction slots from :func:`_first_slots`.  A dart
+    arriving along direction k goes on in the first occupied direction k + d
+    for d = 2, 1, 0, -1, -2, -3 (immediately clockwise of the way back first),
+    and d is its turn in sixths of a circle: a U-turn at a leaf turns
+    clockwise.  An inner face's turns sum to +6, the outer face's to -6."""
     slots = g._once(_lattice_darts)
+    base, first = g._once(_first_slots)
     left = {v: list(s) for v, s in slots.items()}  # the darts not walked yet
     for u0, row0 in left.items():  # in vertex order
-        for k0 in range(6):
+        for k0 in _SLOTS_FROM[first.get(u0, base)]:
             if row0[k0] is None:
                 continue  # no edge, or the dart is on a face already walked
             cycle = []

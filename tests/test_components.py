@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -705,9 +706,10 @@ class TestContainmentFilter:
 
 # decompose's boundary walk and region-edge rule as they were before they ran
 # on (m, n) int pairs: _make_component verbatim but for its edge set, taken as
-# the block's edges in ``adj``, and _grow_all_seeds verbatim but for the names of
-# what it calls and the candidates' shape
-def _reference_make_component(vset, adj, frame, coords):
+# the block's edges in ``adj`` (so it ignores ``edges``, the whole graph's), and
+# _grow_all_seeds verbatim but for the names of what it calls and the
+# candidates' shape
+def _reference_make_component(vset, adj, frame, coords, edges=None):
     import matchstick.components as components
     eset = {_norm_edge(u, w) for u in vset for w in adj[u] if w in vset}
     points = coords if len(vset) == len(coords) else {v: coords[v] for v in vset}
@@ -767,9 +769,20 @@ def _reference_grow_all_seeds(g, tol):
     return candidates
 
 
+def _reference_decompose(g, tol):
+    """decompose's report from the reference wedge scan and boundary walk
+    above, which it runs on a free graph whatever its lift."""
+    import matchstick.components as components
+    with mock.patch.multiple(components, _make_component=_reference_make_component,
+                             _grow_all_seeds=_reference_grow_all_seeds,
+                             _lifted=lambda g, tol: ("float", None)):
+        return components._decompose(g, tol)
+
+
 class TestSameDecompositionAsTheReference:
-    """The int-pair boundary walk and region-edge rule give every graph the
-    decompose document, boundary cycles and coordinates of the reference."""
+    """The int-pair boundary walk and region-edge rule, and the lift that
+    stands in for the wedge scan, give every graph the decompose document,
+    boundary cycles and coordinates of the reference."""
 
     @staticmethod
     def corpus(monkeypatch):
@@ -784,7 +797,6 @@ class TestSameDecompositionAsTheReference:
         return graphs + [build_extremal(n) for n in (50, 200, 700)]
 
     def test_same_documents(self, monkeypatch):
-        import matchstick.components as components
         graphs = self.corpus(monkeypatch)
         compared = 0
         for tol in (1e-9, 1e-6, 0.05):
@@ -792,10 +804,7 @@ class TestSameDecompositionAsTheReference:
                 if not g.validate(tol=tol).ok:
                     continue
                 got = decompose(g, tol)
-                with monkeypatch.context() as m:
-                    m.setattr(components, "_make_component", _reference_make_component)
-                    m.setattr(components, "_grow_all_seeds", _reference_grow_all_seeds)
-                    want = components._decompose(g, tol)
+                want = _reference_decompose(g, tol)
                 assert got.to_json() == want.to_json()
                 assert [(c.boundary_cycle, c.coords) for c in got.components] == \
                        [(c.boundary_cycle, c.coords) for c in want.components]

@@ -438,12 +438,13 @@ class TestFaceWalkDifferential:
 
 class TestFaceChecks:
     """The two ConsistencyError checks of the face walk fire on broken
-    direction data: a broken rotation system on free copies, whose walk reads
-    it, and broken direction slots on the lattice-mode graphs themselves."""
+    direction data: a broken rotation system on free copies validated only
+    above the lift's tol window, whose walk reads it, and broken direction
+    slots on the lattice-mode graphs themselves and on lifted free copies."""
 
     def test_reversed_rotation_at_one_vertex_gives_two_clockwise_faces(self, monkeypatch):
         g = rotated_free(_bowtie(), 0.3, (0.0, 0.0))
-        assert g.validate().ok
+        assert g.validate(tol=0.2).path == "float"
         rot = rotation_system(g)
         assert len(rot[0]) == 4
         monkeypatch.setattr(graph, "rotation_system", lambda h: {**rot, 0: rot[0][::-1]})
@@ -454,7 +455,7 @@ class TestFaceChecks:
         # the star's centre loses leaf 3 from its rotation, so no walk uses the
         # darts between them: one face of 4 darts, not 6
         g = rotated_free(_star(), 0.3, (0.0, 0.0))
-        assert g.validate().ok
+        assert g.validate(tol=0.2).path == "float"
         rot = rotation_system(g)
         monkeypatch.setattr(graph, "rotation_system",
                             lambda h: {**rot, 0: tuple(u for u in rot[0] if u != 3)})
@@ -475,6 +476,24 @@ class TestFaceChecks:
         # walk uses the darts between them: one face of 4 darts, not 6
         g = _star()
         assert g.validate().ok
+        slots = graph._lattice_darts(g)
+        cut = {0: [None if u == 3 else u for u in slots[0]], 3: [None] * 6}
+        monkeypatch.setattr(graph, "_lattice_darts", lambda h: {**slots, **cut})
+        with pytest.raises(ConsistencyError, match=r"dart count 4 != 2e = 6"):
+            faces(g)
+
+    def test_reversed_lift_slots_at_one_vertex_give_two_clockwise_faces(self, monkeypatch):
+        g = rotated_free(_bowtie(), 0.3, (0.0, 0.0))
+        assert g.validate().path == "free-lift"
+        slots = graph._lattice_darts(g)
+        assert sum(u is not None for u in slots[0]) == 4
+        monkeypatch.setattr(graph, "_lattice_darts", lambda h: {**slots, 0: slots[0][::-1]})
+        with pytest.raises(ConsistencyError, match="exactly one clockwise face, found 2"):
+            faces(g)
+
+    def test_lift_walk_that_misses_darts_fails_the_dart_count(self, monkeypatch):
+        g = rotated_free(_star(), 0.3, (0.0, 0.0))
+        assert g.validate().path == "free-lift"
         slots = graph._lattice_darts(g)
         cut = {0: [None if u == 3 else u for u in slots[0]], 3: [None] * 6}
         monkeypatch.setattr(graph, "_lattice_darts", lambda h: {**slots, **cut})

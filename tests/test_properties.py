@@ -6,13 +6,17 @@ theorems hold for every valid graph), and never with a raised exception.
 Every line each command writes to stdout or stderr is strict JSON, with no
 ``NaN`` or ``Infinity`` token.  On the same cases, with and without penny mode,
 ``validate`` reports what the plain pass its fast path shortcuts reports, and
-the blocks and components hold the edges they should.
+the blocks and components hold the edges they should.  A graph ``validate``
+lifts whole has the faces ``_free_walk`` gives it and the decomposition the
+reference wedge scan gives it.
 
 The graphs are random lattice subgraphs on frames at origins up to 1e100 and
-at any angle, free copies of them rotated and shifted, free copies with every
-vertex but two moved by up to 0.9 * tol / 4 or up to 0.9 * tol, and chains of
-hexagon patches each on its own lattice.  Examples are derandomized and
-bounded, so the test runs the same cases every time.
+at any angle, free copies of them rotated (by any angle, or within 1e-12 of a
+multiple of 60 degrees), shifted by up to 1e6 and some with a pendant leaf at
+the smallest id, free copies with every vertex but two moved by up to
+0.9 * tol / 4 or up to 0.9 * tol, and chains of hexagon patches each on its
+own lattice.  Examples are derandomized and bounded, so the test runs the same
+cases every time.
 """
 
 import contextlib
@@ -30,8 +34,9 @@ from matchstick import graph
 from matchstick.builders import random_lattice_subgraph
 from matchstick.cli import main
 from matchstick.components import decompose
-from matchstick.graph import MatchstickGraph, connectivity
-from matchstick.lattice import UNIT_STEP_INDEX, LatticeFrame
+from matchstick.graph import LatticeCoord, MatchstickGraph, connectivity, faces
+from matchstick.lattice import UNIT_RING, UNIT_STEP_INDEX, LatticeFrame
+from test_components import _reference_decompose
 from test_validation_oracle import generic_report, moved, rotated_free
 
 TOLS = [1e-9, 1e-6, 1e-3, 0.05, 0.1]
@@ -58,16 +63,40 @@ def cases(draw):
         return _patch_chain(draw(st.integers(2, 4)), seed), tol
     g = random_lattice_subgraph(draw(st.integers(3, 30)), seed=seed,
                                 require_2connected=draw(st.booleans()))
-    angle = draw(st.floats(0.0, 2 * math.pi))
+    angle = draw(st.one_of(st.floats(0.0, 2 * math.pi),
+                           st.builds(lambda k, off: k * math.pi / 3 + off,
+                                     st.integers(0, 6), st.floats(-1e-12, 1e-12))))
     if shape == "lattice":
         origin = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(0, 100))
         return MatchstickGraph(g.vertices, g.edges, (LatticeFrame((origin, -origin), angle),)), tol
-    shift = draw(st.sampled_from([0.0, 1e3, 1e6]))
+    if draw(st.booleans()):
+        g = _with_leaf(g, random.Random(seed))
+    shift = draw(st.sampled_from([0.0, 1e3, 1e5, 1e6]))
     g = rotated_free(g, angle, (shift, -shift))
     if shape == "noisy":
         bound = draw(st.sampled_from([0.9 * tol / 4, 0.9 * tol]))
         g = moved(random.Random(seed), g, draw(st.floats(0.0, 1.0)) * bound)
     return g, tol
+
+
+def _with_leaf(g: MatchstickGraph, rng) -> MatchstickGraph:
+    """Lattice-mode g with a pendant leaf of id -1, below every other id, on a
+    free lattice point one step from a random vertex."""
+    points = {c.point for _, c in g.vertices}
+    for v in rng.sample(g.ids(), g.n):
+        p = g.coord(v).point
+        if free := [p + d for d in UNIT_RING if p + d not in points]:
+            leaf = (-1, LatticeCoord(0, rng.choice(free)))
+            return MatchstickGraph([*g.vertices, leaf], [*g.edges, (-1, v)], g.frames)
+    raise AssertionError("a finite lattice graph has a vertex with a free neighbour point")
+
+
+def _free_walk_faces(g: MatchstickGraph):
+    """The faces of a copy of g validated only above the lift's tol window, so
+    walked by ``graph._free_walk`` on its ``atan2`` rotation system."""
+    h = MatchstickGraph(g.vertices, g.edges, g.frames)
+    assert h.validate(tol=0.2).path == "float"
+    return faces(h)
 
 
 def _reject_constant(token):
@@ -108,7 +137,8 @@ def test_fast_paths_give_the_plain_answers(case, penny):
     generic exact pass in lattice mode, the plain float pass in free mode.  When
     the graph is valid, every edge lies in exactly one block, and each
     component's edges are the graph's edges between its vertices that are unit
-    steps of its coordinates."""
+    steps of its coordinates.  When it lifts whole, the walk on the lift and
+    decompose's use of it give what ``_free_walk`` and the wedge scan give."""
     g, tol = case
     report = g.validate(tol=tol, penny_mode=penny)
     if g.lattice_mode:
@@ -125,6 +155,9 @@ def test_fast_paths_give_the_plain_answers(case, penny):
         vs, points = comp.vertices, comp.coords
         assert comp.edges == {(a, b) for a, b in g.edges if a in vs and b in vs
                               and points[b] - points[a] in UNIT_STEP_INDEX}
+    if report.path == "free-lift":
+        assert faces(g) == _free_walk_faces(g)
+        assert decompose(g, tol).to_json() == _reference_decompose(g, tol).to_json()
 
 
 # -- documents ------------------------------------------------------------------
