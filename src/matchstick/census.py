@@ -83,13 +83,13 @@ def check_harborth(g: MatchstickGraph) -> BoundCheck:
     lattice mode a violation means a bug (ConsistencyError).  A large tol lets
     free drawings that no matchstick graph matches pass validation (K4 within
     0.3 of unit edges), so in free mode it means invalid input (ValueError)."""
-    g.require_validated()
+    tol = g.require_validated()
     bound = harborth_bound(g.n)
     if g.e > bound:
         message = f"edge bound violated: e={g.e} > {bound} for n={g.n}"
-        if not g.lattice_mode and g._validated_tol is not None:
+        if not g.lattice_mode:
             raise ValueError(f"{message}, so no matchstick graph: the drawing passed "
-                             f"validation only within tol={g._validated_tol!r}")
+                             f"validation only within tol={tol!r}")
         raise ConsistencyError(f"{message} (validator inconsistency)")
     return BoundCheck(bound=bound, e=g.e, tight=g.e == bound)
 

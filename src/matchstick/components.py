@@ -8,7 +8,8 @@ from v's.  A wedge seed is a vertex x with neighbours y, w that join x by it
 on the frame with origin x and angle x -> y: y snaps to (1, 0), w to another
 unit step.  Only a region's unit-step edges count, so no component needs
 validating again.  Growth stops once a region covers g with unit steps only:
-every later seed lies in it, so its blocks are g's.
+every later seed lies in it, so its blocks are g's.  A seed on the edge that
+g's whole lift at tol grew from takes the lift's points, which it would grow.
 
 A candidate is a block (its vertex set), the adjacency it was found in (g's,
 or a region's unit-step edges), a frame and coordinates.  A block holds every
@@ -100,16 +101,6 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
 
     adj = g.adjacency()
     lattice = g._once(_lattice)
-    if lattice is None and g._lift:
-        # a whole lift seeded on g's first edge, from a vertex with a second
-        # neighbour, is what the wedge scan's first seed grows: the scan would
-        # return g's blocks on it (the proof is in graph._validation_report);
-        # only a graph some validate call lifted whole looks for one
-        path, lift = _lifted(g, tol)
-        x = g.vertices[0][0]
-        if (path == "free-lift" and len(adj[x]) >= 2 and lift[1][x] == ORIGIN
-                and lift[1][adj[x][0]] == UNIT_RING[0]):
-            lattice = lift
     if lattice:
         # every vertex is on one lattice, so the candidates are g's blocks,
         # with its coordinates
@@ -140,10 +131,14 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
     Seeds whose three vertices already lie in one grown region would
     reproduce it and are skipped.  A region holding every vertex of g with a
     unit step on every edge holds every seed: the scan stops there, and the
-    region's blocks are g's, found in g's adjacency.
+    region's blocks are g's, found in g's adjacency.  A seed x, y, w with x at
+    (0, 0) and y at (1, 0) in g's whole lift at ``tol`` would grow exactly the
+    lift's points (graph._validation_report proves it), so it takes them.
     """
     pos = g.positions()
     adj = g.adjacency()
+    path, lift = _lifted(g, tol)
+    lifted = lift[1] if path == "free-lift" else {}
     candidates = []
     regions_of = {}  # vertex -> indices of the grown regions holding it
     n_regions = 0
@@ -164,8 +159,11 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                     y_on = frame.snap(pos[y], tol) == UNIT_RING[0]
                 if not y_on:
                     break
-                coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
-                if len(coords) == g.n and _unit_edges(g.edges, coords):
+                if lifted.get(x) == ORIGIN and lifted[y] == UNIT_RING[0]:
+                    coords = lifted
+                else:
+                    coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
+                if len(coords) == g.n and (coords is lifted or _unit_edges(g.edges, coords)):
                     return candidates + [(blk, adj, frame, coords)
                                          for blk in connectivity(g).blocks]
                 region_adj = {v: [u for u in adj[v] if u in coords

@@ -148,7 +148,6 @@ class MatchstickGraph:
             if isinstance(coord, LatticeCoord) and not (0 <= coord.frame < len(self.frames)):
                 raise ValueError(f"vertex {vid} references unknown frame {coord.frame}")
         self._coord = coord_of
-        self._validated_ok = False
         self._validated_tol = None  # the largest tol a validate() call passed at
         self._lift = None  # (frame, points) of the first validate() call that took "free-lift"
         self._derived = {}
@@ -193,7 +192,7 @@ class MatchstickGraph:
 
     @property
     def validated(self) -> bool:
-        return self._validated_ok
+        return self._validated_tol is not None
 
     # -- validation ----------------------------------------------------------
 
@@ -208,15 +207,16 @@ class MatchstickGraph:
         _check_tol(tol)
         report = self._once(_validation_report, tol, penny_mode)
         if report.ok:
-            self._validated_ok = True
             self._validated_tol = max(tol, self._validated_tol or 0.0)
             if report.path == "free-lift" and self._lift is None:
                 self._lift = _lifted(self, tol)[1]
         return report
 
-    def require_validated(self):
-        if not self._validated_ok:
+    def require_validated(self) -> float:
+        """The largest tol a validate() call passed at; ValueError when none did."""
+        if self._validated_tol is None:
             raise ValueError("graph has not passed validate()")
+        return self._validated_tol
 
     # -- serialization ---------------------------------------------------------
 
@@ -554,7 +554,7 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
     float predicates.
 
     A whole lift, found at any tol in the window, also fixes the faces and
-    ``decompose``'s first wedge, so both are read off it:
+    the region of a ``decompose`` wedge seed on its seed edge:
 
     - Faces: an edge from v to u is its slot's unit vector, at frame.angle +
       k * 60 degrees, moved by at most 2d < 0.075: its direction is within
@@ -565,15 +565,15 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
       walks the lattice's faces, and the turn sums (+6 inner, -6 outer) find
       the outer face.  From the start :func:`_first_slots` gives each vertex,
       the lattice walk gives :func:`_free_walk`'s FaceStructure.
-    - decompose: let the lift be seeded on g's first edge (x, y), and let x
-      have a next neighbour w.  The wedge scan's first seed (x, y, w) builds
-      the same frame from the same floats, and ``snap`` rounds a position to
-      the same point, with the same distance, at any slack.  The lift put
-      every vertex within tol/4 of its point, so at slack tol y snaps to
-      (1, 0), w to its lift point, and the growth gives each vertex it reaches
-      its lift point, held by no other vertex and a unit step from each
-      neighbour's.  It reaches all of connected g: the scan returns at once
-      g's blocks on the lift's frame and points.
+    - decompose: let the lift be seeded on the edge (x, y), and let w be a
+      later neighbour of x.  A wedge seed on the lift's seed edge, (x, y, w),
+      builds the same frame from the same floats, and ``snap`` rounds a
+      position to the same point, with the same distance, at any slack.  The
+      lift put every vertex within tol/4 of its point, so at slack tol y snaps
+      to (1, 0), w to its lift point, and the growth gives each vertex it
+      reaches its lift point, held by no other vertex and a unit step from
+      each neighbour's.  It reaches all of connected g: the region is the
+      lift's points, and the scan returns g's blocks on them.
     """
     if g.lattice_mode:
         mode, below = "lattice", None

@@ -102,12 +102,12 @@ class TestPennyCheck:
 
 class TestInconsistencyPath:
     def test_bound_violation_raises_loudly(self):
-        # force an impossible graph past the validated flag: the bound check
+        # force an impossible lattice graph past validation: the bound check
         # must refuse rather than report silently
         from matchstick.graph import ConsistencyError
-        g = free_graph([(0, 0), (1, 0), (1, 1), (0, 1)],
-                       [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-        g._validated_ok = True  # bypass: e = 6 > bound(4) = 5
+        g = lattice_graph([E(0, 0), E(1, 0), E(0, 1), E(1, 1)],
+                          edges=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        g._validated_tol = 0.0  # bypass: e = 6 > bound(4) = 5
         with pytest.raises(ConsistencyError):
             check_harborth(g)
 

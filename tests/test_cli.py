@@ -141,6 +141,15 @@ class TestDecomposeTrace:
             out.append(json.loads(capsys.readouterr().out))
         assert out[1]["derived"]["n_1"] == out[0]["components"][0]["n_i"] == 19
 
+    def test_trace_without_a_lattice_component(self, monkeypatch, capsys):
+        square = free_graph([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+        monkeypatch.setattr("sys.stdin", io.StringIO(square.to_json()))
+        assert main(["trace", "-"]) == 0
+        claims = {c["claim"]: c["status"] for c in json.loads(capsys.readouterr().out)["claims"]}
+        assert [claims[c] for c in ("largest_component_share", "remainder_growth",
+                                    "off_component_boundary", "face_weight_refined",
+                                    "gap_exceeds_nine")] == ["NotApplicable"] * 5
+
     @staticmethod
     def _decompose_and_trace(doc, tol, monkeypatch, capsys):
         for command in ("decompose", "trace"):

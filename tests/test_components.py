@@ -781,8 +781,8 @@ def _reference_decompose(g, tol):
 
 class TestSameDecompositionAsTheReference:
     """The int-pair boundary walk and region-edge rule, and the lift that
-    stands in for the wedge scan, give every graph the decompose document,
-    boundary cycles and coordinates of the reference."""
+    stands in for a wedge seed's growth, give every graph the decompose
+    document, boundary cycles and coordinates of the reference."""
 
     @staticmethod
     def corpus(monkeypatch):
@@ -810,3 +810,31 @@ class TestSameDecompositionAsTheReference:
                        [(c.boundary_cycle, c.coords) for c in want.components]
                 compared += 1
         assert compared == 3 * len(graphs)
+
+    @staticmethod
+    def same_as_reference(g, tol):
+        got = decompose(g, tol)
+        want = _reference_decompose(g, tol)
+        assert got.to_json() == want.to_json()
+        assert [(c.boundary_cycle, c.coords) for c in got.components] == \
+               [(c.boundary_cycle, c.coords) for c in want.components]
+        return got
+
+    def test_wedge_whose_edge_is_off_the_lattice_at_a_smaller_tol(self):
+        # the edge 0 -> 1 is 1.02 long: at tol 0.05 the wedge (0, 1, 2) grows the
+        # triangle, at 0.01 vertex 2 snaps but 1 does not, and the scan moves on
+        g = free_graph([(0.0, 0.0), (1.02, 0.0), (0.5, math.sqrt(3) / 2)],
+                       [(0, 1), (1, 2), (0, 2)])
+        assert g.validate(tol=0.05).ok
+        assert self.same_as_reference(g, 0.05).k == 1
+        assert self.same_as_reference(g, 0.01).k == 0
+
+    def test_lift_at_a_tol_validate_never_saw(self):
+        # validated only above the lift's window, the spiral lifts whole inside
+        # decompose at 1e-9, and the first wedge takes the lift without growing
+        g = rotated_free(build_extremal(136), 0.7, (3.0, -2.0))
+        assert g.validate(tol=0.2).path == "float"
+        import matchstick.components as components
+        with mock.patch.object(components, "_grow", side_effect=AssertionError("grown")):
+            got = self.same_as_reference(g, 1e-9)
+        assert (got.k, got.sum_n_i) == (1, 136)

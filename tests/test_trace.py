@@ -5,7 +5,8 @@ import pytest
 
 from matchstick.builders import build_extremal, build_hexagon_patch
 from matchstick.census import face_census
-from matchstick.graph import MatchstickGraph, connectivity, faces, lattice_graph
+from matchstick.components import decompose
+from matchstick.graph import MatchstickGraph, connectivity, faces, free_graph, lattice_graph
 from matchstick.lattice import EisensteinPoint, phi
 from matchstick.trace import (claim_trace, isoperimetric_phi_quadratic,
                               isoperimetric_phi_thresholds)
@@ -48,6 +49,21 @@ class TestClaimTrace:
         for bad in (math.nan, -1.0, math.inf):  # checked before the early return
             with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
                 claim_trace(g, bad)
+
+    def test_two_connected_without_a_lattice_component(self):
+        # the unit square is 2-connected, but no wedge of it snaps to the lattice
+        g = validated(free_graph([(0, 0), (1, 0), (1, 1), (0, 1)],
+                                 [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        report = decompose(g)
+        assert (report.k, report.b_star) == (0, None)
+        t = claim_trace(g)
+        for name in ("largest_component_share", "remainder_growth", "off_component_boundary",
+                     "face_weight_refined", "gap_exceeds_nine"):
+            assert t.record(name).status == "NotApplicable"
+        # n - 2F <= sum n_i <= n + 4F with F = 1 (the square) and no component
+        assert t.record("coverage_lower")[1:] == (2.0, 0.0, "Fails")
+        assert t.record("coverage_upper")[1:] == (0.0, 8.0, "Holds")
+        assert t.derived["n_1"] is None
 
     def test_derived_quantities_on_patch(self):
         g = validated(build_hexagon_patch(2))
