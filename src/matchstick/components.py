@@ -37,7 +37,7 @@ from collections import namedtuple
 from . import geometry as geo
 from .census import face_census
 from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, MatchstickGraph, _canonical_rotation,
-                    _check_tol, _grow, _lattice, _lifted, _norm_edge, _unit_edges,
+                    _check_tol, _grow, _lattice, _norm_edge, _unit_edges, _whole_lift,
                     block_decomposition, connectivity, faces, lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
@@ -137,8 +137,7 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
     """
     pos = g.positions()
     adj = g.adjacency()
-    path, lift = _lifted(g, tol)
-    lifted = lift[1] if path == "free-lift" else {}
+    lifted = (_whole_lift(g, tol) or (None, {}))[1]
     candidates = []
     regions_of = {}  # vertex -> indices of the grown regions holding it
     n_regions = 0

@@ -149,7 +149,6 @@ class MatchstickGraph:
                 raise ValueError(f"vertex {vid} references unknown frame {coord.frame}")
         self._coord = coord_of
         self._validated_tol = None  # the largest tol a validate() call passed at
-        self._lift = None  # (frame, points) of the first validate() call that took "free-lift"
         self._derived = {}
 
     def _once(self, compute, *args):
@@ -208,8 +207,6 @@ class MatchstickGraph:
         report = self._once(_validation_report, tol, penny_mode)
         if report.ok:
             self._validated_tol = max(tol, self._validated_tol or 0.0)
-            if report.path == "free-lift" and self._lift is None:
-                self._lift = _lifted(self, tol)[1]
         return report
 
     def require_validated(self) -> float:
@@ -560,11 +557,12 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
       k * 60 degrees, moved by at most 2d < 0.075: its direction is within
       asin(2d) < 0.0751 rad of the slot's, and the float differences and
       ``atan2`` add at most M * 2**-52 <= tol/256.  That is far below the 30
-      degrees to the midpoint of the next slot, so sorting v's neighbours by
-      direction gives its occupied slots in cyclic order, the next-dart rule
-      walks the lattice's faces, and the turn sums (+6 inner, -6 outer) find
-      the outer face.  From the start :func:`_first_slots` gives each vertex,
-      the lattice walk gives :func:`_free_walk`'s FaceStructure.
+      degrees to the midpoint of the next slot, so v's neighbours in
+      counterclockwise order of direction are its occupied slots in cyclic
+      order, the next-dart rule walks the lattice's faces, and the turn sums
+      (+6 inner, -6 outer) find the outer face.  Both walks start each vertex
+      at its smallest neighbour, so the lattice walk gives
+      :func:`_free_walk`'s FaceStructure.
     - decompose: let the lift be seeded on the edge (x, y), and let w be a
       later neighbour of x.  A wedge seed on the lift's seed edge, (x, y, w),
       builds the same frame from the same floats, and ``snap`` rounds a
@@ -613,6 +611,12 @@ def _lifted(g: MatchstickGraph, tol: float):
     if (g._once(_max_coord) + 1) * _LIFT_ROUNDING <= tol <= _LIFT_MAX_TOL:
         return g._once(_lift_pieces, tol)
     return "float", None
+
+
+def _whole_lift(g: MatchstickGraph, tol: float):
+    """(frame, points) of a free graph's whole lift at ``tol`` (see _lift_pieces), else None."""
+    path, lift = _lifted(g, tol)
+    return lift if path == "free-lift" else None
 
 
 def _lift_pieces(g: MatchstickGraph, tol: float):
@@ -776,66 +780,53 @@ def _violations(g: MatchstickGraph, grid: dict, pos: dict, tol: float, penny_mod
 
 
 def rotation_system(g: MatchstickGraph) -> dict:
-    """Neighbors of each vertex sorted counterclockwise by edge direction from
-    the least angle in [0, 2*pi).  In lattice mode these are the occupied
-    direction slots in index order (direction k lies at k * 60 degrees in the
-    lattice's own frame), and on a whole lift its slots from
-    :func:`_first_slots`; other free graphs sort them by ``atan2``.  Requires
-    a validated graph (equal angles would mean overlapping edges)."""
-    g.require_validated()
-    if g.lattice_mode or g._lift:
-        base, first = g._once(_first_slots)
-        return {v: tuple(row[k] for k in _SLOTS_FROM[first.get(v, base)] if row[k] is not None)
-                for v, row in g._once(_lattice_darts).items()}
+    """Each vertex's neighbours counterclockwise by edge direction from its
+    smallest neighbour (() at an isolated vertex), so one plane graph has one
+    rotation system at any frame angle.  On a lattice these are the occupied
+    slots of :func:`_lattice_darts`; other free graphs sort them by ``atan2``.
+    Requires a validated graph (equal angles would mean overlapping edges)."""
+    darts = _lattice_darts(g)
+    if darts is not None:
+        slots, order = darts
+        return {v: tuple(row[k] for k in order[v] if row[k] is not None)
+                for v, row in slots.items()}
     pos = g.positions()
     rot = {}
     for vid, nbrs in g.adjacency().items():
         x, y = pos[vid]
-        rot[vid] = tuple(sorted(
-            nbrs, key=lambda u: math.atan2(pos[u][1] - y, pos[u][0] - x) % math.tau))
+        ccw = sorted(nbrs, key=lambda u: math.atan2(pos[u][1] - y, pos[u][0] - x))
+        i = ccw.index(nbrs[0]) if nbrs else 0
+        rot[vid] = tuple(ccw[i:] + ccw[:i])
     return rot
 
 
-def _lattice_darts(g: MatchstickGraph) -> dict:
-    """Each vertex's six direction slots: slot k holds the neighbour one
-    ``UNIT_RING[k]`` step away, or None.  For a validated lattice-mode graph,
-    whose edges all have Eisenstein norm 1, or a whole lift; use through g._once."""
-    points = (g._once(_lattice) or g._lift)[1]
+def _lattice_darts(g: MatchstickGraph):
+    """(slots, order) of a validated graph on a lattice: g's own in lattice
+    mode, else its whole lift at the largest tol ``validate`` passed at; None
+    when there is neither.  Slot k of ``slots[v]`` holds v's neighbour one
+    ``UNIT_RING[k]`` step away, or None; ``order[v]`` lists the six slots
+    counterclockwise from v's smallest neighbour's.  Built anew per call."""
+    tol = g.require_validated()
+    lattice = g._once(_lattice) or _whole_lift(g, tol)
+    if lattice is None:
+        return None
+    points = lattice[1]
     slots = {}
+    order = {}
     for v, nbrs in g.adjacency().items():  # in vertex order, which keeps memory reads local
         m, n = points[v]
         row = slots[v] = [None] * 6
-        for u in nbrs:
+        k = 0
+        for u in reversed(nbrs):  # ascending, so k ends at the smallest neighbour's slot
             mu, nu = points[u]
-            row[UNIT_STEP_INDEX[(mu - m, nu - n)]] = u
-    return slots
+            k = UNIT_STEP_INDEX[(mu - m, nu - n)]
+            row[k] = u
+        order[v] = _SLOTS_FROM[k]
+    return slots, order
 
 
 # the slots in counterclockwise order from each slot
 _SLOTS_FROM = tuple(tuple((s + k) % 6 for k in range(6)) for s in range(6))
-# a lifted dart's direction is within 0.0755 rad of its slot's (see _validation_report)
-_SLOT_SLACK = 0.08
-
-
-def _first_slots(g: MatchstickGraph):
-    """(base, first): vertex v's slots, counterclockwise, start at
-    ``first.get(v, base)``: slot 0 in lattice mode; on a lift, the slot of v's
-    neighbour of least ``atan2(dy, dx) % tau``, as ``_free_walk`` orders them.
-    Slot k lies at frame.angle + k * 60 degrees; base is the slot of least such
-    angle mod tau, or c + 1 when a slot c lies within _SLOT_SLACK of the cut at
-    0 = tau.  A dart in c has dx > 0, so it comes first exactly when dy >= 0,
-    which the rounded difference of the two y coordinates keeps.  Use through
-    g._once."""
-    if g.lattice_mode:
-        return 0, {}
-    angle = g._lift[0].angle
-    turns = [(angle + k * math.pi / 3) % math.tau for k in range(6)]
-    cut = next((k for k, t in enumerate(turns) if min(t, math.tau - t) < _SLOT_SLACK), None)
-    if cut is None:
-        return turns.index(min(turns)), {}
-    pos = g.positions()
-    return (cut + 1) % 6, {v: cut for v, row in g._once(_lattice_darts).items()
-                           if row[cut] is not None and pos[row[cut]][1] >= pos[v][1]}
 
 
 def faces(g: MatchstickGraph) -> FaceStructure:
@@ -843,9 +834,10 @@ def faces(g: MatchstickGraph) -> FaceStructure:
     the neighbor immediately clockwise of u around v.  Inner faces come out
     counterclockwise; the outer face is the unique clockwise one, the face
     whose orientation sum is negative: an integer turn sum of -6 (an inner
-    face's is +6) in lattice mode and on a free graph's whole lift, else a
-    float shoelace sum.  Each cycle is its lexicographically least rotation,
-    so it starts at its smallest vertex.  Computed once per graph."""
+    face's is +6) on a lattice (lattice mode or a whole lift), else a float
+    shoelace sum.  Each cycle is its lexicographically least rotation, so it
+    starts at its smallest vertex; one plane graph has one FaceStructure at
+    any frame angle, whichever walk runs.  Computed once per graph."""
     return g._once(_faces)
 
 
@@ -853,8 +845,9 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
     """The per-face rules of both walks, which only walk and pass each face
     to ``add`` as (cycle, orientation sum): the outer face is the one whose
     sum is negative.  Walks start at vertices in ascending order, and at each
-    vertex in ascending direction, so a cycle starts at its smallest vertex
-    and is canonical unless it passes that vertex twice, when it is rotated."""
+    vertex in its rotation from the smallest neighbour, so a cycle starts at
+    its smallest vertex and is canonical unless it passes that vertex twice,
+    when it is rotated."""
     g.require_validated()
     if not connectivity(g).connected:
         raise ValueError("faces() requires a connected graph")
@@ -870,7 +863,11 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
             outer.append(len(cycles))
         cycles.append(tuple(cycle))
 
-    (_lattice_walk if g.lattice_mode or g._lift else _free_walk)(g, add)
+    darts = _lattice_darts(g)
+    if darts is None:
+        _free_walk(g, add)
+    else:
+        _lattice_walk(*darts, add)
     if len(cycles) > 1 and len(outer) != 1:
         raise ConsistencyError(f"expected exactly one clockwise face, found {len(outer)}")
     total = sum(len(c) for c in cycles)
@@ -879,18 +876,16 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
     return FaceStructure(faces=tuple(cycles), outer_face_index=outer[0] if len(cycles) > 1 else 0)
 
 
-def _lattice_walk(g: MatchstickGraph, add):
-    """Passes each face of a lattice-mode or lifted graph to ``add`` as (cycle,
-    turn sum), walked on its direction slots from :func:`_first_slots`.  A dart
-    arriving along direction k goes on in the first occupied direction k + d
-    for d = 2, 1, 0, -1, -2, -3 (immediately clockwise of the way back first),
-    and d is its turn in sixths of a circle: a U-turn at a leaf turns
+def _lattice_walk(slots, order, add):
+    """Passes each face of a graph on a lattice to ``add`` as (cycle, turn
+    sum), walked on the direction slots and rotations of :func:`_lattice_darts`.
+    A dart arriving along direction k goes on in the first occupied direction
+    k + d for d = 2, 1, 0, -1, -2, -3 (immediately clockwise of the way back
+    first), and d is its turn in sixths of a circle: a U-turn at a leaf turns
     clockwise.  An inner face's turns sum to +6, the outer face's to -6."""
-    slots = g._once(_lattice_darts)
-    base, first = g._once(_first_slots)
-    left = {v: list(s) for v, s in slots.items()}  # the darts not walked yet
+    left = {v: row[:] for v, row in slots.items()}  # the darts not walked yet
     for u0, row0 in left.items():  # in vertex order
-        for k0 in _SLOTS_FROM[first.get(u0, base)]:
+        for k0 in order[u0]:
             if row0[k0] is None:
                 continue  # no edge, or the dart is on a face already walked
             cycle = []
@@ -910,10 +905,10 @@ def _lattice_walk(g: MatchstickGraph, add):
 
 
 def _free_walk(g: MatchstickGraph, add):
-    """Passes each face of a free graph to ``add`` as (cycle, shoelace sum),
-    walked on a next-dart map from its rotation system.  The sums run on its
-    positions less its first (smallest) vertex's, so an area does not cancel
-    away far from the origin."""
+    """Passes each face of a free graph on no lattice to ``add`` as (cycle,
+    shoelace sum), walked on a next-dart map from its ``atan2`` rotation
+    system.  The sums run on its positions less its first (smallest)
+    vertex's, so an area does not cancel away far from the origin."""
     rot = rotation_system(g)
     pos = g.positions()
     x0, y0 = pos[g.vertices[0][0]]

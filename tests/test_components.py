@@ -775,7 +775,7 @@ def _reference_decompose(g, tol):
     import matchstick.components as components
     with mock.patch.multiple(components, _make_component=_reference_make_component,
                              _grow_all_seeds=_reference_grow_all_seeds,
-                             _lifted=lambda g, tol: ("float", None)):
+                             _whole_lift=lambda g, tol: None):
         return components._decompose(g, tol)
 
 

@@ -171,6 +171,15 @@ class TestRotationSystem:
         with pytest.raises(ValueError):
             rotation_system(g)
 
+    def test_isolated_vertex_has_an_empty_rotation(self):
+        # on the lattice slots, and on a free copy, which no piece lifts whole
+        g = lattice_graph([E(0, 0), E(1, 0), E(5, 0)], edges=[(0, 1)])
+        assert g.validate().path == "lattice-fast"
+        h = rotated_free(g, 0.3, (0.0, 0.0))
+        assert h.validate().path == "free-pieces"
+        for x in (g, h):
+            assert rotation_system(x) == {0: (1,), 1: (0,), 2: ()}
+
 
 class TestFaces:
     def test_triangle(self):
@@ -259,7 +268,9 @@ def _reference_rotation_system(g: MatchstickGraph) -> dict:
             a = math.atan2(pos[u][1] - y, pos[u][0] - x)
             return a if a >= 0 else a + 2 * math.pi
 
-        rot[vid] = tuple(sorted(nbrs, key=angle))
+        ccw = sorted(nbrs, key=angle)
+        i = ccw.index(min(ccw)) if ccw else 0
+        rot[vid] = tuple(ccw[i:] + ccw[:i])
     return rot
 
 
@@ -308,9 +319,9 @@ def _reference_canonical_rotation(cycle):
     return min(tuple(cycle[i:] + cycle[:i]) for i, v in enumerate(cycle) if v == low)
 
 
-# In the star and the dumbbell the outer face passes vertex 0 more than once,
-# and the walk's first dart on it, 0 -> the neighbour of least angle, is not
-# where its lexicographically least rotation starts.
+# In the star, the dumbbell and the bowties the outer face passes vertex 0
+# more than once.  In the turned bowtie the walk's first dart on it, 0 -> 4,
+# is not where its lexicographically least rotation, 0 -> 3, starts.
 
 def _star():
     return lattice_graph([E(0, 0), E(0, 1), E(1, 0), E(-1, 0)], edges=[(0, 1), (0, 2), (0, 3)])
@@ -326,6 +337,12 @@ def _dumbbell():
 def _bowtie():
     # two unit triangles sharing the cut vertex 0
     return lattice_graph([E(0, 0), E(1, 0), E(0, 1), E(-1, 0), E(0, -1)])
+
+
+def _turned_bowtie():
+    # two unit triangles, (0, 1, 4) and (0, 2, 3), sharing the cut vertex 0
+    return lattice_graph([E(1, 0), E(0, 1), E(1, -1), E(2, -1), E(0, 0)],
+                         edges=[(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3)])
 
 
 def _patch_chain(k):
@@ -404,6 +421,7 @@ def _face_graphs():
     out += [(f"random-{n}-{seed}", lambda n=n, seed=seed: random_lattice_subgraph(n, seed))
             for n in (4, 9, 25, 60) for seed in range(6)]
     out += [("star", _star), ("dumbbell", _dumbbell), ("bowtie", _bowtie),
+            ("turned-bowtie", _turned_bowtie),
             ("path", lambda: lattice_graph([E(0, 0), E(1, 0), E(2, 0)], edges=[(0, 1), (1, 2)])),
             ("edge", lambda: lattice_graph([E(0, 0), E(1, 0)]))]
     for make in (_lattice_path, _lattice_tree, _cactus):
@@ -417,6 +435,17 @@ def _face_graphs():
                         rotated_free(build_extremal(136), a, (3.0, -2.0))))
     out += [("rotated-0.7", lambda: rotated_free(random_lattice_subgraph(40, 3), 0.7, (-5.0, 1e3)))]
     out += [(f"patch-chain-{k}", lambda k=k: _patch_chain(k)) for k in (8, 64)]
+    return out
+
+
+def _turned_cases():
+    """(name, lattice graph maker, angle, shift): the rotated cases of
+    _face_graphs, and the spirals n = 7, 19 and 50 at four more angles."""
+    out = [(f"spiral-136-{k}pi/3{off:+g}", lambda: build_extremal(136), k * math.pi / 3 + off,
+            (3.0, -2.0)) for k in range(7) for off in (0.0, 1e-12, -1e-12, 3e-13)]
+    out += [("random-40-3-0.7", lambda: random_lattice_subgraph(40, 3), 0.7, (-5.0, 1e3))]
+    out += [(f"spiral-{n}-{a:.4f}", lambda n=n: build_extremal(n), a, (0.0, 0.0))
+            for n in (7, 19, 50) for a in (0.7, math.pi / 3 - 1e-12, 2.1, 4.0)]
     return out
 
 
@@ -434,6 +463,19 @@ class TestFaceWalkDifferential:
         fs = faces(g)
         assert fs.faces == ref.faces
         assert fs.outer_face_index == ref.outer_face_index
+
+    @pytest.mark.parametrize("make,angle,shift", [c[1:] for c in _turned_cases()],
+                             ids=[c[0] for c in _turned_cases()])
+    def test_rotated_copies_have_the_lattice_graphs_faces(self, make, angle, shift):
+        # a rotation starts at the smallest neighbour, so the lattice walk, the
+        # walk on a whole lift and the float walk agree at any frame angle
+        g = make()
+        assert g.validate().path == "lattice-fast"
+        for tol, path in ((1e-9, "free-lift"), (0.2, "float")):
+            h = rotated_free(g, angle, shift)
+            assert h.validate(tol=tol).path == path
+            assert rotation_system(h) == rotation_system(g)
+            assert faces(h) == faces(g)
 
 
 class TestFaceChecks:
@@ -465,9 +507,10 @@ class TestFaceChecks:
     def test_reversed_slots_at_one_vertex_give_two_clockwise_faces(self, monkeypatch):
         g = _bowtie()
         assert g.validate().ok
-        slots = graph._lattice_darts(g)
+        slots, order = graph._lattice_darts(g)
         assert sum(u is not None for u in slots[0]) == 4
-        monkeypatch.setattr(graph, "_lattice_darts", lambda h: {**slots, 0: slots[0][::-1]})
+        monkeypatch.setattr(graph, "_lattice_darts",
+                            lambda h: ({**slots, 0: slots[0][::-1]}, order))
         with pytest.raises(ConsistencyError, match="exactly one clockwise face, found 2"):
             faces(g)
 
@@ -476,27 +519,28 @@ class TestFaceChecks:
         # walk uses the darts between them: one face of 4 darts, not 6
         g = _star()
         assert g.validate().ok
-        slots = graph._lattice_darts(g)
+        slots, order = graph._lattice_darts(g)
         cut = {0: [None if u == 3 else u for u in slots[0]], 3: [None] * 6}
-        monkeypatch.setattr(graph, "_lattice_darts", lambda h: {**slots, **cut})
+        monkeypatch.setattr(graph, "_lattice_darts", lambda h: ({**slots, **cut}, order))
         with pytest.raises(ConsistencyError, match=r"dart count 4 != 2e = 6"):
             faces(g)
 
     def test_reversed_lift_slots_at_one_vertex_give_two_clockwise_faces(self, monkeypatch):
         g = rotated_free(_bowtie(), 0.3, (0.0, 0.0))
         assert g.validate().path == "free-lift"
-        slots = graph._lattice_darts(g)
+        slots, order = graph._lattice_darts(g)
         assert sum(u is not None for u in slots[0]) == 4
-        monkeypatch.setattr(graph, "_lattice_darts", lambda h: {**slots, 0: slots[0][::-1]})
+        monkeypatch.setattr(graph, "_lattice_darts",
+                            lambda h: ({**slots, 0: slots[0][::-1]}, order))
         with pytest.raises(ConsistencyError, match="exactly one clockwise face, found 2"):
             faces(g)
 
     def test_lift_walk_that_misses_darts_fails_the_dart_count(self, monkeypatch):
         g = rotated_free(_star(), 0.3, (0.0, 0.0))
         assert g.validate().path == "free-lift"
-        slots = graph._lattice_darts(g)
+        slots, order = graph._lattice_darts(g)
         cut = {0: [None if u == 3 else u for u in slots[0]], 3: [None] * 6}
-        monkeypatch.setattr(graph, "_lattice_darts", lambda h: {**slots, **cut})
+        monkeypatch.setattr(graph, "_lattice_darts", lambda h: ({**slots, **cut}, order))
         with pytest.raises(ConsistencyError, match=r"dart count 4 != 2e = 6"):
             faces(g)
 
