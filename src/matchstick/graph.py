@@ -23,12 +23,13 @@ piece holds, and a graph with no piece takes the full float pass; the
 lift's proof is the docstring of ``_validation_report``.  The exact and float
 passes share one violation loop, which compares distances with tol: the exact
 pass runs it at tol 0 on doubled integer coordinates, with the square root of
-the integer norm between points and 0.0 or inf for a point on a segment or
-two segments that meet.  The loop prunes candidate pairs with a spatial grid:
-every edge sits in each cell of its bounding box widened by tol, so the cost
-follows the number of nearby pairs at any tolerance.  One generator serves
-every pass and filters as it goes: a vertex-edge or edge-edge pair whose boxes
-are apart, or that one piece holds, is never stored.
+the integer norm between points and 0.0 or inf for a point on a segment or two
+segments that meet.  A spatial grid prunes the candidate pairs: every edge
+sits in each cell of its bounding box widened by tol, so the cost follows the
+number of nearby pairs at any tolerance.  One generator serves every pass; it
+stores no pair whose boxes are apart or that one piece holds, and finds each
+candidate once, an edge pair only in its reference cell (at the larger of the
+two edges' lowest cell x, and of their lowest cell y).
 """
 
 from __future__ import annotations
@@ -407,24 +408,24 @@ _HALF_RING = UNIT_RING[:3]  # one per unordered direction pair
 
 
 def _candidates(g: MatchstickGraph, pos: dict, tol: float, pieces=None):
-    """Grid-pruned candidates of a validation pass on the vertex positions
-    ``pos``, as (vertex pairs, the graph's edges, edge index pairs, (vertex,
-    edge index) hits).  Every pair of the graph's elements within ``tol`` of each
-    other is one, and so is every vertex pair closer than 1.1.  Pairs are
-    filtered as they are found, so none is stored only to be dropped.
+    """Grid-pruned candidates of a validation pass on the vertex positions ``pos``,
+    as (vertex pairs, the graph's edges, edge index pairs, (vertex, edge index)
+    hits).  Every pair of the graph's elements within ``tol`` of each other is
+    one, and so is every vertex pair closer than 1.1.  Each is found once and
+    filtered as it is found: none is stored to be dropped or deduplicated.
 
     Cells are ``cell = max(_CELL, tol + _BOX_PAD)`` wide, so two vertices within
     ``cell`` of each other are in the same or neighbouring cells; each cell is
-    paired with itself and its four forward neighbours, so each pair is seen
-    once.  Every edge goes in each cell of its bounding box widened by
-    w = tol + _BOX_PAD.  A vertex in one of those cells is kept for the edge
-    when it is no end of it and lies in the widened box; two edges in a cell
-    are kept when they share an end or when one's widened box meets the
-    other's box.  An element within tol of a segment lies in the segment's box
-    widened by tol, so both tests hold in every pass: in the float pass
-    _BOX_PAD is slack for rounding, as for the grid, and the exact pass's
-    frame-free boxes keep meeting segments overlapping (see
-    :func:`_validate_exact_generic`).
+    paired with itself and its four forward neighbours.  Every edge goes in each
+    cell of its bounding box widened by w = tol + _BOX_PAD.  A vertex, in one
+    cell, is kept for an edge when it is no end of it and lies in the widened
+    box.  Two edges are kept when they share an end or one's widened box meets
+    the other's box, and only in their reference cell, at the larger of their
+    lowest cell x and of their lowest cell y, which both edges' cells hold if
+    they share any.  An element within tol of a segment lies in its box widened
+    by tol, so the box tests hold in every pass: in the float pass _BOX_PAD is
+    slack for rounding, as for the grid, and the exact pass's frame-free boxes
+    keep meeting segments overlapping (see :func:`_validate_exact_generic`).
 
     With ``pieces`` from :func:`_lift_pieces`, pairs that one piece holds both
     elements of are left out too: two vertices held by a common piece, two
@@ -450,39 +451,38 @@ def _candidates(g: MatchstickGraph, pos: dict, tol: float, pieces=None):
                     vpairs.append((a, b) if a < b else (b, a))
     r = w / cell  # the widening in cells; dividing first cannot overflow
     egrid = defaultdict(list)
-    brute = []
-    boxes = []
+    brute, boxes = [], []
     for idx, (a, b) in enumerate(edges):
         (ax, ay), (bx, by) = pos[a], pos[b]
         x0, x1 = (ax, bx) if ax < bx else (bx, ax)
         y0, y1 = (ay, by) if ay < by else (by, ay)
-        boxes.append((x0, x1, y0, y1))
         cx0, cx1 = floor(x0 / cell - r), floor(x1 / cell + r)
         cy0, cy1 = floor(y0 / cell - r), floor(y1 / cell + r)
+        boxes.append((x0, x1, y0, y1, cx0, cy0))
         if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) > g.n + g.e:
             brute.append(idx)
             continue
         for cx in range(cx0, cx1 + 1):
             for cy in range(cy0, cy1 + 1):
                 egrid[(cx, cy)].append(idx)
-    epairs = set()
-    vhits = []
+    epairs, vhits = [], []
 
-    def scan(i, others, vids):
-        """Add the kept pairs of edge i with the edges ``others`` and the
-        vertices ``vids``."""
+    def scan(i, others, vids, cx, cy):
+        """Add edge i's kept pairs with edges ``others`` and vertices ``vids`` of cell (cx, cy)."""
         a1, b1 = edges[i]
-        p0, p1, p2, p3 = boxes[i]
-        k = edge_piece[i]
+        p0, p1, p2, p3, lx, ly = boxes[i]
+        at_x, at_y, k = lx == cx, ly == cy, edge_piece[i]
         for j in others:
             if k is not None and edge_piece[j] == k:
                 continue
+            q0, q1, q2, q3, mx, my = boxes[j]
+            if not (at_x or mx == cx) or not (at_y or my == cy):
+                continue  # the pair's reference cell is another one
             a2, b2 = edges[j]
-            if a1 != a2 and a1 != b2 and b1 != a2 and b1 != b2:
-                q0, q1, q2, q3 = boxes[j]
-                if p1 + w < q0 or q1 + w < p0 or p3 + w < q2 or q3 + w < p2:
-                    continue
-            epairs.add((i, j) if i < j else (j, i))
+            if (a1 != a2 and a1 != b2 and b1 != a2 and b1 != b2
+                    and (p1 + w < q0 or q1 + w < p0 or p3 + w < q2 or q3 + w < p2)):
+                continue
+            epairs.append((i, j) if i < j else (j, i))
         for v in vids:
             if v == a1 or v == b1 or (k is not None and k in held.get(v, _NONE)):
                 continue
@@ -490,14 +490,14 @@ def _candidates(g: MatchstickGraph, pos: dict, tol: float, pieces=None):
             if p0 - w <= x <= p1 + w and p2 - w <= y <= p3 + w:
                 vhits.append((v, i))
 
-    for c, members in egrid.items():  # each cell's edge indices, ascending
-        vids = vgrid.get(c, ())
+    for (cx, cy), members in egrid.items():  # each cell's edge indices, ascending
+        vids = vgrid.get((cx, cy), ())
         for m, i in enumerate(members):
-            scan(i, members[m + 1:], vids)
+            scan(i, members[m + 1:], vids, cx, cy)
     done = set()
-    for i in brute:  # against every edge not scanned against it yet, and every vertex
-        done.add(i)
-        scan(i, [j for j in range(len(edges)) if j not in done], pos)
+    for i in brute:  # against every edge not scanned against it yet, and every vertex;
+        done.add(i)  # at its own lowest cell, which keeps every pair
+        scan(i, [j for j in range(len(edges)) if j not in done], pos, *boxes[i][4:])
     return vpairs, edges, epairs, vhits
 
 

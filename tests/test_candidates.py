@@ -8,11 +8,13 @@ earlier ``_candidates`` listed every pair that shares a grid cell and then,
 with pieces, dropped the pairs one piece holds (``_add_across_pieces``) and
 those whose boxes are apart (``_near_across_pieces``).  On every case the
 validation report must be the same, the lift must give the same pieces, and
-with pieces the candidate sets must be the same.
+the candidate sets must be those the reference keeps after its filters, with
+no candidate listed twice.
 """
 
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -271,20 +273,37 @@ def free_corpus(kind, tol, rays=100):
 FREE_KINDS = ("chain", "noisy-chain", "noisy-spiral", "star", "segments")
 
 
-def reference_report(g, tol, penny, monkeypatch):
+def reference_report(g, tol, penny):
     """The report of the validation pipeline with the reference lift and
-    candidates in place of the current ones."""
-    with monkeypatch.context() as m:
-        m.setattr(graph, "_candidates", _candidates)
-        m.setattr(graph, "_lift_pieces", _lift_pieces)
+    candidates in place of the current ones (patched with ``mock``, so that
+    hypothesis tests can call it too)."""
+    with (mock.patch.object(graph, "_candidates", _candidates),
+          mock.patch.object(graph, "_lift_pieces", _lift_pieces)):
         return graph._validation_report(g, tol, penny)
 
 
-def assert_same_report(g, tol, penny, monkeypatch, where):
+def assert_same_report(g, tol, penny, where):
     got = graph._validation_report(g, tol, penny)
-    want = reference_report(g, tol, penny, monkeypatch)
+    want = reference_report(g, tol, penny)
     assert (got.to_json(), got.path) == (want.to_json(), want.path), where
     return got
+
+
+def assert_same_candidates(g, pos, tol, pieces, where):
+    """The current generator lists each vertex pair, edge pair and vertex-edge
+    hit once, and keeps the pairs the reference keeps after its filters; with
+    no pieces, that is after ``_near_across_pieces`` with no held vertex."""
+    vpairs, edges, epairs, vhits = graph._candidates(g, pos, tol, pieces)
+    for found in (vpairs, epairs, vhits):
+        assert len(set(found)) == len(found), where
+    want = _candidates(g, pos, tol, pieces)
+    if pieces is None:
+        vp, ed, ep, vh = want
+        boxes = [(min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+                 for (ax, ay), (bx, by) in ((pos[a], pos[b]) for a, b in ed)]
+        vp, ep, vh = _near_across_pieces(pos, ed, boxes, vp, ep, vh, {}, tol + _BOX_PAD)
+        want = (vp, ed, ep, vh)
+    assert (set(vpairs), list(edges), set(epairs), set(vhits)) == want, where
 
 
 # ---------------------------------------------------------------------------
@@ -293,35 +312,34 @@ def assert_same_report(g, tol, penny, monkeypatch, where):
 
 class TestSameReport:
     @pytest.mark.parametrize("kind", FREE_KINDS)
-    def test_free_graphs(self, kind, monkeypatch):
+    def test_free_graphs(self, kind):
         paths = set()
         for tol in TOLS:
             for i, g in enumerate(free_corpus(kind, tol)):
                 for penny in (False, True):
-                    paths.add(assert_same_report(g, tol, penny, monkeypatch,
-                                                 (kind, i, tol, penny)).path)
+                    paths.add(assert_same_report(g, tol, penny, (kind, i, tol, penny)).path)
         assert "float" in paths
         if kind != "segments":
             assert "free-pieces" in paths
 
     @pytest.mark.parametrize("faults", ["extra-edges", "repeated-points"])
-    def test_exact_generic_pass(self, faults, monkeypatch):
+    def test_exact_generic_pass(self, faults):
         rng = random.Random(f"candidates-exact-{faults}")
         generic = 0
         for trial in range(40):
             extra = rng.randint(1, 4) if faults == "extra-edges" else 0
             g = faulty_lattice_graph(rng, rng.randint(2, 40), extra, int(faults != "extra-edges"))
             for penny in (False, True):
-                generic += assert_same_report(g, 0.0, penny, monkeypatch,
-                                              (trial, penny)).path == "lattice-generic"
+                report = assert_same_report(g, 0.0, penny, (trial, penny))
+                generic += report.path == "lattice-generic"
         assert generic > 20
 
-    def test_turned_frames_at_large_coordinates(self, monkeypatch):
+    def test_turned_frames_at_large_coordinates(self):
         rng = random.Random("candidates-turned")
         for trial in range(40):
             points, edges = far_collinear_case(rng)
             g = turned_lattice_graph(points, edges, rng.uniform(0, 2 * math.pi))
-            report = assert_same_report(g, 0.0, False, monkeypatch, trial)
+            report = assert_same_report(g, 0.0, False, trial)
             assert not report.ok
 
 
@@ -341,12 +359,27 @@ class TestSameCandidatesWithPieces:
                 if path != "free-pieces":
                     continue
                 lifted += 1
-                pos = g.positions()
-                vpairs, edges, epairs, vhits = graph._candidates(g, pos, tol, pieces)
-                want = _candidates(g, pos, tol, pieces)
-                assert len(set(vpairs)) == len(vpairs) and len(set(vhits)) == len(vhits)
-                assert (set(vpairs), list(edges), epairs, set(vhits)) == want, (kind, i, tol)
+                assert_same_candidates(g, g.positions(), tol, pieces, (kind, i, tol))
         assert lifted > 0 or kind == "segments"
+
+
+class TestSameCandidatesWithoutPieces:
+    """With no pieces, in the float pass and the exact pass, the current
+    generator keeps exactly the pairs the earlier one kept after its box
+    filters, each once."""
+
+    @pytest.mark.parametrize("kind", FREE_KINDS)
+    def test_float_pass(self, kind):
+        for tol in TOLS:
+            for i, g in enumerate(free_corpus(kind, tol)):
+                assert_same_candidates(g, g.positions(), tol, None, (kind, i, tol))
+
+    def test_exact_pass(self):
+        rng = random.Random("candidates-exact-grid")
+        for trial in range(40):
+            g = faulty_lattice_graph(rng, rng.randint(2, 40), rng.randint(0, 4), rng.randint(0, 1))
+            grid = {vid: c.point.cartesian() for vid, c in g.vertices}
+            assert_same_candidates(g, grid, 0.0, None, trial)
 
 
 class TestSameLift:

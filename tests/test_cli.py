@@ -319,12 +319,20 @@ class TestUsageErrors:
          ' "n": 0}}], "edges": []}', "at most 2**53"),
         ('{"frames": {}, "vertices": [{"id": 0, "free": [0, 0]}], "edges": []}',
          "'frames' must be a list"),
+        ('{"frames": [], "vertices": [], "edges": []}', "graph needs at least one vertex"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}],'
+         ' "vertices": [{"id": 0, "lattice": {"frame": 3, "m": 0, "n": 0}}], "edges": []}',
+         "vertex 0 references unknown frame 3"),
+        ('{"frames": [{"id": 0, "origin": [0, 0], "angle": 0}, {"id": 0, "origin": [0, 0],'
+         ' "angle": 0}], "vertices": [{"id": 0, "free": [0, 0]}], "edges": []}',
+         "frame id 1 is missing"),
     ], ids=["top-level-array", "missing-edges", "vertex-without-coordinate",
             "infinite-coordinate", "nan-frame-angle", "frame-id-out-of-range",
             "frame-without-id", "lattice-without-m", "lattice-without-n",
             "lattice-without-frame", "list-vertex-id", "edge-not-a-list",
             "edge-of-three", "overflowing-m", "fractional-m", "boolean-n",
-            "float-frame", "huge-m", "frames-not-a-list"])
+            "float-frame", "huge-m", "frames-not-a-list", "no-vertices", "unknown-frame",
+            "repeated-frame-id"])
     def test_malformed_graph_is_usage_error(self, doc, field, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert main(["stats", "-"]) == 2

@@ -5,10 +5,12 @@ at T, and ``render``, exit 0 or 1: never 3 (a theorem failed, and the
 theorems hold for every valid graph), and never with a raised exception.
 Every line each command writes to stdout or stderr is strict JSON, with no
 ``NaN`` or ``Infinity`` token.  On the same cases, with and without penny mode,
-``validate`` reports what the plain pass its fast path shortcuts reports, and
-the blocks and components hold the edges they should.  A graph ``validate``
-lifts whole has the faces ``_free_walk`` gives it and the decomposition the
-reference wedge scan gives it.
+``validate`` reports what the plain pass its fast path shortcuts reports, a
+free graph's report is what the reference lift and candidate generator of
+``test_candidates`` give, and the blocks and components hold the edges they
+should.  A graph ``validate`` lifts whole has the faces ``_free_walk`` gives it
+and the decomposition the reference wedge scan gives it.  The tolerances reach
+above the lift's window, where free graphs take the plain float pass.
 
 The graphs are random lattice subgraphs on frames at origins up to 1e100 and
 at any angle, free copies of them rotated (by any angle, or within 1e-12 of a
@@ -36,10 +38,11 @@ from matchstick.cli import main
 from matchstick.components import decompose
 from matchstick.graph import LatticeCoord, MatchstickGraph, connectivity, faces
 from matchstick.lattice import UNIT_RING, UNIT_STEP_INDEX, LatticeFrame
+from test_candidates import assert_same_candidates, reference_report
 from test_components import _reference_decompose
 from test_validation_oracle import generic_report, moved, rotated_free
 
-TOLS = [1e-9, 1e-6, 1e-3, 0.05, 0.1]
+TOLS = [1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.2, 0.45]
 PROFILE = settings(max_examples=200, derandomize=True, database=None, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
 
@@ -134,11 +137,15 @@ def test_accepted_graphs_run_clean(tmp_path_factory, case):
 @given(cases(), st.booleans())
 def test_fast_paths_give_the_plain_answers(case, penny):
     """``validate`` reports what the pass its path shortcuts reports: the
-    generic exact pass in lattice mode, the plain float pass in free mode.  When
-    the graph is valid, every edge lies in exactly one block, and each
-    component's edges are the graph's edges between its vertices that are unit
-    steps of its coordinates.  When it lifts whole, the walk on the lift and
-    decompose's use of it give what ``_free_walk`` and the wedge scan give."""
+    generic exact pass in lattice mode, the plain float pass in free mode.  A
+    free graph's report and path are also the reference pipeline's, and its
+    candidates the reference generator's, so the float pass is not checked
+    against itself alone (most graphs are valid, so reports seldom show a lost
+    candidate).  When the graph is valid, every edge lies in exactly one block,
+    and each component's edges are the graph's edges between its vertices that
+    are unit steps of its coordinates.  When it lifts whole, the walk on the
+    lift and decompose's use of it give what ``_free_walk`` and the wedge scan
+    give."""
     g, tol = case
     report = g.validate(tol=tol, penny_mode=penny)
     if g.lattice_mode:
@@ -146,6 +153,10 @@ def test_fast_paths_give_the_plain_answers(case, penny):
     else:
         plain = sorted(graph._validate_float(g, tol, penny, None), key=lambda v: (v.kind, v.ids))
         assert report.violations == tuple(plain)
+        want = reference_report(g, tol, penny)
+        assert (report.to_json(), report.path) == (want.to_json(), want.path)
+        pieces = graph._lifted(g, tol)[1] if report.path == "free-pieces" else None
+        assert_same_candidates(g, g.positions(), tol, pieces, (tol, report.path))
     if not report.ok:
         return
     blocks = connectivity(g).blocks
