@@ -1,15 +1,16 @@
 """Decomposition of a matchstick graph into lattice components.
 
 A lattice component is a maximal 2-connected subgraph on at least 3 vertices
-whose vertices all lie on one triangular lattice.  Components are found by
-growing regions with one snap-and-step rule: a neighbour of a region vertex v
-joins when LatticeFrame.snap puts it within tol of a free point one unit step
-from v's.  A wedge seed is a vertex x with neighbours y, w that join x by it
-on the frame with origin x and angle x -> y: y snaps to (1, 0), w to another
-unit step.  Only a region's unit-step edges count, so no component needs
-validating again.  Growth stops once a region covers g with unit steps only:
-every later seed lies in it, so its blocks are g's.  A seed on the edge that
-g's whole lift at tol grew from takes the lift's points, which it would grow.
+whose vertices all lie on one triangular lattice.  When g lies on one lattice
+(lattice mode, or a free graph lifted whole at tol: graph._lattice_at), its
+components are its blocks on at least 3 vertices, on that lattice.  Otherwise
+they are found by growing regions with one snap-and-step rule: a neighbour of
+a region vertex v joins when LatticeFrame.snap puts it within tol of a free
+point one unit step from v's.  A wedge seed is a vertex x with neighbours y, w
+that join x by it on the frame with origin x and angle x -> y: y snaps to
+(1, 0), w to another unit step.  Only a region's unit-step edges count, so no
+component needs validating again.  Growth stops once a region covers g with
+unit steps only: every later seed lies in it, so its blocks are g's.
 
 A candidate is a block (its vertex set), the adjacency it was found in (g's,
 or a region's unit-step edges), a frame and coordinates.  A block holds every
@@ -24,8 +25,8 @@ then leftmost point that gives the outer face.  The two walks look their
 neighbours up differently (a component's by point, among its edges;
 a graph's in per-vertex direction slots), so they share no code.
 
-No two components share an edge: a shared edge would force a common lattice
-and the union would be a larger 2-connected subgraph on it.
+When g lies on one lattice its components are blocks and share no edge;
+regions grown from other seeds can drift onto other frames and share edges.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from collections import namedtuple
 from . import geometry as geo
 from .census import face_census
 from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, MatchstickGraph, _canonical_rotation,
-                    _check_tol, _grow, _lattice, _norm_edge, _unit_edges, _whole_lift,
-                    block_decomposition, connectivity, faces, lattice_graph)
+                    _check_tol, _grow, _lattice_at, _norm_edge, _unit_edges, block_decomposition,
+                    connectivity, faces, lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
 
@@ -100,10 +101,9 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
     census = face_census(g) if info.two_connected else None
 
     adj = g.adjacency()
-    lattice = g._once(_lattice)
+    lattice = _lattice_at(g, tol)
     if lattice:
-        # every vertex is on one lattice, so the candidates are g's blocks,
-        # with its coordinates
+        # every vertex is on one lattice, so the candidates are g's blocks on it
         candidates = [(blk, adj, *lattice) for blk in info.blocks]
     else:
         candidates = _grow_all_seeds(g, tol)
@@ -131,13 +131,10 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
     Seeds whose three vertices already lie in one grown region would
     reproduce it and are skipped.  A region holding every vertex of g with a
     unit step on every edge holds every seed: the scan stops there, and the
-    region's blocks are g's, found in g's adjacency.  A seed x, y, w with x at
-    (0, 0) and y at (1, 0) in g's whole lift at ``tol`` would grow exactly the
-    lift's points (graph._validation_report proves it), so it takes them.
+    region's blocks are g's, found in g's adjacency.
     """
     pos = g.positions()
     adj = g.adjacency()
-    lifted = (_whole_lift(g, tol) or (None, {}))[1]
     candidates = []
     regions_of = {}  # vertex -> indices of the grown regions holding it
     n_regions = 0
@@ -158,11 +155,8 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                     y_on = frame.snap(pos[y], tol) == UNIT_RING[0]
                 if not y_on:
                     break
-                if lifted.get(x) == ORIGIN and lifted[y] == UNIT_RING[0]:
-                    coords = lifted
-                else:
-                    coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
-                if len(coords) == g.n and (coords is lifted or _unit_edges(g.edges, coords)):
+                coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
+                if len(coords) == g.n and _unit_edges(g.edges, coords):
                     return candidates + [(blk, adj, frame, coords)
                                          for blk in connectivity(g).blocks]
                 region_adj = {v: [u for u in adj[v] if u in coords

@@ -18,7 +18,8 @@ graph is lifted in pieces: a piece is a connected part whose vertices lie
 within tol/4 of distinct points of one lattice, framed on one of its edges,
 with unit steps on its edges, i.e. such a lattice graph written in floats.
 When one piece holds the whole graph it is found valid in O(n + e) the same
-way; otherwise the float pass checks only the pairs of elements no single
+way, and it is then the graph's lattice for faces and decompose, as in lattice
+mode; otherwise the float pass checks only the pairs of elements no single
 piece holds, and a graph with no piece takes the full float pass; the
 lift's proof is the docstring of ``_validation_report``.  The exact and float
 passes share one violation loop, which compares distances with tol: the exact
@@ -551,7 +552,7 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
     float predicates.
 
     A whole lift, found at any tol in the window, also fixes the faces and
-    the region of a ``decompose`` wedge seed on its seed edge:
+    the lattice components:
 
     - Faces: an edge from v to u is its slot's unit vector, at frame.angle +
       k * 60 degrees, moved by at most 2d < 0.075: its direction is within
@@ -563,15 +564,9 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
       (+6 inner, -6 outer) find the outer face.  Both walks start each vertex
       at its smallest neighbour, so the lattice walk gives
       :func:`_free_walk`'s FaceStructure.
-    - decompose: let the lift be seeded on the edge (x, y), and let w be a
-      later neighbour of x.  A wedge seed on the lift's seed edge, (x, y, w),
-      builds the same frame from the same floats, and ``snap`` rounds a
-      position to the same point, with the same distance, at any slack.  The
-      lift put every vertex within tol/4 of its point, so at slack tol y snaps
-      to (1, 0), w to its lift point, and the growth gives each vertex it
-      reaches its lift point, held by no other vertex and a unit step from
-      each neighbour's.  It reaches all of connected g: the region is the
-      lift's points, and the scan returns g's blocks on them.
+    - decompose: every edge is a unit step between distinct lift points, and a
+      2-connected subgraph lies in one block, so g's blocks on at least 3
+      vertices are its lattice components, on the lift's frame and points.
     """
     if g.lattice_mode:
         mode, below = "lattice", None
@@ -613,8 +608,11 @@ def _lifted(g: MatchstickGraph, tol: float):
     return "float", None
 
 
-def _whole_lift(g: MatchstickGraph, tol: float):
-    """(frame, points) of a free graph's whole lift at ``tol`` (see _lift_pieces), else None."""
+def _lattice_at(g: MatchstickGraph, tol: float):
+    """(frame, each vertex's EisensteinPoint) of the lattice g lies on: its own
+    in lattice mode, else its whole lift at ``tol`` (see _lift_pieces), or None."""
+    if g.lattice_mode:
+        return g._once(_lattice)
     path, lift = _lifted(g, tol)
     return lift if path == "free-lift" else None
 
@@ -801,13 +799,11 @@ def rotation_system(g: MatchstickGraph) -> dict:
 
 
 def _lattice_darts(g: MatchstickGraph):
-    """(slots, order) of a validated graph on a lattice: g's own in lattice
-    mode, else its whole lift at the largest tol ``validate`` passed at; None
-    when there is neither.  Slot k of ``slots[v]`` holds v's neighbour one
-    ``UNIT_RING[k]`` step away, or None; ``order[v]`` lists the six slots
-    counterclockwise from v's smallest neighbour's.  Built anew per call."""
-    tol = g.require_validated()
-    lattice = g._once(_lattice) or _whole_lift(g, tol)
+    """(slots, order) of a validated graph on its ``_lattice_at`` the largest
+    tol ``validate`` passed at, else None.  Slot k of ``slots[v]`` holds v's
+    neighbour one ``UNIT_RING[k]`` step away, or None; ``order[v]`` lists the
+    six slots counterclockwise from v's smallest neighbour's.  Built anew per call."""
+    lattice = _lattice_at(g, g.require_validated())
     if lattice is None:
         return None
     points = lattice[1]

@@ -10,13 +10,13 @@ from matchstick.builders import build_extremal, build_hexagon_patch, random_latt
 from matchstick.census import face_census
 from matchstick.components import component_boundary_check, decompose, fill_component
 from matchstick.graph import (_NONE, DEFAULT_TOL, ConsistencyError, FreeCoord, LatticeCoord,
-                              MatchstickGraph, _canonical_rotation,
-                              _grow, _norm_edge, _unit_edges, block_decomposition, boundary,
+                              MatchstickGraph, _canonical_rotation, _grow, _lattice,
+                              _lattice_at, _norm_edge, _unit_edges, block_decomposition, boundary,
                               connectivity, faces, free_graph, lattice_graph)
 from matchstick.lattice import (ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint,
                                 LatticeFrame, phi)
 from matchstick.trace import claim_trace
-from test_validation_oracle import rotated_free
+from test_validation_oracle import _with_leaf, moved, rotated_free
 
 E = EisensteinPoint
 
@@ -707,8 +707,8 @@ class TestContainmentFilter:
 # decompose's boundary walk and region-edge rule as they were before they ran
 # on (m, n) int pairs: _make_component verbatim but for its edge set, taken as
 # the block's edges in ``adj`` (so it ignores ``edges``, the whole graph's), and
-# _grow_all_seeds verbatim but for the names of what it calls and the
-# candidates' shape
+# _grow_all_seeds verbatim but for the names of what it calls, the candidates'
+# shape and a switch that drops its full-cover exit
 def _reference_make_component(vset, adj, frame, coords, edges=None):
     import matchstick.components as components
     eset = {_norm_edge(u, w) for u in vset for w in adj[u] if w in vset}
@@ -731,7 +731,7 @@ def _reference_make_component(vset, adj, frame, coords, edges=None):
         boundary_cycle=_canonical_rotation(cycle), n_i=len(vset), e_i=len(eset), b_i=len(cycle))
 
 
-def _reference_grow_all_seeds(g, tol):
+def _reference_grow_all_seeds(g, tol, full_cover_exit=True):
     pos = g.positions()
     adj = g.adjacency()
     candidates = []
@@ -755,7 +755,7 @@ def _reference_grow_all_seeds(g, tol):
                 if not y_on:
                     break
                 coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
-                if len(coords) == g.n and _unit_edges(g.edges, coords):
+                if full_cover_exit and len(coords) == g.n and _unit_edges(g.edges, coords):
                     return candidates + [(blk, adj, frame, coords)
                                          for blk in connectivity(g).blocks]
                 region_adj = {v: [u for u in adj[v] if u in coords
@@ -769,20 +769,35 @@ def _reference_grow_all_seeds(g, tol):
     return candidates
 
 
-def _reference_decompose(g, tol):
+def _reference_decompose(g, tol, grow_all_seeds=_reference_grow_all_seeds):
     """decompose's report from the reference wedge scan and boundary walk
     above, which it runs on a free graph whatever its lift."""
     import matchstick.components as components
     with mock.patch.multiple(components, _make_component=_reference_make_component,
-                             _grow_all_seeds=_reference_grow_all_seeds,
-                             _whole_lift=lambda g, tol: None):
+                             _grow_all_seeds=grow_all_seeds,
+                             _lattice_at=lambda g, tol: g._once(_lattice)):
         return components._decompose(g, tol)
 
 
+def assert_blocks_on_lattice(g, tol):
+    """decompose(g, tol)'s components are g's blocks on at least 3 vertices,
+    with the frame and points of ``_lattice_at(g, tol)``, and share no edge."""
+    got = decompose(g, tol)
+    frame, points = _lattice_at(g, tol)
+    blocks = {blk for blk in connectivity(g).blocks if len(blk) >= 3}
+    assert {c.vertices for c in got.components} == blocks and got.k == len(blocks)
+    for c in got.components:
+        assert c.frame == frame and c.coords == {v: points[v] for v in c.vertices}
+    assert len(set().union(*(c.edges for c in got.components))) == sum(c.e_i for c in got.components)
+    return got
+
+
 class TestSameDecompositionAsTheReference:
-    """The int-pair boundary walk and region-edge rule, and the lift that
-    stands in for a wedge seed's growth, give every graph the decompose
-    document, boundary cycles and coordinates of the reference."""
+    """The int-pair boundary walk and region-edge rule, and the blocks of a
+    whole lift, give every graph the decompose document, boundary cycles and
+    coordinates of the reference: on a whole lift whose smallest vertex has a
+    second neighbour, the reference's first wedge starts on the lift's seed
+    edge and grows the lift's points."""
 
     @staticmethod
     def corpus(monkeypatch):
@@ -831,10 +846,79 @@ class TestSameDecompositionAsTheReference:
 
     def test_lift_at_a_tol_validate_never_saw(self):
         # validated only above the lift's window, the spiral lifts whole inside
-        # decompose at 1e-9, and the first wedge takes the lift without growing
+        # decompose at 1e-9, so its components are its blocks on the lift, and
+        # nothing is grown
         g = rotated_free(build_extremal(136), 0.7, (3.0, -2.0))
         assert g.validate(tol=0.2).path == "float"
         import matchstick.components as components
         with mock.patch.object(components, "_grow", side_effect=AssertionError("grown")):
             got = self.same_as_reference(g, 1e-9)
         assert (got.k, got.sum_n_i) == (1, 136)
+
+
+def leaf_spiral(n, noise):
+    """The spiral on n vertices with a pendant leaf at the smallest id, rotated
+    by 0.7 as free floats, every vertex but the leaf and its neighbour moved by
+    ``noise``."""
+    g = _with_leaf(build_extremal(n), random.Random(1))
+    return moved(random.Random(1), rotated_free(g, 0.7, (0.0, 0.0)), noise)
+
+
+class TestWholeLiftGivesTheBlocks:
+    """A graph that validation lifts whole decomposes into its blocks on the
+    lift, as a lattice-mode graph does on its lattice, whatever vertex is
+    smallest."""
+
+    @pytest.mark.parametrize("n, noise", [(30, 0.9), (100, 0.5), (400, 0.5)])
+    def test_noisy_spiral_with_a_leaf_at_the_smallest_id(self, n, noise):
+        # no wedge seed starts at the leaf, so a wedge scan would grow regions
+        # on other frames, which the noise makes overlap
+        tol = 1e-6
+        g = leaf_spiral(n, noise * tol / 4)
+        assert g.validate(tol=tol).path == "free-lift"
+        got = assert_blocks_on_lattice(g, tol)
+        assert (got.k, got.sum_n_i) == (1, n)
+
+
+class TestFullCoverExit:
+    """The wedge scan stops at a region that covers g with unit steps, and
+    takes g's blocks: on graphs that do not lift whole, that gives the
+    decompose document and coordinates of a scan that goes on to every seed."""
+
+    @staticmethod
+    def corpus():
+        for n in (19, 50, 136):
+            for angle in (0.7, 2.1):
+                spiral = build_extremal(n)
+                for tol in (0.2, 0.45):
+                    yield rotated_free(spiral, angle, (3.0, -2.0)), tol
+                yield rotated_free(spiral, angle, (1e5, 1e5)), 1e-9
+        rng = random.Random(5)
+        for n in range(6, 26):
+            g = rotated_free(random_lattice_subgraph(n, seed=n, require_2connected=True),
+                             rng.uniform(0.0, 2 * math.pi), (0.0, 0.0))
+            for tol in (1e-6, 0.05):
+                yield moved(rng, g, 0.45 * tol), tol
+
+    def test_same_as_growing_every_seed(self):
+        import matchstick.components as components
+        exits = []
+
+        def unit_edges(edges, coords):
+            exits.append(_unit_edges(edges, coords))
+            return exits[-1]
+
+        def grow_every_seed(g, tol):
+            return _reference_grow_all_seeds(g, tol, full_cover_exit=False)
+
+        compared = 0
+        for g, tol in self.corpus():
+            report = g.validate(tol=tol)
+            assert report.ok and report.path != "free-lift"
+            with mock.patch.object(components, "_unit_edges", unit_edges):
+                got = decompose(g, tol)
+            want = _reference_decompose(g, tol, grow_every_seed)
+            assert got.to_json() == want.to_json()
+            assert [c.coords for c in got.components] == [c.coords for c in want.components]
+            compared += 1
+        assert compared == exits.count(True) == 58  # the exit ends every scan

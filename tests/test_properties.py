@@ -9,8 +9,9 @@ Every line each command writes to stdout or stderr is strict JSON, with no
 free graph's report is what the reference lift and candidate generator of
 ``test_candidates`` give, and the blocks and components hold the edges they
 should.  A graph ``validate`` lifts whole has the faces ``_free_walk`` gives it
-and the decomposition the reference wedge scan gives it.  The tolerances reach
-above the lift's window, where free graphs take the plain float pass.
+and its blocks on the lift as components, which the reference wedge scan gives
+too unless its smallest vertex is a leaf.  The tolerances reach above the
+lift's window, where free graphs take the plain float pass.
 
 The graphs are random lattice subgraphs on frames at origins up to 1e100 and
 at any angle, free copies of them rotated (by any angle, or within 1e-12 of a
@@ -36,11 +37,11 @@ from matchstick import graph
 from matchstick.builders import random_lattice_subgraph
 from matchstick.cli import main
 from matchstick.components import decompose
-from matchstick.graph import LatticeCoord, MatchstickGraph, connectivity, faces
-from matchstick.lattice import UNIT_RING, UNIT_STEP_INDEX, LatticeFrame
+from matchstick.graph import MatchstickGraph, connectivity, faces
+from matchstick.lattice import UNIT_STEP_INDEX, LatticeFrame
 from test_candidates import assert_same_candidates, reference_report
-from test_components import _reference_decompose
-from test_validation_oracle import generic_report, moved, rotated_free
+from test_components import _reference_decompose, assert_blocks_on_lattice
+from test_validation_oracle import _with_leaf, generic_report, moved, rotated_free
 
 TOLS = [1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.2, 0.45]
 PROFILE = settings(max_examples=200, derandomize=True, database=None, deadline=None,
@@ -80,18 +81,6 @@ def cases(draw):
         bound = draw(st.sampled_from([0.9 * tol / 4, 0.9 * tol]))
         g = moved(random.Random(seed), g, draw(st.floats(0.0, 1.0)) * bound)
     return g, tol
-
-
-def _with_leaf(g: MatchstickGraph, rng) -> MatchstickGraph:
-    """Lattice-mode g with a pendant leaf of id -1, below every other id, on a
-    free lattice point one step from a random vertex."""
-    points = {c.point for _, c in g.vertices}
-    for v in rng.sample(g.ids(), g.n):
-        p = g.coord(v).point
-        if free := [p + d for d in UNIT_RING if p + d not in points]:
-            leaf = (-1, LatticeCoord(0, rng.choice(free)))
-            return MatchstickGraph([*g.vertices, leaf], [*g.edges, (-1, v)], g.frames)
-    raise AssertionError("a finite lattice graph has a vertex with a free neighbour point")
 
 
 def _free_walk_faces(g: MatchstickGraph):
@@ -144,8 +133,9 @@ def test_fast_paths_give_the_plain_answers(case, penny):
     candidate).  When the graph is valid, every edge lies in exactly one block,
     and each component's edges are the graph's edges between its vertices that
     are unit steps of its coordinates.  When it lifts whole, the walk on the
-    lift and decompose's use of it give what ``_free_walk`` and the wedge scan
-    give."""
+    lift gives what ``_free_walk`` gives, the components are the blocks on the
+    lift, and when the smallest vertex has a second neighbour the wedge scan
+    gives them too."""
     g, tol = case
     report = g.validate(tol=tol, penny_mode=penny)
     if g.lattice_mode:
@@ -168,7 +158,9 @@ def test_fast_paths_give_the_plain_answers(case, penny):
                               and points[b] - points[a] in UNIT_STEP_INDEX}
     if report.path == "free-lift":
         assert faces(g) == _free_walk_faces(g)
-        assert decompose(g, tol).to_json() == _reference_decompose(g, tol).to_json()
+        assert_blocks_on_lattice(g, tol)
+        if len(g.adjacency()[min(g.ids())]) >= 2:  # a wedge seed starts on the lift's seed edge
+            assert decompose(g, tol).to_json() == _reference_decompose(g, tol).to_json()
 
 
 # -- documents ------------------------------------------------------------------

@@ -408,6 +408,18 @@ def moved(rng, g: MatchstickGraph, noise: float) -> MatchstickGraph:
     return free_graph(coords, g.edges)
 
 
+def _with_leaf(g: MatchstickGraph, rng) -> MatchstickGraph:
+    """Lattice-mode g with a pendant leaf of id -1, below every other id, on a
+    free lattice point one step from a random vertex."""
+    points = {c.point for _, c in g.vertices}
+    for v in rng.sample(g.ids(), g.n):
+        p = g.coord(v).point
+        if free := [p + d for d in UNIT_RING if p + d not in points]:
+            leaf = (-1, LatticeCoord(0, rng.choice(free)))
+            return MatchstickGraph([*g.vertices, leaf], [*g.edges, (-1, v)], g.frames)
+    raise AssertionError("a finite lattice graph has a vertex with a free neighbour point")
+
+
 def squeezed(rng, g: MatchstickGraph, gap: float) -> MatchstickGraph:
     """g without one edge (u, w) other than its smallest, u and w each moved
     ``gap / 2`` towards the other: a unit pair that is no edge, ``gap`` short."""
