@@ -823,6 +823,8 @@ def _lattice_darts(g: MatchstickGraph):
 
 # the slots in counterclockwise order from each slot
 _SLOTS_FROM = tuple(tuple((s + k) % 6 for k in range(6)) for s in range(6))
+# slots k + 2 and k + 4 for each slot k: a unit triangle's second and third steps
+_TRIANGLE_SLOTS = tuple((s[2], s[4]) for s in _SLOTS_FROM)
 
 
 def faces(g: MatchstickGraph) -> FaceStructure:
@@ -833,7 +835,10 @@ def faces(g: MatchstickGraph) -> FaceStructure:
     face's is +6) on a lattice (lattice mode or a whole lift), else a float
     shoelace sum.  Each cycle is its lexicographically least rotation, so it
     starts at its smallest vertex; one plane graph has one FaceStructure at
-    any frame angle, whichever walk runs.  Computed once per graph."""
+    any frame angle, whichever walk runs.  A disconnected graph raises
+    ValueError; connectedness is read off the walk by Euler's formula (see
+    :func:`connectivity`), so this never calls ``connectivity``.  Computed
+    once per graph."""
     return g._once(_faces)
 
 
@@ -843,11 +848,13 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
     sum is negative.  Walks start at vertices in ascending order, and at each
     vertex in its rotation from the smallest neighbour, so a cycle starts at
     its smallest vertex and is canonical unless it passes that vertex twice,
-    when it is rotated."""
+    when it is rotated.  The walk runs first: a plane graph with edges is
+    connected iff n - e + W == 2, and only when that count is off does
+    ``block_decomposition`` decide."""
     g.require_validated()
-    if not connectivity(g).connected:
-        raise ValueError("faces() requires a connected graph")
     if g.e == 0:
+        if g.n > 1:
+            raise ValueError("faces() requires a connected graph")
         return FaceStructure(faces=((),), outer_face_index=0)
     cycles = []
     outer = []
@@ -864,6 +871,9 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
         _free_walk(g, add)
     else:
         _lattice_walk(*darts, add)
+    if (g.n - g.e + len(cycles) != 2
+            and _components(g.n, block_decomposition(g.ids(), g.adjacency())[0]) != 1):
+        raise ValueError("faces() requires a connected graph")
     if len(cycles) > 1 and len(outer) != 1:
         raise ConsistencyError(f"expected exactly one clockwise face, found {len(outer)}")
     total = sum(len(c) for c in cycles)
@@ -878,12 +888,21 @@ def _lattice_walk(slots, order, add):
     A dart arriving along direction k goes on in the first occupied direction
     k + d for d = 2, 1, 0, -1, -2, -3 (immediately clockwise of the way back
     first), and d is its turn in sixths of a circle: a U-turn at a leaf turns
-    clockwise.  An inner face's turns sum to +6, the outer face's to -6."""
+    clockwise.  An inner face's turns sum to +6, the outer face's to -6.  A face
+    whose first dart u -> v along k goes on along k + 2 to w and back along
+    k + 4 to u is that unit triangle, with turns 2 + 2 + 2: it closes in one
+    step, with the cycle and sum the dart-by-dart walk gives."""
     left = {v: row[:] for v, row in slots.items()}  # the darts not walked yet
     for u0, row0 in left.items():  # in vertex order
         for k0 in order[u0]:
-            if row0[k0] is None:
+            if (v := row0[k0]) is None:
                 continue  # no edge, or the dart is on a face already walked
+            k2, k4 = _TRIANGLE_SLOTS[k0]
+            rv = left[v]
+            if (w := rv[k2]) is not None and (rw := left[w])[k4] == u0:
+                row0[k0] = rv[k2] = rw[k4] = None
+                add([u0, v, w], 6)
+                continue
             cycle = []
             turn = 0
             u, k, row = u0, k0, row0
@@ -1005,21 +1024,51 @@ def block_decomposition(ids, adj):
 
 def connectivity(g: MatchstickGraph) -> ConnectivityInfo:
     """Block-cut decomposition, blocks as vertex frozensets ordered by smallest
-    contained id.  Computed once per graph."""
+    contained id.  Computed once per graph.
+
+    A validated graph with min degree >= 2 (so n >= 3) is one block with no
+    cut vertex when :func:`faces` returns its walks, so it is connected, and
+    no walk passes a vertex twice; every other graph, and every unvalidated
+    one, runs :func:`block_decomposition`.  Two facts make the walks enough.
+    First, a validated drawing is plane, so each component's rotation system
+    has genus 0, and Euler's formula gives n - e + W = 2C + I, with C the
+    components with edges, W the face walks and I the isolated vertices: a
+    graph with edges is connected iff the count is 2, which ``faces`` checks.
+    Second, in a connected plane graph v is a cut vertex iff some face walk
+    passes v twice; a walk of 3 darts has three distinct vertices, so only
+    longer walks are checked."""
     return g._once(_connectivity)
+
+
+def _components(n: int, blocks) -> int:
+    """The components of an n-vertex graph with these blocks: a component's
+    blocks form a tree through its cut vertices, so on k vertices their sizes
+    less one sum to k - 1; an isolated vertex is a one-vertex block."""
+    return n - sum(len(b) - 1 for b in blocks)
+
+
+def _walks_two_connected(g: MatchstickGraph) -> bool:
+    """Whether the face walks of a validated g with min degree >= 2 show it
+    2-connected (see :func:`connectivity`)."""
+    try:
+        walks = faces(g).faces
+    except ValueError:  # not connected
+        return False
+    return all(len(c) == 3 or len(set(c)) == len(c) for c in walks)
 
 
 def _connectivity(g: MatchstickGraph) -> ConnectivityInfo:
     adj = g.adjacency()
     ids = g.ids()
-    blocks, cut = block_decomposition(ids, adj)
-    # the blocks of a connected component on k vertices form a tree through its
-    # cut vertices, so their sizes less one sum to k - 1; an isolated vertex is
-    # a one-vertex block, so n less that sum over all blocks counts the components
-    connected = g.n - sum(len(b) - 1 for b in blocks) == 1
+    min_degree = min(len(adj[v]) for v in ids)
+    if g.validated and min_degree >= 2 and _walks_two_connected(g):
+        blocks, cut = (frozenset(ids),), frozenset()
+    else:
+        blocks, cut = block_decomposition(ids, adj)
+    connected = _components(g.n, blocks) == 1
     two_connected = connected and g.n >= 3 and not cut
     return ConnectivityInfo(connected=connected,
                             two_connected=two_connected,
-                            min_degree=min(len(adj[v]) for v in ids),
+                            min_degree=min_degree,
                             blocks=blocks,
                             cut_vertices=cut)

@@ -753,6 +753,224 @@ class TestBlockDecompositionDifferential:
             _assert_same_as_reference(ids, adj)
 
 
+# -- connectivity read off the face walk ------------------------------------------
+
+_block_decomposition = graph.block_decomposition
+
+
+def dfs_connectivity(g: MatchstickGraph) -> graph.ConnectivityInfo:
+    """The ConnectivityInfo of g built from block_decomposition alone: the
+    answer connectivity() gives when no face walk is read."""
+    adj, ids = g.adjacency(), g.ids()
+    blocks, cut = _block_decomposition(ids, adj)
+    connected = g.n - sum(len(b) - 1 for b in blocks) == 1
+    return graph.ConnectivityInfo(connected=connected,
+                                  two_connected=connected and g.n >= 3 and not cut,
+                                  min_degree=min(len(adj[v]) for v in ids),
+                                  blocks=blocks, cut_vertices=cut)
+
+
+def _reference_lattice_walk(slots, order, add):
+    """graph._lattice_walk as it was before unit triangles closed in one step:
+    every face is walked dart by dart."""
+    left = {v: row[:] for v, row in slots.items()}
+    for u0, row0 in left.items():
+        for k0 in order[u0]:
+            if row0[k0] is None:
+                continue
+            cycle = []
+            turn = 0
+            u, k, row = u0, k0, row0
+            while (v := row[k]) is not None:
+                row[k] = None
+                cycle.append(u)
+                s = slots[v]
+                for d in (2, 1, 0, -1, -2, -3):
+                    j = (k + d) % 6
+                    if s[j] is not None:
+                        break
+                turn += d
+                u, k, row = v, j, left[v]
+            add(cycle, turn)
+
+
+def _triangle_and_point():
+    return lattice_graph([E(0, 0), E(1, 0), E(0, 1), E(5, 5)], edges=[(0, 1), (1, 2), (2, 0)])
+
+
+def _two_triangles():
+    return lattice_graph([E(0, 0), E(1, 0), E(0, 1), E(5, 0), E(6, 0), E(5, 1)],
+                         edges=[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
+def _disconnected_graphs():
+    """(name, maker, tol) of valid graphs that are not connected."""
+    return [("triangle-and-point", _triangle_and_point, DEFAULT_TOL),
+            ("two-triangles", _two_triangles, DEFAULT_TOL),
+            ("two-free-triangles", lambda: rotated_free(_two_triangles(), 0.3, (1.0, 2.0)),
+             DEFAULT_TOL),
+            ("two-points", lambda: lattice_graph([E(0, 0), E(1, 0)], edges=[]), DEFAULT_TOL),
+            ("three-free-points", lambda: free_graph([(0, 0), (2, 0), (0, 2)], []), DEFAULT_TOL)]
+
+
+def _connectivity_graphs():
+    """(name, maker, tol): random lattice subgraphs, 2-connected and plain, the
+    bowtie (min degree 2 and a cut vertex), the disconnected graphs above,
+    rotated spirals at the lift's tol and on the float walk, and a chain of
+    8 patches; the spirals n = 3..400 have a test of their own."""
+    out = [(f"random-{n}-{seed}-{two}", lambda n=n, seed=seed, two=two:
+            random_lattice_subgraph(n, seed, require_2connected=two), DEFAULT_TOL)
+           for n in (5, 12, 30, 80) for seed in range(5) for two in (False, True)]
+    out += [("bowtie", _bowtie, DEFAULT_TOL), ("turned-bowtie", _turned_bowtie, DEFAULT_TOL),
+            ("dumbbell", _dumbbell, DEFAULT_TOL)]
+    out += _disconnected_graphs()
+    out += [(f"rotated-spiral-{n}-{tol:g}",
+             lambda n=n: rotated_free(build_extremal(n), 0.7, (3.0, -2.0)), tol)
+            for n in (7, 50, 136) for tol in (1e-9, 0.45)]
+    out += [("patch-chain-8", lambda: _patch_chain(8), DEFAULT_TOL)]
+    return out
+
+
+def _validated(g: MatchstickGraph, tol: float) -> MatchstickGraph:
+    """A fresh copy of g (a builder may have cached the connectivity of the
+    unvalidated graph) that passed validate() at tol."""
+    g = MatchstickGraph(g.vertices, g.edges, g.frames)
+    assert g.validate(tol=tol).ok
+    return g
+
+
+def _assert_walked_connectivity(g: MatchstickGraph, monkeypatch):
+    """connectivity(g) of a just validated g is what the DFS alone gives, and
+    the DFS runs only when g is not 2-connected."""
+    calls = []
+
+    def recorded(ids, adj):
+        calls.append(len(ids))
+        return _block_decomposition(ids, adj)
+
+    monkeypatch.setattr(graph, "block_decomposition", recorded)
+    info = connectivity(g)
+    monkeypatch.undo()
+    assert info == dfs_connectivity(g)
+    assert (not calls) == info.two_connected
+
+
+class TestWalkedConnectivity:
+    """connectivity() read off the face walk against block_decomposition."""
+
+    @pytest.mark.parametrize("make,tol", [c[1:] for c in _connectivity_graphs()],
+                             ids=[c[0] for c in _connectivity_graphs()])
+    def test_graphs(self, make, tol, monkeypatch):
+        _assert_walked_connectivity(_validated(make(), tol), monkeypatch)
+
+    def test_unvalidated_graphs_run_the_dfs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graph, "block_decomposition",
+                            lambda ids, adj: calls.append(1) or _block_decomposition(ids, adj))
+        assert connectivity(build_hexagon_patch(2)).two_connected
+        assert calls == [1]
+
+
+def _walked(walk, darts) -> list:
+    out = []
+    walk(*darts, lambda cycle, s: out.append((tuple(cycle), s)))
+    return out
+
+
+def _walk_graphs():
+    """(name, maker, tol) of graphs on a lattice: the corpus above less its
+    rotated spirals and the free graphs no one lattice holds, hexagon
+    patches, and spirals lifted whole at several angles."""
+    off_lattice = ("two-free-triangles", "three-free-points", "patch-chain-8")
+    out = [c for c in _connectivity_graphs()
+           if not c[0].startswith("rotated-") and c[0] not in off_lattice]
+    out += [(f"hexagon-{k}", lambda k=k: build_hexagon_patch(k), DEFAULT_TOL) for k in (1, 2, 3, 5)]
+    out += [(f"lifted-spiral-{n}-{a:.4f}",
+             lambda n=n, a=a: rotated_free(build_extremal(n), a, (5.0, 1e3)), DEFAULT_TOL)
+            for n in (19, 136, 400) for a in (0.7, math.pi / 3 - 1e-12, 2.1, 4.0)]
+    return out
+
+
+def _assert_same_walk(g: MatchstickGraph, tol: float, monkeypatch):
+    """The walks of g, validated at tol, pass the same faces and sums to
+    ``add``, and a connected g has the FaceStructure of the reference walk."""
+    darts = graph._lattice_darts(g)
+    assert darts is not None
+    assert _walked(graph._lattice_walk, darts) == _walked(_reference_lattice_walk, darts)
+    if not connectivity(g).connected:
+        return
+    got = repr(faces(g))
+    ref = _validated(g, tol)
+    monkeypatch.setattr(graph, "_lattice_walk", _reference_lattice_walk)
+    assert got == repr(faces(ref))
+    monkeypatch.undo()
+
+
+class TestTriangleStep:
+    """graph._lattice_walk, which closes a unit triangle in one step, against
+    the dart-by-dart walk kept above: the same faces and turn sums passed to
+    ``add`` in the same order, and the same FaceStructure."""
+
+    @pytest.mark.parametrize("make,tol", [c[1:] for c in _walk_graphs()],
+                             ids=[c[0] for c in _walk_graphs()])
+    def test_graphs(self, make, tol, monkeypatch):
+        _assert_same_walk(_validated(make(), tol), tol, monkeypatch)
+
+
+def test_spirals_walk_and_connectivity(monkeypatch):
+    # the spirals n = 3..400 through both checks above, each built and validated once
+    for n in range(3, 401):
+        g = _validated(build_extremal(n), DEFAULT_TOL)
+        _assert_walked_connectivity(g, monkeypatch)
+        _assert_same_walk(g, DEFAULT_TOL, monkeypatch)
+
+
+class TestWalkedConnectivityErrors:
+    @pytest.mark.parametrize("make,tol", [c[1:] for c in _disconnected_graphs()],
+                             ids=[c[0] for c in _disconnected_graphs()])
+    def test_faces_of_a_disconnected_graph_raise(self, make, tol):
+        g = make()
+        assert g.validate(tol=tol).ok
+        with pytest.raises(ValueError, match=r"^faces\(\) requires a connected graph$"):
+            faces(g)
+        assert not connectivity(g).connected
+
+    def test_connectivity_never_recurses_and_faces_never_call_it(self, monkeypatch):
+        calls = []
+        real = graph.connectivity
+        monkeypatch.setattr(graph, "connectivity", lambda g: calls.append(g) or real(g))
+        for make in (build_hexagon_patch, _bowtie, _two_triangles,
+                     lambda: rotated_free(build_hexagon_patch(2), 0.7, (0.0, 0.0))):
+            g = _validated(make(2) if make is build_hexagon_patch else make(), DEFAULT_TOL)
+            h = _validated(g, DEFAULT_TOL)
+            try:
+                faces(h)
+            except ValueError:
+                pass
+            assert calls == []  # faces() of a fresh graph asks no connectivity
+            graph.connectivity(g)
+            assert calls == [g]  # and connectivity() is not entered again inside itself
+            calls.clear()
+
+    def test_consistency_error_from_the_lattice_walk_propagates(self, monkeypatch):
+        g = _bowtie()  # min degree 2, so connectivity() reads the walk
+        assert g.validate().ok
+        slots, order = graph._lattice_darts(g)
+        monkeypatch.setattr(graph, "_lattice_darts",
+                            lambda h: ({**slots, 0: slots[0][::-1]}, order))
+        with pytest.raises(ConsistencyError, match="exactly one clockwise face, found 2"):
+            connectivity(g)
+
+    def test_consistency_error_from_the_float_walk_propagates(self, monkeypatch):
+        g = rotated_free(build_hexagon_patch(1), 0.3, (0.0, 0.0))
+        assert g.validate(tol=0.2).path == "float"
+        rot = rotation_system(g)
+        centre = next(v for v, nbrs in rot.items() if len(nbrs) == 6)
+        monkeypatch.setattr(graph, "rotation_system", lambda h: {**rot, centre: rot[centre][1:]})
+        with pytest.raises(ConsistencyError, match=r"dart count"):
+            connectivity(g)
+
+
 class TestJson:
     def test_round_trip_lattice(self):
         g = build_hexagon_patch(2)

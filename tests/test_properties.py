@@ -41,6 +41,7 @@ from matchstick.graph import MatchstickGraph, connectivity, faces
 from matchstick.lattice import UNIT_STEP_INDEX, LatticeFrame
 from test_candidates import assert_same_candidates, reference_report
 from test_components import _reference_decompose, assert_blocks_on_lattice
+from test_graph import dfs_connectivity
 from test_validation_oracle import _with_leaf, generic_report, moved, rotated_free
 
 TOLS = [1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.2, 0.45]
@@ -130,8 +131,9 @@ def test_fast_paths_give_the_plain_answers(case, penny):
     free graph's report and path are also the reference pipeline's, and its
     candidates the reference generator's, so the float pass is not checked
     against itself alone (most graphs are valid, so reports seldom show a lost
-    candidate).  When the graph is valid, every edge lies in exactly one block,
-    and each component's edges are the graph's edges between its vertices that
+    candidate).  When the graph is valid, its connectivity is what the DFS
+    alone gives (the walk decides it on a 2-connected graph), every edge lies
+    in exactly one block, and each component's edges are the graph's edges between its vertices that
     are unit steps of its coordinates.  When it lifts whole, the walk on the
     lift gives what ``_free_walk`` gives, the components are the blocks on the
     lift, and when the smallest vertex has a second neighbour the wedge scan
@@ -149,6 +151,7 @@ def test_fast_paths_give_the_plain_answers(case, penny):
         assert_same_candidates(g, g.positions(), tol, pieces, (tol, report.path))
     if not report.ok:
         return
+    assert connectivity(g) == dfs_connectivity(g)
     blocks = connectivity(g).blocks
     for a, b in g.edges:
         assert sum(a in blk and b in blk for blk in blocks) == 1, (a, b)
