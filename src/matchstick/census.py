@@ -48,8 +48,8 @@ def _face_census(g: MatchstickGraph) -> FaceCensus:
     fs = faces(g)
     b = len(fs.outer_face)
     hist: dict[int, int] = {}
-    for face in fs.inner_faces:
-        hist[len(face)] = hist.get(len(face), 0) + 1
+    for size in map(len, fs.inner_faces):
+        hist[size] = hist.get(size, 0) + 1
     F = sum((i - 3) * c for i, c in hist.items() if i >= 4)
     census = FaceCensus(n=g.n, e=g.e, b=b, f=hist, F=F)
     _check_identities(census)

@@ -38,7 +38,7 @@ from collections import namedtuple
 from . import geometry as geo
 from .census import face_census
 from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, MatchstickGraph, _canonical_rotation,
-                    _check_tol, _grow, _lattice_at, _norm_edge, _unit_edges, block_decomposition,
+                    _check_tol, _grow, _lattice_at, _norm_edge, _unit_steps, block_decomposition,
                     connectivity, faces, lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
@@ -156,7 +156,7 @@ def _grow_all_seeds(g: MatchstickGraph, tol: float):
                 if not y_on:
                     break
                 coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
-                if len(coords) == g.n and _unit_edges(g.edges, coords):
+                if len(coords) == g.n and _unit_steps(g.edges, coords) is not None:
                     return candidates + [(blk, adj, frame, coords)
                                          for blk in connectivity(g).blocks]
                 region_adj = {v: [u for u in adj[v] if u in coords

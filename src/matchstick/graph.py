@@ -41,7 +41,7 @@ import sys
 from collections import defaultdict, namedtuple
 
 from . import geometry as geo
-from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame
+from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, _new
 
 DEFAULT_TOL = 1e-9
 # from_json bound on lattice m and n: past 2**53 floats no longer hold every
@@ -269,7 +269,7 @@ class MatchstickGraph:
                 vid, fid, m, n = v.get("id"), lat.get("frame"), lat.get("m"), lat.get("n")
                 if (type(vid) is int and type(fid) is int and type(m) is int and type(n) is int
                         and -top <= m <= top and -top <= n <= top):
-                    vertices.append((vid, LatticeCoord(fid, EisensteinPoint(m, n))))
+                    vertices.append((vid, _new(LatticeCoord, (fid, _new(EisensteinPoint, (m, n))))))
                     continue
             elif type(v) is dict and "lattice" not in v:
                 vid, xy = v.get("id"), v.get("free")
@@ -277,7 +277,7 @@ class MatchstickGraph:
                     x, y = xy
                     if (type(x) is float and type(y) is float
                             and -_MAX_COORD <= x <= _MAX_COORD and -_MAX_COORD <= y <= _MAX_COORD):
-                        vertices.append((vid, FreeCoord(x, y)))
+                        vertices.append((vid, _new(FreeCoord, xy)))
                         continue
             # a vertex the checks above reject: the helpers name the fault
             vid = _int(_field(v, "id", "vertex"), "vertex id")
@@ -288,7 +288,7 @@ class MatchstickGraph:
                 raise ValueError(f"{where} 'm' and 'n' must be at most 2**53 in magnitude")
             if "free" not in v:
                 raise ValueError(f"vertex {vid} has neither 'free' nor 'lattice'")
-            vertices.append((vid, FreeCoord(*_point(v["free"], f"vertex {vid} free"))))
+            vertices.append((vid, _new(FreeCoord, _point(v["free"], f"vertex {vid} free"))))
         edges = _list(_field(data, "edges", "graph document"), "graph document field 'edges'")
         for e in edges:
             if type(e) is not list or len(e) != 2:
@@ -513,7 +513,8 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
     every edge of Eisenstein norm 1 and every vertex on its own lattice point
     is valid (the lattice's unit-distance graph is plane), which is checked in
     O(n + e) ("lattice-fast"); otherwise :func:`_validate_exact_generic` lists
-    the violations ("lattice-generic").
+    the violations ("lattice-generic").  The norm check records each edge's
+    direction (:func:`_unit_steps`), as a whole lift does, for the face walk.
 
     For a free-mode graph within the lift's tol window, (M + 1) * 2**-44 <= tol
     <= 0.1 (M the largest |coordinate|), :func:`_lift_pieces` lifts pieces of
@@ -571,7 +572,7 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
     if g.lattice_mode:
         mode, below = "lattice", None
         points = g._once(_lattice)[1]
-        if len(set(points.values())) == g.n and _unit_edges(g.edges, points):
+        if len(set(points.values())) == g.n and g._once(_lattice_steps) is not None:
             path, violations = "lattice-fast", []
         else:
             path, violations = "lattice-generic", _validate_exact_generic(g, penny_mode)
@@ -585,14 +586,23 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
                             tol_below_resolution=below)
 
 
-def _unit_edges(edges, points: dict) -> bool:
-    """Every edge joins two of the lattice ``points`` one lattice step apart,
-    i.e. has Eisenstein norm 1."""
+def _unit_steps(edges, points: dict):
+    """Each edge (a, b)'s step points[b] - points[a] as its ``UNIT_RING`` index,
+    bytes in ``edges`` order; None when some step has Eisenstein norm other than 1."""
+    get = UNIT_STEP_INDEX.get
+    steps = bytearray()
     for a, b in edges:
         (ma, na), (mb, nb) = points[a], points[b]
-        if (mb - ma, nb - na) not in UNIT_STEP_INDEX:
-            return False
-    return True
+        k = get((mb - ma, nb - na))
+        if k is None:
+            return None
+        steps.append(k)
+    return bytes(steps)
+
+
+def _lattice_steps(g: MatchstickGraph):
+    """``_unit_steps`` of a lattice-mode graph on its own points; use through g._once."""
+    return _unit_steps(g.edges, g._once(_lattice)[1])
 
 
 def _max_coord(g: MatchstickGraph) -> float:
@@ -614,13 +624,14 @@ def _lattice_at(g: MatchstickGraph, tol: float):
     if g.lattice_mode:
         return g._once(_lattice)
     path, lift = _lifted(g, tol)
-    return lift if path == "free-lift" else None
+    return lift[:2] if path == "free-lift" else None
 
 
 def _lift_pieces(g: MatchstickGraph, tol: float):
     """The lattice pieces of a free graph, as (path, pieces): ("free-lift",
-    (frame, points)) when the first piece holds every vertex with a unit step
-    on every edge, ("free-pieces", (held, edge_piece)) when some piece exists,
+    (frame, points, _unit_steps(g.edges, points))) when the first piece holds
+    every vertex with a unit step on every edge, ("free-pieces", (held,
+    edge_piece)) when some piece exists,
     else ("float", None).  ``held`` maps a vertex to the indices of the pieces
     holding it; ``edge_piece`` gives, for each edge of ``g.edges``, a piece
     holding its ends a unit step apart (the edge is lifted), or None.
@@ -664,8 +675,9 @@ def _lift_pieces(g: MatchstickGraph, tol: float):
             frame = LatticeFrame(origin=pa, angle=math.atan2(by - ay, bx - ax))
             if frame.snap(pb, slack) == UNIT_RING[0]:
                 piece = _grow(pos, adj, frame, {a: ORIGIN, b: UNIT_RING[0]}, slack, held)
-                if not points and len(piece) == g.n and _unit_edges(g.edges, piece):
-                    return "free-lift", (frame, piece)
+                if (not points and len(piece) == g.n
+                        and (steps := _unit_steps(g.edges, piece)) is not None):
+                    return "free-lift", (frame, piece, steps)
                 k = len(points)
                 points.append(piece)
                 for v in piece:
@@ -802,22 +814,26 @@ def _lattice_darts(g: MatchstickGraph):
     """(slots, order) of a validated graph on its ``_lattice_at`` the largest
     tol ``validate`` passed at, else None.  Slot k of ``slots[v]`` holds v's
     neighbour one ``UNIT_RING[k]`` step away, or None; ``order[v]`` lists the
-    six slots counterclockwise from v's smallest neighbour's.  Built anew per call."""
-    lattice = _lattice_at(g, g.require_validated())
-    if lattice is None:
+    six slots counterclockwise from v's smallest neighbour's, the first edge
+    naming v in sorted order.  Edge (a, b) along the step k that validation
+    recorded (``_unit_steps``) is a's slot k and b's slot k + 3; no point or
+    adjacency is read.  Built anew per call."""
+    tol = g.require_validated()
+    if _lattice_at(g, tol) is None:
         return None
-    points = lattice[1]
-    slots = {}
+    steps = g._once(_lattice_steps) if g.lattice_mode else _lifted(g, tol)[1][2]
+    slots = {v: [None] * 6 for v, _ in g.vertices}  # in vertex order, as the walk visits them
     order = {}
-    for v, nbrs in g.adjacency().items():  # in vertex order, which keeps memory reads local
-        m, n = points[v]
-        row = slots[v] = [None] * 6
-        k = 0
-        for u in reversed(nbrs):  # ascending, so k ends at the smallest neighbour's slot
-            mu, nu = points[u]
-            k = UNIT_STEP_INDEX[(mu - m, nu - n)]
-            row[k] = u
-        order[v] = _SLOTS_FROM[k]
+    for (a, b), k in zip(g.edges, steps):
+        j = (k + 3) % 6
+        slots[a][k] = b
+        slots[b][j] = a
+        if a not in order:
+            order[a] = _SLOTS_FROM[k]
+        if b not in order:
+            order[b] = _SLOTS_FROM[j]
+    if len(order) < len(slots):  # isolated vertices start at slot 0
+        order = {v: order.get(v, _SLOTS_FROM[0]) for v in slots}
     return slots, order
 
 
@@ -850,7 +866,7 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
     its smallest vertex and is canonical unless it passes that vertex twice,
     when it is rotated.  The walk runs first: a plane graph with edges is
     connected iff n - e + W == 2, and only when that count is off does
-    ``block_decomposition`` decide."""
+    ``block_decomposition`` decide, once per graph (``_blocks``)."""
     g.require_validated()
     if g.e == 0:
         if g.n > 1:
@@ -870,19 +886,18 @@ def _faces(g: MatchstickGraph) -> FaceStructure:
     if darts is None:
         _free_walk(g, add)
     else:
-        _lattice_walk(*darts, add)
-    if (g.n - g.e + len(cycles) != 2
-            and _components(g.n, block_decomposition(g.ids(), g.adjacency())[0]) != 1):
+        _lattice_walk(*darts, cycles, add)
+    if g.n - g.e + len(cycles) != 2 and _components(g.n, g._once(_blocks)[0]) != 1:
         raise ValueError("faces() requires a connected graph")
     if len(cycles) > 1 and len(outer) != 1:
         raise ConsistencyError(f"expected exactly one clockwise face, found {len(outer)}")
-    total = sum(len(c) for c in cycles)
+    total = sum(map(len, cycles))
     if total != 2 * g.e:
         raise ConsistencyError(f"dart count {total} != 2e = {2 * g.e}")
     return FaceStructure(faces=tuple(cycles), outer_face_index=outer[0] if len(cycles) > 1 else 0)
 
 
-def _lattice_walk(slots, order, add):
+def _lattice_walk(slots, order, cycles, add):
     """Passes each face of a graph on a lattice to ``add`` as (cycle, turn
     sum), walked on the direction slots and rotations of :func:`_lattice_darts`.
     A dart arriving along direction k goes on in the first occupied direction
@@ -891,7 +906,8 @@ def _lattice_walk(slots, order, add):
     clockwise.  An inner face's turns sum to +6, the outer face's to -6.  A face
     whose first dart u -> v along k goes on along k + 2 to w and back along
     k + 4 to u is that unit triangle, with turns 2 + 2 + 2: it closes in one
-    step, with the cycle and sum the dart-by-dart walk gives."""
+    step, with the cycle and sum the dart-by-dart walk gives, and goes straight
+    into ``cycles`` as the tuple (u, v, w) that ``add`` would append."""
     left = {v: row[:] for v, row in slots.items()}  # the darts not walked yet
     for u0, row0 in left.items():  # in vertex order
         for k0 in order[u0]:
@@ -901,7 +917,7 @@ def _lattice_walk(slots, order, add):
             rv = left[v]
             if (w := rv[k2]) is not None and (rw := left[w])[k4] == u0:
                 row0[k0] = rv[k2] = rw[k4] = None
-                add([u0, v, w], 6)
+                cycles.append((u0, v, w))
                 continue
             cycle = []
             turn = 0
@@ -1040,6 +1056,11 @@ def connectivity(g: MatchstickGraph) -> ConnectivityInfo:
     return g._once(_connectivity)
 
 
+def _blocks(g: MatchstickGraph):
+    """``block_decomposition`` of g; use through g._once."""
+    return block_decomposition(g.ids(), g.adjacency())
+
+
 def _components(n: int, blocks) -> int:
     """The components of an n-vertex graph with these blocks: a component's
     blocks form a tree through its cut vertices, so on k vertices their sizes
@@ -1058,13 +1079,11 @@ def _walks_two_connected(g: MatchstickGraph) -> bool:
 
 
 def _connectivity(g: MatchstickGraph) -> ConnectivityInfo:
-    adj = g.adjacency()
-    ids = g.ids()
-    min_degree = min(len(adj[v]) for v in ids)
+    min_degree = min(map(len, g.adjacency().values()))
     if g.validated and min_degree >= 2 and _walks_two_connected(g):
-        blocks, cut = (frozenset(ids),), frozenset()
+        blocks, cut = (frozenset(g.ids()),), frozenset()
     else:
-        blocks, cut = block_decomposition(ids, adj)
+        blocks, cut = g._once(_blocks)
     connected = _components(g.n, blocks) == 1
     two_connected = connected and g.n >= 3 and not cut
     return ConnectivityInfo(connected=connected,

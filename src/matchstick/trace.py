@@ -117,7 +117,7 @@ def claim_trace(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> TraceReport:
         bstar = report.b_star
         outside = set(g.ids()) - g1.vertices
         adj = g.adjacency()
-        k_size = sum(1 for v in g1.vertices if any(u in outside for u in adj[v]))
+        k_size = sum(1 for v in g1.vertices if any(u in outside for u in adj[v])) if outside else 0
         derived.update({"n_1": n1, "D": D, "K_size": k_size, "b_star": bstar})
         records.append(_rec("largest_component_share", float(n1), 3.0 * n / 4.0, ">"))
         records.append(_rec("remainder_growth", math.sqrt(12.0 * (n - n1)),

@@ -20,7 +20,7 @@ import pytest
 
 from matchstick import graph
 from matchstick.builders import build_extremal
-from matchstick.graph import (_BOX_PAD, _CELL, _NONE, MatchstickGraph, _grow, _unit_edges,
+from matchstick.graph import (_BOX_PAD, _CELL, _NONE, MatchstickGraph, _grow, _unit_steps,
                               free_graph)
 from matchstick.lattice import ORIGIN, UNIT_RING, LatticeFrame
 
@@ -180,13 +180,13 @@ def _lift_pieces(g: MatchstickGraph, tol: float):
             edge_piece.append(None)
             continue
         k = next((k for k in held.get(a, _NONE) & held.get(b, _NONE)
-                  if _unit_edges(((a, b),), points[k])), None)
+                  if _unit_steps(((a, b),), points[k]) is not None), None)
         if k is None:
             (ax, ay), (bx, by) = pos[a], pos[b]
             frame = LatticeFrame(origin=(ax, ay), angle=math.atan2(by - ay, bx - ax))
             if frame.snap(pos[b], slack) == UNIT_RING[0]:
                 piece = _grow(pos, adj, frame, {a: ORIGIN, b: UNIT_RING[0]}, slack, held)
-                if not points and len(piece) == g.n and _unit_edges(g.edges, piece):
+                if not points and len(piece) == g.n and _unit_steps(g.edges, piece) is not None:
                     return "free-lift", None
                 k = len(points)
                 points.append(piece)

@@ -11,7 +11,7 @@ from matchstick.census import face_census
 from matchstick.components import component_boundary_check, decompose, fill_component
 from matchstick.graph import (_NONE, DEFAULT_TOL, ConsistencyError, FreeCoord, LatticeCoord,
                               MatchstickGraph, _canonical_rotation, _grow, _lattice,
-                              _lattice_at, _norm_edge, _unit_edges, block_decomposition, boundary,
+                              _lattice_at, _norm_edge, _unit_steps, block_decomposition, boundary,
                               connectivity, faces, free_graph, lattice_graph)
 from matchstick.lattice import (ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint,
                                 LatticeFrame, phi)
@@ -755,7 +755,8 @@ def _reference_grow_all_seeds(g, tol, full_cover_exit=True):
                 if not y_on:
                     break
                 coords = _grow(pos, adj, frame, {x: ORIGIN, y: UNIT_RING[0], w: p}, tol)
-                if full_cover_exit and len(coords) == g.n and _unit_edges(g.edges, coords):
+                if (full_cover_exit and len(coords) == g.n
+                        and _unit_steps(g.edges, coords) is not None):
                     return candidates + [(blk, adj, frame, coords)
                                          for blk in connectivity(g).blocks]
                 region_adj = {v: [u for u in adj[v] if u in coords
@@ -904,9 +905,10 @@ class TestFullCoverExit:
         import matchstick.components as components
         exits = []
 
-        def unit_edges(edges, coords):
-            exits.append(_unit_edges(edges, coords))
-            return exits[-1]
+        def unit_steps(edges, coords):
+            steps = _unit_steps(edges, coords)
+            exits.append(steps is not None)
+            return steps
 
         def grow_every_seed(g, tol):
             return _reference_grow_all_seeds(g, tol, full_cover_exit=False)
@@ -915,7 +917,7 @@ class TestFullCoverExit:
         for g, tol in self.corpus():
             report = g.validate(tol=tol)
             assert report.ok and report.path != "free-lift"
-            with mock.patch.object(components, "_unit_edges", unit_edges):
+            with mock.patch.object(components, "_unit_steps", unit_steps):
                 got = decompose(g, tol)
             want = _reference_decompose(g, tol, grow_every_seed)
             assert got.to_json() == want.to_json()

@@ -14,7 +14,8 @@ from matchstick.builders import build_extremal, build_hexagon_patch, random_latt
 from matchstick.graph import (DEFAULT_TOL, ConsistencyError, FreeCoord, MatchstickGraph,
                               ValidationReport, Violation, _candidates, boundary, connectivity,
                               faces, free_graph, lattice_graph, rotation_system)
-from matchstick.lattice import UNIT_RING, EisensteinPoint, eisenstein_norm, harborth_bound
+from matchstick.lattice import (UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, eisenstein_norm,
+                               harborth_bound)
 from test_validation_oracle import rotated_free
 
 E = EisensteinPoint
@@ -871,10 +872,33 @@ class TestWalkedConnectivity:
         assert calls == [1]
 
 
-def _walked(walk, darts) -> list:
-    out = []
-    walk(*darts, lambda cycle, s: out.append((tuple(cycle), s)))
+class _Walked(list):
+    """The faces a lattice walk finds, as (cycle, turn sum) in the order found.
+    As graph._lattice_walk's ``cycles``, it records a unit triangle closed in
+    one step with the turn sum 6 that the dart-by-dart walk passes for it."""
+
+    def append(self, cycle):
+        super().append((cycle, 6))
+
+    def add(self, cycle, s):
+        super().append((tuple(cycle), s))
+
+
+def _walked(darts) -> list:
+    out = _Walked()
+    graph._lattice_walk(*darts, out, out.add)
     return out
+
+
+def _reference_walked(darts) -> list:
+    out = _Walked()
+    _reference_lattice_walk(*darts, out.add)
+    return out
+
+
+def _walk_by_darts(slots, order, cycles, add):
+    """The reference walk in graph._lattice_walk's place: every face goes to ``add``."""
+    _reference_lattice_walk(slots, order, add)
 
 
 def _walk_graphs():
@@ -896,12 +920,12 @@ def _assert_same_walk(g: MatchstickGraph, tol: float, monkeypatch):
     ``add``, and a connected g has the FaceStructure of the reference walk."""
     darts = graph._lattice_darts(g)
     assert darts is not None
-    assert _walked(graph._lattice_walk, darts) == _walked(_reference_lattice_walk, darts)
+    assert _walked(darts) == _reference_walked(darts)
     if not connectivity(g).connected:
         return
     got = repr(faces(g))
     ref = _validated(g, tol)
-    monkeypatch.setattr(graph, "_lattice_walk", _reference_lattice_walk)
+    monkeypatch.setattr(graph, "_lattice_walk", _walk_by_darts)
     assert got == repr(faces(ref))
     monkeypatch.undo()
 
@@ -918,11 +942,142 @@ class TestTriangleStep:
 
 
 def test_spirals_walk_and_connectivity(monkeypatch):
-    # the spirals n = 3..400 through both checks above, each built and validated once
+    # the spirals n = 3..400 through the checks above and the darts check
+    # below, each built and validated once
     for n in range(3, 401):
         g = _validated(build_extremal(n), DEFAULT_TOL)
         _assert_walked_connectivity(g, monkeypatch)
         _assert_same_walk(g, DEFAULT_TOL, monkeypatch)
+        _assert_same_darts(g, DEFAULT_TOL, monkeypatch)
+
+
+# -- lattice darts from the edge steps validation records ----------------------------
+
+
+def _reference_lattice_darts(g: MatchstickGraph):
+    """graph._lattice_darts as it was before it read the edge steps that
+    validation records: each dart's slot is looked up from its two ends'
+    lattice points, vertex by vertex along the adjacency."""
+    lattice = graph._lattice_at(g, g.require_validated())
+    if lattice is None:
+        return None
+    points = lattice[1]
+    slots = {}
+    order = {}
+    for v, nbrs in g.adjacency().items():
+        m, n = points[v]
+        row = slots[v] = [None] * 6
+        k = 0
+        for u in reversed(nbrs):  # ascending, so k ends at the smallest neighbour's slot
+            mu, nu = points[u]
+            k = UNIT_STEP_INDEX[(mu - m, nu - n)]
+            row[k] = u
+        order[v] = graph._SLOTS_FROM[k]
+    return slots, order
+
+
+def _faces_or_error(g: MatchstickGraph) -> str:
+    try:
+        return repr(faces(g))
+    except ValueError as exc:
+        return repr(exc)
+
+
+def _assert_same_darts(g: MatchstickGraph, tol: float, monkeypatch):
+    """The steps-built (slots, order) of g, validated at tol, are the
+    point-based reference's, slots in vertex order, and g's rotation system
+    and faces are those of a fresh copy walked on the reference darts."""
+    got, want = graph._lattice_darts(g), _reference_lattice_darts(g)
+    assert got is not None
+    assert got == want and list(got[0]) == list(want[0])
+    rot, walked = rotation_system(g), _faces_or_error(g)
+    ref = _validated(g, tol)
+    monkeypatch.setattr(graph, "_lattice_darts", _reference_lattice_darts)
+    assert repr(rot) == repr(rotation_system(ref))
+    assert walked == _faces_or_error(ref)
+    monkeypatch.undo()
+
+
+def _darts_graphs():
+    """(name, maker, tol) of graphs on one lattice: random lattice subgraphs,
+    plain and 2-connected, hexagon patches, isolated vertices, one vertex with
+    no edge, two disjoint triangles, the spiral on 1024 vertices, and spirals
+    lifted whole at three angles, near the origin and shifted by 1e5 (where the
+    lift's window starts above the default tol)."""
+    out = [(f"random-{n}-{seed}-{two}", lambda n=n, seed=seed, two=two:
+            random_lattice_subgraph(n, seed, require_2connected=two), DEFAULT_TOL)
+           for n in (4, 9, 25, 60, 150) for seed in range(4) for two in (False, True)]
+    out += [(f"hexagon-{k}", lambda k=k: build_hexagon_patch(k), DEFAULT_TOL) for k in (1, 2, 4)]
+    out += [("isolated-vertices", lambda: lattice_graph([E(0, 0), E(2, 0), E(0, 3)], edges=[]),
+             DEFAULT_TOL),
+            ("one-vertex", lambda: lattice_graph([E(4, -1)], edges=[]), DEFAULT_TOL),
+            ("triangle-and-point", _triangle_and_point, DEFAULT_TOL),
+            ("two-triangles", _two_triangles, DEFAULT_TOL),
+            ("spiral-1024", lambda: build_extremal(1024), DEFAULT_TOL)]
+    out += [(f"lifted-spiral-{n}-{a:.4f}-{shift:g}",
+             lambda n=n, a=a, shift=shift: rotated_free(build_extremal(n), a, (shift, -shift)), tol)
+            for n in (19, 136, 400) for a in (0.7, math.pi / 3 - 1e-12, 2.1)
+            for shift, tol in ((0.0, DEFAULT_TOL), (1e5, 1e-6))]
+    return out
+
+
+class TestStepsBuiltDarts:
+    """graph._lattice_darts, built from the edge steps validation records,
+    against the point-based reference above."""
+
+    @pytest.mark.parametrize("make,tol", [c[1:] for c in _darts_graphs()],
+                             ids=[c[0] for c in _darts_graphs()])
+    def test_graphs(self, make, tol, monkeypatch):
+        g = _validated(make(), tol)
+        assert g.validate(tol=tol).path in ("lattice-fast", "free-lift")
+        _assert_same_darts(g, tol, monkeypatch)
+
+    def test_one_vertex_has_empty_steps_and_one_face(self):
+        g = _validated(lattice_graph([E(0, 0)], edges=[]), DEFAULT_TOL)
+        assert g._once(graph._lattice_steps) == b""
+        assert graph._lattice_darts(g) == ({0: [None] * 6}, {0: (0, 1, 2, 3, 4, 5)})
+        assert rotation_system(g) == {0: ()} and faces(g).faces == ((),)
+
+
+class TestUnitSteps:
+    def test_no_edges_give_empty_bytes_not_none(self):
+        steps = graph._unit_steps((), {0: E(0, 0)})
+        assert steps is not None and steps == b""
+
+    def test_a_non_unit_edge_gives_none(self):
+        points = {0: E(0, 0), 1: E(1, 0), 2: E(1, 1), 3: E(0, 0)}
+        assert graph._unit_steps(((0, 1),), points) == b"\x00"
+        assert graph._unit_steps(((0, 1), (0, 2)), points) is None  # norm 3
+        assert graph._unit_steps(((0, 3), (0, 1)), points) is None  # norm 0
+
+    def test_each_step_is_the_edge_direction(self):
+        g = build_extremal(300)
+        points = g._once(graph._lattice)[1]
+        steps = graph._unit_steps(g.edges, points)
+        assert len(steps) == g.e
+        assert [UNIT_RING[k] for k in steps] == [points[b] - points[a] for a, b in g.edges]
+
+    @pytest.mark.parametrize("make,tol", [
+        (lambda: build_extremal(200), DEFAULT_TOL),
+        (lambda: rotated_free(build_extremal(200), 0.7, (5.0, 1e3)), DEFAULT_TOL),
+        (lambda: rotated_free(build_extremal(200), 2.1, (1e5, 1e5)), 1e-6),
+    ], ids=["lattice", "lift", "shifted-lift"])
+    def test_found_once_per_graph(self, make, tol, monkeypatch):
+        # validation finds the steps, and connectivity, faces, the census,
+        # decompose, the trace and the rotation system all reuse them
+        from matchstick.census import face_census
+        from matchstick.components import decompose
+        from matchstick.trace import claim_trace
+        h = make()  # a builder may validate the graph it builds
+        g = MatchstickGraph(h.vertices, h.edges, h.frames)
+        calls = []
+        real = graph._unit_steps
+        monkeypatch.setattr(graph, "_unit_steps",
+                            lambda edges, points: calls.append(len(edges)) or real(edges, points))
+        assert g.validate(tol=tol).path in ("lattice-fast", "free-lift")
+        connectivity(g), faces(g), face_census(g), decompose(g, tol), claim_trace(g, tol)
+        rotation_system(g)
+        assert calls == [g.e]
 
 
 class TestWalkedConnectivityErrors:
@@ -952,6 +1107,20 @@ class TestWalkedConnectivityErrors:
             assert calls == [g]  # and connectivity() is not entered again inside itself
             calls.clear()
 
+    @pytest.mark.parametrize("faces_first", [False, True])
+    def test_a_disconnected_graph_runs_the_dfs_once(self, faces_first, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graph, "block_decomposition",
+                            lambda ids, adj: calls.append(1) or _block_decomposition(ids, adj))
+        g = _validated(_two_triangles(), DEFAULT_TOL)
+        for step in range(4):
+            if step == (0 if faces_first else 2):
+                assert not connectivity(g).connected
+            else:
+                with pytest.raises(ValueError, match=r"^faces\(\) requires a connected graph$"):
+                    faces(g)
+        assert calls == [1]
+
     def test_consistency_error_from_the_lattice_walk_propagates(self, monkeypatch):
         g = _bowtie()  # min degree 2, so connectivity() reads the walk
         assert g.validate().ok
@@ -979,6 +1148,19 @@ class TestJson:
         assert g2.to_json() == j
         assert g2.edges == g.edges
         assert all(g2.coord(v) == g.coord(v) for v in g2.ids())
+
+    def test_parsed_coordinates_are_the_named_tuples(self):
+        # from_json builds its coordinates without the namedtuple constructors,
+        # so check it gives what they give, type and all
+        lat = build_hexagon_patch(2)
+        free = rotated_free(lat, 0.3, (1.0, -2.0))
+        for g in (lat, free):
+            parsed = MatchstickGraph.from_json(g.to_json())
+            assert repr(parsed.vertices) == repr(g.vertices)
+            for (_, c), (_, d) in zip(parsed.vertices, g.vertices):
+                assert type(c) is type(d) and c == d
+                if type(c) is graph.LatticeCoord:
+                    assert type(c.point) is EisensteinPoint and c.point.m == d.point.m
 
     def test_round_trip_free_bit_exact(self):
         g = free_graph([(0.1 + 0.2, 1.0 / 3.0), (math.pi, -1e-17)], [(0, 1)])

@@ -128,6 +128,21 @@ class TestQuadraticThresholds:
             isoperimetric_phi_thresholds(0.0)
 
 
+class TestKSizeOfAWholeComponent:
+    def test_no_scan_when_g1_holds_every_vertex(self, monkeypatch):
+        # G_1 is the whole patch, so no vertex has a neighbour outside it: K_size
+        # is 0 without reading the adjacency, and the JSON is what it was
+        g = validated(build_hexagon_patch(2))
+        want = claim_trace(validated(build_hexagon_patch(2))).to_json()
+        for analysis in (connectivity, faces, face_census):
+            analysis(g)
+        decompose(g, 1e-9)
+        monkeypatch.setattr(g, "adjacency", lambda: {})  # a scan would raise KeyError
+        t = claim_trace(g)
+        assert t.derived["n_1"] == g.n and t.derived["K_size"] == 0
+        assert t.to_json() == want
+
+
 class TestDerivedOnFlap:
     def test_k_size_counts_attachment_vertices(self):
         from test_components import make_flap_graph
