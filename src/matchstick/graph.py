@@ -814,10 +814,10 @@ def _lattice_darts(g: MatchstickGraph):
     """(slots, order) of a validated graph on its ``_lattice_at`` the largest
     tol ``validate`` passed at, else None.  Slot k of ``slots[v]`` holds v's
     neighbour one ``UNIT_RING[k]`` step away, or None; ``order[v]`` lists the
-    six slots counterclockwise from v's smallest neighbour's, the first edge
-    naming v in sorted order.  Edge (a, b) along the step k that validation
-    recorded (``_unit_steps``) is a's slot k and b's slot k + 3; no point or
-    adjacency is read.  Built anew per call."""
+    six slots counterclockwise from that of v's smallest neighbour, which the
+    first edge naming v in sorted order joins.  Edge (a, b) along the step k
+    that validation recorded (``_unit_steps``) is a's slot k and b's slot
+    k + 3; no point or adjacency is read.  Built anew per call."""
     tol = g.require_validated()
     if _lattice_at(g, tol) is None:
         return None
