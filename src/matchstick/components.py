@@ -2,7 +2,7 @@
 
 A lattice component is a maximal 2-connected subgraph on at least 3 vertices
 whose vertices all lie on one triangular lattice.  When g lies on one lattice
-(lattice mode, or a free graph lifted whole at tol: graph._lattice_at), its
+(its graph._lattice_at record: lattice mode, or a whole lift at tol), its
 components are its blocks on at least 3 vertices, on that lattice.  Otherwise
 they are found by growing regions with one snap-and-step rule: a neighbour of
 a region vertex v joins when LatticeFrame.snap puts it within tol of a free
@@ -104,7 +104,7 @@ def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
     lattice = _lattice_at(g, tol)
     if lattice:
         # every vertex is on one lattice, so the candidates are g's blocks on it
-        candidates = [(blk, adj, *lattice) for blk in info.blocks]
+        candidates = [(blk, adj, *lattice[:2]) for blk in info.blocks]
     else:
         candidates = _grow_all_seeds(g, tol)
 

@@ -346,12 +346,16 @@ def _check_tol(tol: float):
 
 
 def _lattice(g: MatchstickGraph):
-    """(frame, each vertex's EisensteinPoint) when every vertex is a lattice
-    coordinate on one frame, else None; use through g._once."""
+    """The record (frame, points, steps) when every vertex is a lattice
+    coordinate on one frame, else None; use through g._once.  As in a whole
+    lift's record, the steps (``_unit_steps`` of the points) exist exactly when
+    g is a unit lattice graph on distinct points, else they are None."""
     frames_used = {c.frame if isinstance(c, LatticeCoord) else None for _, c in g.vertices}
     if len(frames_used) != 1 or None in frames_used:
         return None
-    return g.frames[frames_used.pop()], {vid: c.point for vid, c in g.vertices}
+    points = {vid: c.point for vid, c in g.vertices}
+    steps = _unit_steps(g.edges, points) if len(set(points.values())) == g.n else None
+    return g.frames[frames_used.pop()], points, steps
 
 
 def _positions(g: MatchstickGraph) -> dict:
@@ -509,12 +513,11 @@ _LIFT_MAX_TOL = 0.1
 
 
 def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> ValidationReport:
-    """The report of the one check its path names.  A lattice-mode graph with
-    every edge of Eisenstein norm 1 and every vertex on its own lattice point
-    is valid (the lattice's unit-distance graph is plane), which is checked in
-    O(n + e) ("lattice-fast"); otherwise :func:`_validate_exact_generic` lists
-    the violations ("lattice-generic").  The norm check records each edge's
-    direction (:func:`_unit_steps`), as a whole lift does, for the face walk.
+    """The report of the one check its path names.  A lattice-mode graph whose
+    record (:func:`_lattice`) has steps, so every edge has Eisenstein norm 1
+    and every vertex its own lattice point, is valid (the lattice's
+    unit-distance graph is plane): "lattice-fast", in O(n + e).  Otherwise
+    :func:`_validate_exact_generic` lists the violations ("lattice-generic").
 
     For a free-mode graph within the lift's tol window, (M + 1) * 2**-44 <= tol
     <= 0.1 (M the largest |coordinate|), :func:`_lift_pieces` lifts pieces of
@@ -571,8 +574,7 @@ def _validation_report(g: MatchstickGraph, tol: float, penny_mode: bool) -> Vali
     """
     if g.lattice_mode:
         mode, below = "lattice", None
-        points = g._once(_lattice)[1]
-        if len(set(points.values())) == g.n and g._once(_lattice_steps) is not None:
+        if g._once(_lattice)[2] is not None:
             path, violations = "lattice-fast", []
         else:
             path, violations = "lattice-generic", _validate_exact_generic(g, penny_mode)
@@ -600,11 +602,6 @@ def _unit_steps(edges, points: dict):
     return bytes(steps)
 
 
-def _lattice_steps(g: MatchstickGraph):
-    """``_unit_steps`` of a lattice-mode graph on its own points; use through g._once."""
-    return _unit_steps(g.edges, g._once(_lattice)[1])
-
-
 def _max_coord(g: MatchstickGraph) -> float:
     """The largest |coordinate| of a free graph; use through g._once."""
     return max(abs(c) for xy in g.positions().values() for c in xy)
@@ -619,22 +616,23 @@ def _lifted(g: MatchstickGraph, tol: float):
 
 
 def _lattice_at(g: MatchstickGraph, tol: float):
-    """(frame, each vertex's EisensteinPoint) of the lattice g lies on: its own
-    in lattice mode, else its whole lift at ``tol`` (see _lift_pieces), or None."""
+    """The (frame, points, steps) record of the lattice g lies on: its own in
+    lattice mode (see _lattice), else its whole lift at ``tol`` (see
+    _lift_pieces), or None."""
     if g.lattice_mode:
         return g._once(_lattice)
     path, lift = _lifted(g, tol)
-    return lift[:2] if path == "free-lift" else None
+    return lift if path == "free-lift" else None
 
 
 def _lift_pieces(g: MatchstickGraph, tol: float):
     """The lattice pieces of a free graph, as (path, pieces): ("free-lift",
-    (frame, points, _unit_steps(g.edges, points))) when the first piece holds
-    every vertex with a unit step on every edge, ("free-pieces", (held,
-    edge_piece)) when some piece exists,
-    else ("float", None).  ``held`` maps a vertex to the indices of the pieces
-    holding it; ``edge_piece`` gives, for each edge of ``g.edges``, a piece
-    holding its ends a unit step apart (the edge is lifted), or None.
+    (frame, points, steps)), a record as :func:`_lattice` gives, when the first
+    piece holds every vertex with a unit step on every edge, ("free-pieces",
+    (held, edge_piece)) when some piece exists, else ("float", None).
+    ``held`` maps a vertex to the indices of the pieces holding it;
+    ``edge_piece`` gives, for each edge of ``g.edges``, a piece holding its
+    ends a unit step apart (the edge is lifted), or None.
 
     Each edge (a, b), in ``g.edges`` order, whose length is within tol/2 of 1
     and that no piece lifts yet seeds a piece when b snaps to (1, 0) on the
@@ -811,20 +809,19 @@ def rotation_system(g: MatchstickGraph) -> dict:
 
 
 def _lattice_darts(g: MatchstickGraph):
-    """(slots, order) of a validated graph on its ``_lattice_at`` the largest
-    tol ``validate`` passed at, else None.  Slot k of ``slots[v]`` holds v's
-    neighbour one ``UNIT_RING[k]`` step away, or None; ``order[v]`` lists the
-    six slots counterclockwise from that of v's smallest neighbour, which the
-    first edge naming v in sorted order joins.  Edge (a, b) along the step k
-    that validation recorded (``_unit_steps``) is a's slot k and b's slot
-    k + 3; no point or adjacency is read.  Built anew per call."""
-    tol = g.require_validated()
-    if _lattice_at(g, tol) is None:
+    """(slots, order) of a validated graph from the steps of its
+    ``_lattice_at`` record at the largest tol ``validate`` passed at, else
+    None.  Slot k of ``slots[v]`` holds v's neighbour one ``UNIT_RING[k]``
+    step away, or None; ``order[v]`` lists the six slots counterclockwise from
+    that of v's smallest neighbour, which the first edge naming v in sorted
+    order joins.  Edge (a, b) along step k is a's slot k and b's slot k + 3;
+    no point or adjacency is read.  Built anew per call."""
+    lattice = _lattice_at(g, g.require_validated())
+    if lattice is None:
         return None
-    steps = g._once(_lattice_steps) if g.lattice_mode else _lifted(g, tol)[1][2]
     slots = {v: [None] * 6 for v, _ in g.vertices}  # in vertex order, as the walk visits them
     order = {}
-    for (a, b), k in zip(g.edges, steps):
+    for (a, b), k in zip(g.edges, lattice[2]):
         j = (k + 3) % 6
         slots[a][k] = b
         slots[b][j] = a

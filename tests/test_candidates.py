@@ -3,13 +3,16 @@ replaced.
 
 ``graph._candidates`` filters pairs as it finds them, and
 ``graph._lift_pieces`` walks the adjacency with plain loops.  The functions
-in the reference section below are the earlier forms, kept verbatim: the
-earlier ``_candidates`` listed every pair that shares a grid cell and then,
-with pieces, dropped the pairs one piece holds (``_add_across_pieces``) and
-those whose boxes are apart (``_near_across_pieces``).  On every case the
-validation report must be the same, the lift must give the same pieces, and
-the candidate sets must be those the reference keeps after its filters, with
-no candidate listed twice.
+in the reference section below are the earlier forms, kept verbatim but for
+the reference lift's whole-lift record, whose edge steps it reads off
+``UNIT_STEP_INDEX`` itself: the earlier ``_candidates`` listed every pair
+that shares a grid cell and then, with pieces, dropped the pairs one piece
+holds (``_add_across_pieces``) and those whose boxes are apart
+(``_near_across_pieces``).  On every case the validation report must be the
+same, the lift must give the same pieces or whole-lift record, and the
+candidate sets must be those the reference keeps after its filters, with no
+candidate listed twice.  A fixed corpus of invalid free graphs must also get
+the reference's report, naming its violation.
 """
 
 import math
@@ -22,11 +25,11 @@ from matchstick import graph
 from matchstick.builders import build_extremal
 from matchstick.graph import (_BOX_PAD, _CELL, _NONE, MatchstickGraph, _grow, _unit_steps,
                               free_graph)
-from matchstick.lattice import ORIGIN, UNIT_RING, LatticeFrame
+from matchstick.lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, LatticeFrame
 
 from test_components import patch_chain
-from test_validation_oracle import (far_collinear_case, faulty_lattice_graph, moved, rotated_free,
-                                    turned_lattice_graph)
+from test_validation_oracle import (far_collinear_case, faulty_lattice_graph, in_lift_window, moved,
+                                    rotated_free, turned_lattice_graph)
 
 # ---------------------------------------------------------------------------
 # reference: the earlier candidate generator and lift, verbatim
@@ -152,11 +155,13 @@ def _near_across_pieces(pos, edges, boxes, vpairs, epairs, vhits, held, w):
 
 def _lift_pieces(g: MatchstickGraph, tol: float):
     """The lattice pieces of a free graph, as (path, pieces): ("free-lift",
-    None) when the first piece holds every vertex with a unit step on every
-    edge, ("free-pieces", (held, edge_piece)) when some piece exists, else
-    ("float", None).  ``held`` maps a vertex to the indices of the pieces
-    holding it; ``edge_piece`` gives, for each edge in ascending order, a piece
-    holding its ends a unit step apart (the edge is lifted), or None.
+    (frame, points, steps)) when the first piece holds every vertex with a
+    unit step on every edge, ``steps`` each edge's ``UNIT_RING`` index as
+    bytes in ``g.edges`` order, ("free-pieces", (held, edge_piece)) when some
+    piece exists, else ("float", None).  ``held`` maps a vertex to the
+    indices of the pieces holding it; ``edge_piece`` gives, for each edge in
+    ascending order, a piece holding its ends a unit step apart (the edge is
+    lifted), or None.
 
     Each edge (a, b), in ascending order, whose length is within tol/2 of 1
     and that no piece lifts yet seeds a piece when b snaps to (1, 0) on the
@@ -186,8 +191,10 @@ def _lift_pieces(g: MatchstickGraph, tol: float):
             frame = LatticeFrame(origin=(ax, ay), angle=math.atan2(by - ay, bx - ax))
             if frame.snap(pos[b], slack) == UNIT_RING[0]:
                 piece = _grow(pos, adj, frame, {a: ORIGIN, b: UNIT_RING[0]}, slack, held)
-                if not points and len(piece) == g.n and _unit_steps(g.edges, piece) is not None:
-                    return "free-lift", None
+                if not points and len(piece) == g.n:
+                    steps = [UNIT_STEP_INDEX.get(piece[b] - piece[a]) for a, b in g.edges]
+                    if None not in steps:
+                        return "free-lift", (frame, piece, bytes(steps))
                 k = len(points)
                 points.append(piece)
                 for v in piece:
@@ -273,6 +280,50 @@ def free_corpus(kind, tol, rays=100):
 FREE_KINDS = ("chain", "noisy-chain", "noisy-spiral", "star", "segments")
 
 
+def whole_lifts(tol):
+    """Rotated spirals n = 19, 136 and 384 at 0.7 and 2.1 rad, shifted by
+    (3, -2) and, from tol 1e-6 on (the lift window's lower end is above 1e-9
+    there), by (1e5, 1e5); each also with its vertices moved by 0.2 tol."""
+    rng = random.Random(f"candidates-lift-{tol}")
+    shifts = ((3.0, -2.0), (1e5, 1e5)) if tol >= 1e-6 else ((3.0, -2.0),)
+    flat = [rotated_free(build_extremal(n), angle, shift)
+            for n in (19, 136, 384) for angle in (0.7, 2.1) for shift in shifts]
+    return flat + [moved(rng, g, 0.2 * tol) for g in flat]
+
+
+def _hexagon_with(coords, edges):
+    """A unit hexagon patch, centre 0 and ring 1..6 counterclockwise from
+    (1, 0), with ``coords`` added as vertices 7, 8, ... and ``edges`` added;
+    turned by 0.4 rad and shifted by (2, -1), as free floats."""
+    ring = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+    ca, sa = math.cos(0.4), math.sin(0.4)
+    return free_graph([(2.0 + ca * x - sa * y, -1.0 + sa * x + ca * y)
+                       for x, y in [(0.0, 0.0)] + ring + coords],
+                      [(0, k) for k in range(1, 7)] + [(k, k % 6 + 1) for k in range(1, 7)] + edges)
+
+
+def off_edge(tol):
+    """A unit edge out from a point 0.5 tol outside the midpoint of ring edge (1, 2)."""
+    ux, uy = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    r = math.sqrt(3) / 2 + 0.5 * tol
+    return _hexagon_with([(r * ux, r * uy), ((r + 1) * ux, (r + 1) * uy)], [(7, 8)])
+
+
+# hand-built free graphs, each with a violation at tol <= 0.45 that the report must name
+INVALID_FREE = {
+    "crossing-chords": (lambda tol: _hexagon_with([], [(1, 3), (2, 4)]),
+                        ("Crossing", (1, 3, 2, 4))),
+    "vertex-off-edge": (off_edge, ("VertexOnEdge", (7, 1, 2))),
+    "close-vertices": (lambda tol: _hexagon_with([(1.0, 0.5 * tol), (2.0, 0.5 * tol)], [(7, 8)]),
+                       ("DuplicateVertexPosition", (1, 7))),
+    "narrow-wedge": (lambda tol: _hexagon_with(
+        [(2.0, 0.0), (1.0 + math.cos(0.5 * math.asin(tol)), math.sin(0.5 * math.asin(tol)))],
+        [(1, 7), (1, 8)]), ("Crossing", (1, 7, 1, 8))),
+    "long-segment": (lambda tol: _hexagon_with([(-1.0, 0.3), (1.0, 0.3)], [(7, 8)]),
+                     ("NonUnitEdge", (7, 8))),
+}
+
+
 def reference_report(g, tol, penny):
     """The report of the validation pipeline with the reference lift and
     candidates in place of the current ones (patched with ``mock``, so that
@@ -343,6 +394,20 @@ class TestSameReport:
             assert not report.ok
 
 
+class TestInvalidFreeGraphs:
+    """A fixed corpus of invalid free graphs: at tol 1e-9 the float pass runs
+    on the pairs across lift pieces, at 0.2 and 0.45 on every pair."""
+
+    @pytest.mark.parametrize("name", INVALID_FREE)
+    def test_same_report_with_the_violation(self, name):
+        make, violation = INVALID_FREE[name]
+        for tol in (1e-9, 0.2, 0.45):
+            g = make(tol)
+            for penny in (False, True):
+                report = assert_same_report(g, tol, penny, (tol, penny))
+                assert violation in [(v.kind, v.ids) for v in report.violations], (tol, penny)
+
+
 class TestSameCandidatesWithPieces:
     """With pieces the current generator keeps exactly the pairs the earlier
     one kept after its filters, each once."""
@@ -352,8 +417,7 @@ class TestSameCandidatesWithPieces:
         lifted = 0
         for tol in TOLS:
             for i, g in enumerate(free_corpus(kind, tol)):
-                if not (g.edges and (max(abs(c) for xy in g.positions().values() for c in xy)
-                                     + 1) * graph._LIFT_ROUNDING <= tol <= graph._LIFT_MAX_TOL):
+                if not (g.edges and in_lift_window(g, tol)):
                     continue
                 path, pieces = graph._lift_pieces(g, tol)
                 if path != "free-pieces":
@@ -383,9 +447,18 @@ class TestSameCandidatesWithoutPieces:
 
 
 class TestSameLift:
-    @pytest.mark.parametrize("kind", FREE_KINDS)
+    @pytest.mark.parametrize("kind", FREE_KINDS + ("whole-lift",))
     def test_same_pieces(self, kind):
+        window, lifted = set(), set()
         for tol in TOLS:
-            for i, g in enumerate(free_corpus(kind, tol, rays=400)):
+            corpus = whole_lifts(tol) if kind == "whole-lift" else free_corpus(kind, tol, rays=400)
+            for i, g in enumerate(corpus):
                 if g.edges:
-                    assert graph._lift_pieces(g, tol) == _lift_pieces(g, tol), (kind, i, tol)
+                    got = graph._lift_pieces(g, tol)
+                    assert got == _lift_pieces(g, tol), (kind, i, tol)
+                    if in_lift_window(g, tol):
+                        window.add(tol)
+                        if got[0] == "free-lift":
+                            lifted.add(tol)
+        if kind == "whole-lift":  # a whole lift's record at every tol of the window
+            assert lifted == window == {t for t in TOLS if 1e-12 <= t <= graph._LIFT_MAX_TOL}

@@ -90,6 +90,14 @@ class TestPennyCheck:
         with pytest.raises(ValueError, match="penny"):
             check_penny_harborth(g)
 
+    def test_violation_other_than_penny_distance_rejected(self):
+        # a free unit triangle and a length-2 segment: one NonUnitEdge, no PennyDistance
+        g = free_graph([(0, 0), (1, 0), (0.5, 3 ** 0.5 / 2), (10, 0), (12, 0)],
+                       [(0, 1), (1, 2), (0, 2), (3, 4)])
+        assert [v.kind for v in g.validate(penny_mode=True).violations] == ["NonUnitEdge"]
+        with pytest.raises(ValueError, match="graph invalid: .*NonUnitEdge"):
+            check_penny_harborth(g)
+
     def test_single_vertex(self):
         r = check_penny_harborth(lattice_graph([E(0, 0)]))
         assert (r.bound, r.e, r.tight) == (0, 0, True)

@@ -784,7 +784,7 @@ def assert_blocks_on_lattice(g, tol):
     """decompose(g, tol)'s components are g's blocks on at least 3 vertices,
     with the frame and points of ``_lattice_at(g, tol)``, and share no edge."""
     got = decompose(g, tol)
-    frame, points = _lattice_at(g, tol)
+    frame, points, _ = _lattice_at(g, tol)
     blocks = {blk for blk in connectivity(g).blocks if len(blk) >= 3}
     assert {c.vertices for c in got.components} == blocks and got.k == len(blocks)
     for c in got.components:

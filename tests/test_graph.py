@@ -1034,7 +1034,7 @@ class TestStepsBuiltDarts:
 
     def test_one_vertex_has_empty_steps_and_one_face(self):
         g = _validated(lattice_graph([E(0, 0)], edges=[]), DEFAULT_TOL)
-        assert g._once(graph._lattice_steps) == b""
+        assert g._once(graph._lattice)[2] == b""
         assert graph._lattice_darts(g) == ({0: [None] * 6}, {0: (0, 1, 2, 3, 4, 5)})
         assert rotation_system(g) == {0: ()} and faces(g).faces == ((),)
 
