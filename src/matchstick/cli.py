@@ -102,7 +102,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    return _analyse(args, lambda g: decompose(g, tol=args.tol).to_json())
+    return _analyse(args, lambda g: decompose(g).to_json())
 
 
 def cmd_iso(args) -> int:
@@ -115,7 +115,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    return _analyse(args, lambda g: claim_trace(g, args.tol).to_json())
+    return _analyse(args, lambda g: claim_trace(g).to_json())
 
 
 def cmd_oracle(args) -> int:

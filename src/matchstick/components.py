@@ -1,16 +1,18 @@
 """Decomposition of a matchstick graph into lattice components.
 
 A lattice component is a maximal 2-connected subgraph on at least 3 vertices
-whose vertices all lie on one triangular lattice.  When g lies on one lattice
-(its graph._lattice_at record: lattice mode, or a whole lift at tol), its
-components are its blocks on at least 3 vertices, on that lattice.  Otherwise
-they are found by growing regions with one snap-and-step rule: a neighbour of
-a region vertex v joins when LatticeFrame.snap puts it within tol of a free
-point one unit step from v's.  A wedge seed is a vertex x with neighbours y, w
-that join x by it on the frame with origin x and angle x -> y: y snaps to
-(1, 0), w to another unit step.  Only a region's unit-step edges count, so no
-component needs validating again.  Growth stops once a region covers g with
-unit steps only: every later seed lies in it, so its blocks are g's.
+whose vertices all lie on one triangular lattice; tol is the largest tol g's
+validate() passed at.  When g lies on one lattice (its graph._lattice_at
+record: lattice mode, or the whole lift validation made at tol, which the
+face walk reads too), its components are its blocks on at least 3 vertices,
+on that lattice.  Otherwise they are found by growing regions with one
+snap-and-step rule: a neighbour of a region vertex v joins when
+LatticeFrame.snap puts it within tol of a free point one unit step from v's.
+A wedge seed is a vertex x with neighbours y, w that join x by it on the
+frame with origin x and angle x -> y: y snaps to (1, 0), w to another unit
+step.  Only a region's unit-step edges count, so no component needs
+validating again.  Growth stops once a region covers g with unit steps only:
+every later seed lies in it, so its blocks are g's.
 
 A candidate is a block (its vertex set), the adjacency it was found in (g's,
 or a region's unit-step edges), a frame and coordinates.  A block holds every
@@ -37,9 +39,9 @@ from collections import namedtuple
 
 from . import geometry as geo
 from .census import face_census
-from .graph import (_NONE, DEFAULT_TOL, ConsistencyError, MatchstickGraph, _canonical_rotation,
-                    _check_tol, _grow, _lattice_at, _norm_edge, _unit_steps, block_decomposition,
-                    connectivity, faces, lattice_graph)
+from .graph import (_NONE, ConsistencyError, MatchstickGraph, _canonical_rotation, _grow,
+                    _lattice_at, _norm_edge, _unit_steps, block_decomposition, connectivity, faces,
+                    lattice_graph)
 from .lattice import ORIGIN, UNIT_RING, UNIT_STEP_INDEX, EisensteinPoint, LatticeFrame, phi
 
 
@@ -83,25 +85,24 @@ class DecompositionReport(namedtuple("DecompositionReport",
         }, allow_nan=False)
 
 
-def decompose(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> DecompositionReport:
-    """Find all lattice components of a validated graph.
+def decompose(g: MatchstickGraph) -> DecompositionReport:
+    """Find all lattice components of a validated graph, at the largest tol
+    its validate() passed at.
 
     Output order is deterministic: decreasing n_i, ties by smallest vertex id.
     The coverage bounds and b_star require the face census and outer boundary,
     so they are None for graphs that are not 2-connected.  Computed once per
-    graph and tol.  ``tol`` must be a finite number >= 0 (ValueError otherwise).
+    graph and validated tol.
     """
-    _check_tol(tol)
-    return g._once(_decompose, tol)
+    return g._once(_decompose, g.require_validated())
 
 
 def _decompose(g: MatchstickGraph, tol: float) -> DecompositionReport:
-    g.require_validated()
     info = connectivity(g)
     census = face_census(g) if info.two_connected else None
 
     adj = g.adjacency()
-    lattice = _lattice_at(g, tol)
+    lattice = _lattice_at(g)
     if lattice:
         # every vertex is on one lattice, so the candidates are g's blocks on it
         candidates = [(blk, adj, *lattice[:2]) for blk in info.blocks]

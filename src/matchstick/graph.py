@@ -205,7 +205,8 @@ class MatchstickGraph:
         One report is computed per (tol, penny_mode).  ``tol`` must be a finite
         number >= 0 (ValueError otherwise).
         """
-        _check_tol(tol)
+        if not 0 <= tol <= sys.float_info.max:
+            raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
         report = self._once(_validation_report, tol, penny_mode)
         if report.ok:
             self._validated_tol = max(tol, self._validated_tol or 0.0)
@@ -338,11 +339,6 @@ def _point(xy, where: str) -> tuple[float, float]:
     if max(abs(x), abs(y)) > _MAX_COORD:
         raise ValueError(f"{where} must be at most 1e100 in magnitude, not {xy!r}")
     return x, y
-
-
-def _check_tol(tol: float):
-    if not 0 <= tol <= sys.float_info.max:
-        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
 
 
 def _lattice(g: MatchstickGraph):
@@ -615,10 +611,11 @@ def _lifted(g: MatchstickGraph, tol: float):
     return "float", None
 
 
-def _lattice_at(g: MatchstickGraph, tol: float):
-    """The (frame, points, steps) record of the lattice g lies on: its own in
-    lattice mode (see _lattice), else its whole lift at ``tol`` (see
-    _lift_pieces), or None."""
+def _lattice_at(g: MatchstickGraph):
+    """The (frame, points, steps) record of the lattice a validated graph lies
+    on: its own in lattice mode (see _lattice), else the whole lift validation
+    made at g.require_validated() (see _lift_pieces), or None."""
+    tol = g.require_validated()
     if g.lattice_mode:
         return g._once(_lattice)
     path, lift = _lifted(g, tol)
@@ -810,13 +807,13 @@ def rotation_system(g: MatchstickGraph) -> dict:
 
 def _lattice_darts(g: MatchstickGraph):
     """(slots, order) of a validated graph from the steps of its
-    ``_lattice_at`` record at the largest tol ``validate`` passed at, else
-    None.  Slot k of ``slots[v]`` holds v's neighbour one ``UNIT_RING[k]``
-    step away, or None; ``order[v]`` lists the six slots counterclockwise from
-    that of v's smallest neighbour, which the first edge naming v in sorted
-    order joins.  Edge (a, b) along step k is a's slot k and b's slot k + 3;
-    no point or adjacency is read.  Built anew per call."""
-    lattice = _lattice_at(g, g.require_validated())
+    ``_lattice_at`` record, the one decompose reads, else None.  Slot k of
+    ``slots[v]`` holds v's neighbour one ``UNIT_RING[k]`` step away, or None;
+    ``order[v]`` lists the six slots counterclockwise from that of v's
+    smallest neighbour, which the first edge naming v in sorted order joins.
+    Edge (a, b) along step k is a's slot k and b's slot k + 3; no point or
+    adjacency is read.  Built anew per call."""
+    lattice = _lattice_at(g)
     if lattice is None:
         return None
     slots = {v: [None] * 6 for v, _ in g.vertices}  # in vertex order, as the walk visits them

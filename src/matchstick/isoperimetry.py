@@ -286,7 +286,9 @@ def random_simple_polygon(rng: random.Random, min_vertices: int = 3,
     """Reproducible random simple polygon: uniform points in the unit square,
     swept into a cycle by angle around their centroid (a space partition that
     cannot self-cross for points in general position); resamples on the rare
-    degenerate draw."""
+    degenerate draw.  ValueError when ``max_vertices`` < 3: no draw is one."""
+    if max_vertices < 3:
+        raise ValueError(f"max_vertices must be at least 3, not {max_vertices!r}")
     while True:
         m = rng.randint(min_vertices, max_vertices)
         pts = [(rng.random(), rng.random()) for _ in range(m)]

@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .census import face_census
 from .components import decompose
-from .graph import DEFAULT_TOL, MatchstickGraph, _check_tol, connectivity
+from .graph import MatchstickGraph, connectivity
 from .isoperimetry import HEX_COEFF
 from .lattice import phi
 
@@ -71,14 +71,12 @@ def _na(claim) -> ClaimRecord:
     return ClaimRecord(claim, None, None, NOT_APPLICABLE)
 
 
-def claim_trace(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> TraceReport:
+def claim_trace(g: MatchstickGraph) -> TraceReport:
     """Evaluate every traced inequality on a validated graph, decomposing it
-    at ``tol``.
+    at the largest tol its validate() passed at.
 
     Census- and component-dependent records degrade to NotApplicable when the
-    graph is not 2-connected (single vertices and paths are legitimate inputs).
-    ``tol`` must be a finite number >= 0 (ValueError otherwise)."""
-    _check_tol(tol)
+    graph is not 2-connected (single vertices and paths are legitimate inputs)."""
     g.require_validated()
     n, e = g.n, g.e
     sq = math.sqrt(12 * n - 3)
@@ -105,7 +103,7 @@ def claim_trace(g: MatchstickGraph, tol: float = DEFAULT_TOL) -> TraceReport:
     records.append(_rec("size_cutoff", float(n), 147.0, ">=", exact=True))
     records.append(_rec("face_weight_upper", float(F), sq / 11.0 - 1.0, "<"))
 
-    report = decompose(g, tol)
+    report = decompose(g)
     sum_ni = report.sum_n_i
     records.append(_rec("coverage_lower", float(report.lower), float(sum_ni), "<=", exact=True))
     records.append(_rec("coverage_upper", float(sum_ni), float(report.upper), "<=", exact=True))

@@ -8,7 +8,7 @@ import pytest
 
 from matchstick.builders import build_extremal, build_hexagon_patch, random_lattice_subgraph
 from matchstick.census import face_census
-from matchstick.components import component_boundary_check, decompose, fill_component
+from matchstick.components import _decompose, component_boundary_check, decompose, fill_component
 from matchstick.graph import (_NONE, DEFAULT_TOL, ConsistencyError, FreeCoord, LatticeCoord,
                               MatchstickGraph, _canonical_rotation, _grow, _lattice,
                               _lattice_at, _norm_edge, _unit_steps, block_decomposition, boundary,
@@ -131,7 +131,7 @@ class TestDecompose:
         g = free_graph(coords, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (3, 5)])
         assert g.validate(tol=0.3).ok
         with building_no_graph(monkeypatch):
-            [comp] = decompose(g, tol=0.3).components
+            [comp] = decompose(g).components
         assert comp.vertices == {2, 3, 5} and comp.edges == {(2, 3), (2, 5), (3, 5)}
 
     def test_free_graph_a_quarter_off_its_lattice_takes_the_lattice_boundary(self):
@@ -141,7 +141,7 @@ class TestDecompose:
         coords = [(1.26 * x, 1.26 * y) if v == far else lat.positions()[v] for v in lat.ids()]
         g = free_graph(coords, sorted(lat.edges))
         assert g.validate(tol=0.3).ok
-        [comp] = decompose(g, tol=0.3).components
+        [comp] = decompose(g).components
         assert comp.boundary_cycle == tuple(boundary(component_graph(comp))[0])
 
     @pytest.mark.parametrize("tol", [0.05, 0.3])
@@ -149,21 +149,19 @@ class TestDecompose:
         # each coordinate moved by up to 0.01, so every vertex snaps within tol
         g = noisy(rotated_free(build_extremal(45), 4.1, (2.5, 1.0)), 0.01, random.Random(11))
         assert g.validate(tol=tol).ok
-        [comp] = decompose(g, tol).components
+        [comp] = decompose(g).components
         assert comp.vertices == frozenset(g.ids())
 
-    def test_computed_once_per_tol(self):
+    def test_computed_once_per_validated_tol(self):
         g = validated(rotated_free(build_hexagon_patch(2), 0.4, (1.0, 2.0)))
         report = decompose(g)
-        assert decompose(g) is report and decompose(g, tol=DEFAULT_TOL) is report
-        other = decompose(g, tol=1e-6)
-        assert other is not report and decompose(g, 1e-6) is other
+        assert decompose(g) is report and g._derived[(_decompose, (DEFAULT_TOL,))] is report
+        # passing at a larger tol moves the graph to it, and decompose with it
+        assert g.validate(tol=1e-6).ok
+        other = decompose(g)
+        assert other is not report and decompose(g) is other
+        assert g._derived[(_decompose, (1e-6,))] is other
         assert other.to_json() == report.to_json()
-        # a tol validate() rejects is rejected alike, not decomposed to k = 0
-        for bad in (math.nan, -1.0, math.inf):
-            for analysis in (decompose, claim_trace):
-                with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
-                    analysis(g, bad)
 
     def test_bowtie_two_components_two_frames(self):
         rep = decompose(make_bowtie())
@@ -641,8 +639,8 @@ class TestBoundaryWalk:
             if not g.validate(tol=tol).ok:
                 continue
             with building_no_graph(monkeypatch):
-                report = decompose(g, tol)
-            claim_trace(g, tol)
+                report = decompose(g)
+            claim_trace(g)
             for comp in report.components:
                 cycle, b = boundary(component_graph(comp))
                 assert (comp.boundary_cycle, comp.b_i) == (tuple(cycle), b)
@@ -698,7 +696,7 @@ class TestContainmentFilter:
             if not g.validate(tol=tol).ok:
                 continue
             want, contained = _reference_components(g, tol)
-            assert list(decompose(g, tol).components) == want
+            assert list(decompose(g).components) == want
             dropped += contained
         if tol >= 0.2:
             assert dropped > 0  # the corpus has contained blocks to drop there
@@ -770,21 +768,21 @@ def _reference_grow_all_seeds(g, tol, full_cover_exit=True):
     return candidates
 
 
-def _reference_decompose(g, tol, grow_all_seeds=_reference_grow_all_seeds):
+def _reference_decompose(g, grow_all_seeds=_reference_grow_all_seeds):
     """decompose's report from the reference wedge scan and boundary walk
     above, which it runs on a free graph whatever its lift."""
     import matchstick.components as components
     with mock.patch.multiple(components, _make_component=_reference_make_component,
                              _grow_all_seeds=grow_all_seeds,
-                             _lattice_at=lambda g, tol: g._once(_lattice)):
-        return components._decompose(g, tol)
+                             _lattice_at=lambda g: g._once(_lattice)):
+        return components._decompose(g, g.require_validated())
 
 
-def assert_blocks_on_lattice(g, tol):
-    """decompose(g, tol)'s components are g's blocks on at least 3 vertices,
-    with the frame and points of ``_lattice_at(g, tol)``, and share no edge."""
-    got = decompose(g, tol)
-    frame, points, _ = _lattice_at(g, tol)
+def assert_blocks_on_lattice(g):
+    """decompose(g)'s components are g's blocks on at least 3 vertices, with
+    the frame and points of ``_lattice_at(g)``, and share no edge."""
+    got = decompose(g)
+    frame, points, _ = _lattice_at(g)
     blocks = {blk for blk in connectivity(g).blocks if len(blk) >= 3}
     assert {c.vertices for c in got.components} == blocks and got.k == len(blocks)
     for c in got.components:
@@ -819,8 +817,8 @@ class TestSameDecompositionAsTheReference:
             for g in graphs:
                 if not g.validate(tol=tol).ok:
                     continue
-                got = decompose(g, tol)
-                want = _reference_decompose(g, tol)
+                got = decompose(g)
+                want = _reference_decompose(g)
                 assert got.to_json() == want.to_json()
                 assert [(c.boundary_cycle, c.coords) for c in got.components] == \
                        [(c.boundary_cycle, c.coords) for c in want.components]
@@ -828,33 +826,28 @@ class TestSameDecompositionAsTheReference:
         assert compared == 3 * len(graphs)
 
     @staticmethod
-    def same_as_reference(g, tol):
-        got = decompose(g, tol)
-        want = _reference_decompose(g, tol)
+    def same_as_reference(g):
+        got = decompose(g)
+        want = _reference_decompose(g)
         assert got.to_json() == want.to_json()
         assert [(c.boundary_cycle, c.coords) for c in got.components] == \
                [(c.boundary_cycle, c.coords) for c in want.components]
         return got
 
-    def test_wedge_whose_edge_is_off_the_lattice_at_a_smaller_tol(self):
+    def test_wedge_whose_first_edge_is_off_the_lattice(self):
         # the edge 0 -> 1 is 1.02 long: at tol 0.05 the wedge (0, 1, 2) grows the
-        # triangle, at 0.01 vertex 2 snaps but 1 does not, and the scan moves on
+        # triangle
         g = free_graph([(0.0, 0.0), (1.02, 0.0), (0.5, math.sqrt(3) / 2)],
                        [(0, 1), (1, 2), (0, 2)])
         assert g.validate(tol=0.05).ok
-        assert self.same_as_reference(g, 0.05).k == 1
-        assert self.same_as_reference(g, 0.01).k == 0
-
-    def test_lift_at_a_tol_validate_never_saw(self):
-        # validated only above the lift's window, the spiral lifts whole inside
-        # decompose at 1e-9, so its components are its blocks on the lift, and
-        # nothing is grown
-        g = rotated_free(build_extremal(136), 0.7, (3.0, -2.0))
-        assert g.validate(tol=0.2).path == "float"
+        assert self.same_as_reference(g).k == 1
+        # the edge 0 -> 1 is 1.55 long: at tol 0.6 vertex 2 snaps to a unit step,
+        # but 1 snaps to (2, 0), so the scan moves on before anything is grown
+        g = free_graph([(0.0, 0.0), (1.55, 0.0), (0.5, math.sqrt(3) / 2)], [(0, 1), (0, 2)])
+        assert g.validate(tol=0.6).path == "float"
         import matchstick.components as components
         with mock.patch.object(components, "_grow", side_effect=AssertionError("grown")):
-            got = self.same_as_reference(g, 1e-9)
-        assert (got.k, got.sum_n_i) == (1, 136)
+            assert self.same_as_reference(g).k == 0
 
 
 def leaf_spiral(n, noise):
@@ -877,8 +870,27 @@ class TestWholeLiftGivesTheBlocks:
         tol = 1e-6
         g = leaf_spiral(n, noise * tol / 4)
         assert g.validate(tol=tol).path == "free-lift"
-        got = assert_blocks_on_lattice(g, tol)
+        got = assert_blocks_on_lattice(g)
         assert (got.k, got.sum_n_i) == (1, n)
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_noisy_spiral_decomposes_on_the_lift_validation_made(self, n, monkeypatch):
+        # each coordinate moved by up to 1e-9 fails validation at 1e-9 and lifts
+        # whole at 1e-6: the faces, decompose and the trace all read that lift,
+        # which validation computed once
+        import matchstick.graph as graph
+        calls = []
+        real = graph._lift_pieces
+        monkeypatch.setattr(graph, "_lift_pieces",
+                            lambda g, tol: calls.append(tol) or real(g, tol))
+        g = noisy(rotated_free(build_extremal(n), 0.7, (0.0, 0.0)), 1e-9, random.Random(1))
+        assert g.validate(tol=1e-6).path == "free-lift"
+        faces(g)
+        got = assert_blocks_on_lattice(g)
+        assert (got.k, got.sum_n_i) == (1, n)
+        assert got.components[0].coords is _lattice_at(g)[1]
+        assert claim_trace(g).derived["n_1"] == n
+        assert calls == [1e-6]
 
 
 class TestFullCoverExit:
@@ -918,8 +930,8 @@ class TestFullCoverExit:
             report = g.validate(tol=tol)
             assert report.ok and report.path != "free-lift"
             with mock.patch.object(components, "_unit_steps", unit_steps):
-                got = decompose(g, tol)
-            want = _reference_decompose(g, tol, grow_every_seed)
+                got = decompose(g)
+            want = _reference_decompose(g, grow_every_seed)
             assert got.to_json() == want.to_json()
             assert [c.coords for c in got.components] == [c.coords for c in want.components]
             compared += 1

@@ -958,7 +958,7 @@ def _reference_lattice_darts(g: MatchstickGraph):
     """graph._lattice_darts as it was before it read the edge steps that
     validation records: each dart's slot is looked up from its two ends'
     lattice points, vertex by vertex along the adjacency."""
-    lattice = graph._lattice_at(g, g.require_validated())
+    lattice = graph._lattice_at(g)
     if lattice is None:
         return None
     points = lattice[1]
@@ -1075,7 +1075,7 @@ class TestUnitSteps:
         monkeypatch.setattr(graph, "_unit_steps",
                             lambda edges, points: calls.append(len(edges)) or real(edges, points))
         assert g.validate(tol=tol).path in ("lattice-fast", "free-lift")
-        connectivity(g), faces(g), face_census(g), decompose(g, tol), claim_trace(g, tol)
+        connectivity(g), faces(g), face_census(g), decompose(g), claim_trace(g)
         rotation_system(g)
         assert calls == [g.e]
 

@@ -104,6 +104,12 @@ class TestClassic:
             rec = check_classic(random_simple_polygon(rng))
             assert rec["margin"] > 0
 
+    @pytest.mark.parametrize("low, high", [(1, 2), (0, 2)])
+    def test_random_polygon_with_too_few_vertices_raises(self, low, high):
+        # no draw of fewer than 3 points is a polygon, so resampling would never end
+        with pytest.raises(ValueError, match="max_vertices"):
+            random_simple_polygon(random.Random(0), low, high)
+
 
 class TestSplit:
     def test_aligned_hexagon_all_parallel(self):

@@ -155,15 +155,15 @@ def test_fast_paths_give_the_plain_answers(case, penny):
     blocks = connectivity(g).blocks
     for a, b in g.edges:
         assert sum(a in blk and b in blk for blk in blocks) == 1, (a, b)
-    for comp in decompose(g, tol).components:
+    for comp in decompose(g).components:
         vs, points = comp.vertices, comp.coords
         assert comp.edges == {(a, b) for a, b in g.edges if a in vs and b in vs
                               and points[b] - points[a] in UNIT_STEP_INDEX}
     if report.path == "free-lift":
         assert faces(g) == _free_walk_faces(g)
-        assert_blocks_on_lattice(g, tol)
+        assert_blocks_on_lattice(g)
         if len(g.adjacency()[min(g.ids())]) >= 2:  # a wedge seed starts on the lift's seed edge
-            assert decompose(g, tol).to_json() == _reference_decompose(g, tol).to_json()
+            assert decompose(g).to_json() == _reference_decompose(g).to_json()
 
 
 # -- documents ------------------------------------------------------------------
