@@ -4,12 +4,15 @@
 subsets of the triangular lattice (n <= 12) by an exact branch-and-bound:
 it grows translation classes once each with the untranslated-anchor growth
 technique (no set is ever revisited, so no canonical-form deduplication is
-needed during the search), and cuts a subtree when, since each added point
-gains at most 6 unit edges, none of its animals could strictly beat the best
-count already found at any size (proof in ``_exhaustive_profile``); the
-counts and witnesses are those of the search without the cut.  The search
-reads one flat code-indexed neighbour table and keeps animal and `seen`
-membership in byte arrays.
+needed during the search).  It keeps, per cell, the number of animal cells
+next to it, so a new cell's edge gain is one lookup, and it cuts a subtree
+when none of its animals could strictly beat the best count already found
+at its size: the k cells an animal adds gain at most the k largest counts
+among the cells it can still add in edges to it, plus at most 0, 1 or
+3k - 6 edges among themselves, as they span a simple plane graph (proof in
+``_exhaustive_profile``).  The counts and witnesses are those of the search
+without the cut.  The search reads one flat code-indexed neighbour table and
+keeps `seen` membership and the counts in byte arrays.
 
 ``max_area_rearrangement`` exhausts edge orderings of a small polygon to
 certify the convex rearrangement.  It cuts a partial chain when no
@@ -31,6 +34,8 @@ import math
 import random
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, gt
 
 from .geometry import cross, dot, segment_distance, shoelace2
 from .lattice import (UNIT_RING, BudgetError, EisensteinPoint,
@@ -74,6 +79,10 @@ def canonicalize(points) -> CanonicalPointSet:
 _STRIDE = 64
 _OFF = 32
 _NEIGH_OFFS = tuple(d.m * _STRIDE + d.n for d in UNIT_RING)
+_PAD = [0] * MAX_ORACLE_N
+# _PLANE[k]: the most edges of a simple plane graph on k points, k (k - 1) / 2
+# up to k = 3 and 3 k - 6 after by Euler's formula
+_PLANE = tuple(k * (k - 1) // 2 if k < 3 else 3 * k - 6 for k in range(MAX_ORACLE_N + 1))
 
 
 def _encode(p: EisensteinPoint) -> int:
@@ -107,24 +116,45 @@ def _exhaustive_profile(n_max: int):
     connected lattice set of that size, and the first such set the search meets.
 
     Every animal cell is allowed, so the neighbours that gain an edge and the
-    neighbours that join the untried list both come from one neighbour table;
-    membership in the animal and in `seen` is a byte per cell code.
+    neighbours that join the untried list both come from one neighbour table.
+    ``seen`` is a byte per cell code, and so is ``cnt``: ``cnt[q]`` is the
+    number of animal cells next to q.  It is raised over the neighbours of a
+    cell c when the animal that c completes may be grown further, and
+    lowered when the search leaves that animal, so the cell popped next
+    gains ``cnt[c]`` edges.
 
-    The search is a branch-and-bound.  An animal of size s with e edges is
-    extended only when e + 6 (t - s) > best[t] for some t in s + 1 .. n_max,
-    that is when e - 6 s > floor[s] = min(best[t] - 6 t for t > s).  This
-    cut leaves every (max_e, witness) as the search without it finds them.
+    The search is a branch-and-bound.  Let an animal A of size s with e
+    edges be just completed by c, and let U be the untried list left at its
+    level plus the allowed neighbours of c that are not yet seen (each has
+    a count of 1).  The search goes below A only when
+    e + (sum of the k largest counts over U) + w(k) > best[s + k] for some
+    k in 1 .. n_max - s, with w(k) = k (k - 1) / 2 up to k = 3 and 3 k - 6
+    after (``_subtree_ceilings``).  This cut leaves every (max_e, witness)
+    as the search without it finds them.
 
-    Proof.  A lattice point has 6 unit neighbours, so each cell added to an
-    animal gains at most 6 edges, and every animal of size t grown from the
-    cut one has at most e + 6 (t - s) <= best[t] edges.  ``best[t]`` only
-    grows, so no such animal strictly beats it, then or later.  ``best`` and
-    ``witness`` change only on a strict improvement, so the skipped subtree
-    would have changed neither.  It works on its own copy of the untried
-    list and restores ``seen``, so the rest of the search runs in the same
-    order and meets the same first maximal animal at each size.  The
-    cut uses only the degree of the lattice, never the bound the search
-    checks."""
+    Proof.  `seen` holds A and every allowed cell next to it once c's new
+    neighbours are marked: each animal cell marked its unseen neighbours
+    when the search went below it.  The subtree adds only cells of the
+    untried list it is handed, which is U, and cells it marks seen itself,
+    which were not seen on entry and so touch no cell of A.  So every cell
+    the subtree can add that touches A is in U.  Now take an animal of size
+    s + k in the subtree, A plus k new cells S.  Its new edges split into
+    edges to A and edges among S.  Those to A number the sum of the counts
+    of the cells of S in U, at most k of them, so at most the sum of the k
+    largest counts over U.  The lattice's unit edges never cross, so the
+    edges among S form a simple plane graph on k points: at most
+    k (k - 1) / 2 of them, and at most 3 k - 6 for k >= 3 by Euler's
+    formula.  So the animal has at most the ceiling above, and when the
+    cut skips the subtree that ceiling is at most best[s + k] for every k.
+    ``best`` only grows, so no animal of the subtree strictly beats it, then
+    or later; ``best`` and ``witness`` change only on a strict improvement,
+    so the skipped subtree would have changed neither.  A searched subtree
+    works on its own copy of the untried list and restores `seen` and
+    `cnt`; a skipped one never marks `seen`, and the counts raised for the
+    test are lowered at once.  So the rest of the search runs in the same
+    order and meets the same first maximal animal at each size.  The cut
+    uses only the lattice's adjacency and planarity, never the bound the
+    search checks."""
     root = _encode(EisensteinPoint(0, 0))
     neighbours = _allowed_neighbours(n_max)
     best = [-1] * (n_max + 1)
@@ -132,51 +162,51 @@ def _exhaustive_profile(n_max: int):
     best[1] = 0
     witness[1] = (root,)
     animal = [root]
-    in_animal = bytearray(_STRIDE * _STRIDE)
-    in_animal[root] = 1
-    seen = bytearray(in_animal)
+    seen = bytearray(_STRIDE * _STRIDE)
+    seen[root] = 1
+    cnt = bytearray(_STRIDE * _STRIDE)
     initial = list(neighbours[root])
     for q in initial:
-        seen[q] = 1
-
-    # floor[s] as in the docstring, raised whenever best grows
-    floor = [0] * n_max
-
-    def raise_floor():
-        low = math.inf
-        for s in range(n_max - 1, -1, -1):
-            low = min(low, best[s + 1] - 6 * (s + 1))
-            floor[s] = low
-
-    raise_floor()
+        seen[q] = cnt[q] = 1
 
     def extend(untried, ecount, size):
         s2 = size + 1
         while untried:
             c = untried.pop()
-            nb = neighbours[c]
-            e2 = ecount
-            for q in nb:
-                e2 += in_animal[q]
-            in_animal[c] = 1
+            e2 = ecount + cnt[c]
             animal.append(c)
             if e2 > best[s2]:
                 best[s2] = e2
                 witness[s2] = tuple(animal)
-                raise_floor()
-            if s2 < n_max and e2 - 6 * s2 > floor[s2]:
+            if s2 < n_max:
+                nb = neighbours[c]
                 added = [q for q in nb if not seen[q]]
-                for q in added:
-                    seen[q] = 1
-                extend(untried + added, e2, s2)
-                for q in added:
-                    seen[q] = 0
-            in_animal[c] = 0
+                reach = untried + added
+                for q in nb:
+                    cnt[q] += 1
+                # k = 0 compares e2 with best[s2], which is at least e2 by now
+                if any(map(gt, _subtree_ceilings(e2, [cnt[q] for q in reach]), best[s2:])):
+                    for q in added:
+                        seen[q] = 1
+                    extend(reach, e2, s2)
+                    for q in added:
+                        seen[q] = 0
+                for q in nb:
+                    cnt[q] -= 1
             animal.pop()
 
     if n_max >= 2:
         extend(initial, 0, 1)
     return tuple((best[s], witness[s]) for s in range(n_max + 1))
+
+
+def _subtree_ceilings(e: int, counts):
+    """Iterator over k = 0 .. MAX_ORACLE_N: the most edges an animal with e
+    edges can have after it adds k cells, when `counts` holds the number of
+    animal neighbours of each cell it can add that touches it.  That is e,
+    plus the sum of the k largest counts (of all of them once k passes their
+    number), plus the most edges of a simple plane graph on k points."""
+    return map(add, accumulate(sorted(counts, reverse=True) + _PAD, initial=e), _PLANE)
 
 
 def max_edges_lattice(n: int):

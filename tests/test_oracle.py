@@ -85,7 +85,7 @@ class TestMaxEdges:
         assert got == [(n, e, tuple(E(m, k) for m, k in pts)) for n, e, pts in want]
 
     def test_profile_witnesses_at_eleven_and_twelve_are_pinned(self):
-        # values of the search without the six-neighbour cut
+        # values of the search without its cut
         eleven = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
                   (2, 2), (3, 0)]
         want = [(11, 21, eleven), (12, 24, eleven + [(3, 1)])]
@@ -100,8 +100,8 @@ class TestMaxEdges:
 
 
 def _unpruned_profile(n_max: int):
-    """_exhaustive_profile without the six-neighbour cut: every connected
-    lattice set is visited."""
+    """_exhaustive_profile without its cut: every connected lattice set is
+    visited."""
     root = oracle._encode(EisensteinPoint(0, 0))
     neighbours = oracle._allowed_neighbours(n_max)
     best = [-1] * (n_max + 1)
@@ -144,14 +144,15 @@ def _unpruned_profile(n_max: int):
     return tuple((best[s], witness[s]) for s in range(n_max + 1))
 
 
-class TestSixNeighbourCut:
+class TestNeighbourCountCut:
     """_exhaustive_profile against the unpruned search it shortcuts."""
 
     @pytest.mark.parametrize("n_max", range(1, 11))
     def test_same_counts_and_witness_codes(self, n_max):
         assert oracle._exhaustive_profile(n_max) == _unpruned_profile(n_max)
 
-    def test_extend_calls_at_nine_are_pinned(self):
+    @pytest.mark.parametrize("n_max, searched", [(9, 216), (12, 3393)])
+    def test_extend_calls_are_pinned(self, n_max, searched):
         # the maxima are met before a slightly too strong cut matters, so the
         # counts alone cannot see one; the number of subtrees searched can
         calls = [0]
@@ -164,10 +165,55 @@ class TestSixNeighbourCut:
         outer = sys.getprofile()
         sys.setprofile(count)
         try:
-            oracle._exhaustive_profile(9)
+            oracle._exhaustive_profile(n_max)
         finally:
             sys.setprofile(outer)
-        assert calls[0] == 6030
+        assert calls[0] == searched
+
+    def test_ceilings_bound_every_subtree(self):
+        # the lemma behind the cut, on the search without it: below every
+        # animal that may grow, each larger size t reached has at most the
+        # ceiling for t, with counts taken from membership, not from `cnt`
+        n_max = 8
+        neighbours = oracle._allowed_neighbours(n_max)
+        root = oracle._encode(E(0, 0))
+        in_animal = bytearray(oracle._STRIDE * oracle._STRIDE)
+        in_animal[root] = 1
+        seen = bytearray(in_animal)
+        initial = list(neighbours[root])
+        for q in initial:
+            seen[q] = 1
+        pairs = []  # (ceiling, most edges below) per animal and size t
+
+        def touching(u):
+            return sum(in_animal[q] for q in neighbours[u])
+
+        def extend(untried, ecount, size):
+            # the most edges per size over every animal grown here
+            s2 = size + 1
+            most = {}
+            while untried:
+                c = untried.pop()
+                e2 = ecount + touching(c)
+                most[s2] = max(most.get(s2, -1), e2)
+                in_animal[c] = 1
+                if s2 < n_max:
+                    added = [q for q in neighbours[c] if not seen[q]]
+                    for q in added:
+                        seen[q] = 1
+                    reach = untried + added
+                    ceilings = list(oracle._subtree_ceilings(e2, [touching(u) for u in reach]))
+                    for t, m in extend(reach, e2, s2).items():
+                        pairs.append((ceilings[t - s2], m))
+                        most[t] = max(most.get(t, -1), m)
+                    for q in added:
+                        seen[q] = 0
+                in_animal[c] = 0
+            return most
+
+        extend(initial, 0, 1)
+        assert [(ceiling, m) for ceiling, m in pairs if m > ceiling] == []
+        assert (len(pairs), sum(m == ceiling for ceiling, m in pairs)) == (5793, 5290)
 
 
 class TestMaxAreaRearrangement:
